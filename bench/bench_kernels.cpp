@@ -466,8 +466,10 @@ void write_json(const std::string& path, const std::vector<Row>& rows, bool smok
     std::fprintf(stderr, "bench_kernels: cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"bench\": \"kernels\",\n  \"threads\": %d,\n  \"smoke\": %s,\n",
-               util::global_lanes(), smoke ? "true" : "false");
+  std::fprintf(f,
+               "{\n  \"bench\": \"kernels\",\n  \"threads\": %d,\n  \"smoke\": %s,\n"
+               "  \"kernel_isa\": \"%s\",\n",
+               util::global_lanes(), smoke ? "true" : "false", cam::kernel_isa());
   std::fprintf(f, "  \"results\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -501,6 +503,7 @@ int main(int argc, char** argv) {
 
   const double min_time = smoke ? 0.02 : 0.4;
   const std::int64_t len = smoke ? 512 : 4096;
+  std::printf("CAM scan kernels: %s\n", cam::kernel_isa());
 
   std::vector<Row> rows;
   rows.push_back(bench_cam_search(cam::SearchMetric::L1BestMatch, 64, 9, len, min_time));

@@ -110,8 +110,8 @@ int serve_forever(runtime::Server& server, const std::string& host, std::uint16_
   net_config.executors = executors;
   runtime::NetServer net(server, net_config);
   net.start();
-  std::printf("listening on %s:%u (SIGINT/SIGTERM to drain)\n", net.host().c_str(),
-              static_cast<unsigned>(net.port()));
+  std::printf("listening on %s:%u, CAM kernels %s (SIGINT/SIGTERM to drain)\n",
+              net.host().c_str(), static_cast<unsigned>(net.port()), cam::kernel_isa());
   std::fflush(stdout);
 
   while (!g_stop) std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -160,8 +160,10 @@ int main(int argc, char** argv) {
   }
 
   if (!listen) {
-    std::printf("model_server demo: %d clients/model x %lld requests, %d kernel threads\n",
-                clients, static_cast<long long>(requests), threads);
+    std::printf(
+        "model_server demo: %d clients/model x %lld requests, %d kernel threads, "
+        "CAM kernels %s\n",
+        clients, static_cast<long long>(requests), threads, cam::kernel_isa());
   }
 
   // --- 1. deploy three models ------------------------------------------------

@@ -25,6 +25,11 @@ namespace pecan::cam {
 
 class LutMemory;
 
+namespace detail {
+struct FloatPlane;
+struct Int8Plane;
+}  // namespace detail
+
 enum class SearchMetric { L1BestMatch, DotProduct };
 
 /// Numeric operating point of a CAM search. Float32 is the bitwise spec;
@@ -64,6 +69,11 @@ inline std::uint8_t affine_quantize(float v, const AffineQuant& q) {
   code = code < 0 ? 0 : (code > 255 ? 255 : code);
   return static_cast<std::uint8_t>(code);
 }
+
+/// ISA tier of the CAM tile-scan kernels this process serves from:
+/// "baseline" (the build's default flags) or "x86-64-v4" (AVX-512), picked
+/// once from the running CPU (cam/cam_kernels.hpp).
+const char* kernel_isa();
 
 /// Max columns per blocked search call. Sized so the per-tile scratch
 /// (distances, hits, packed queries) lives in L1 next to the word being
@@ -195,6 +205,8 @@ class CamArray {
   const std::vector<float>& matchline_noise() const { return mlnoise_; }
 
  private:
+  detail::FloatPlane float_plane() const;
+  detail::Int8Plane int8_plane() const;  ///< throws unless prepare_quantized(Int8) ran
   void search_block_core(const float* queries, std::int64_t lb, std::int32_t* hit32,
                          OpCounter& counter, CamPrecision precision) const;
   void record_usage_block_i32(const std::int32_t* hits, std::int64_t lb) const;

@@ -221,6 +221,7 @@ NetServerStats NetServer::stats() const {
   // Tests assert it returns to 0 after connection deaths — a leaked slot
   // (executor stuck, ledger not decremented) shows up here.
   out.jobs_in_flight = in_flight_.load(std::memory_order_acquire);
+  out.kernel_isa = cam::kernel_isa();
   return out;
 }
 
@@ -431,6 +432,7 @@ bool NetServer::handle_frame(const std::shared_ptr<Conn>& conn, const wire::Fram
                            ",\"deploys\":" + std::to_string(s.deploys) +
                            ",\"shed\":" + std::to_string(s.shed_total) +
                            ",\"cam_precision\":\"" + cam::precision_name(s.cam_precision) +
+                           "\",\"kernel_isa\":\"" + cam::kernel_isa() +
                            "\",\"requests\":" + std::to_string(s.engine.requests) +
                            ",\"batches\":" + std::to_string(s.engine.batches) +
                            ",\"expired\":" + std::to_string(s.engine.expired) +

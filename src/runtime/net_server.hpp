@@ -18,7 +18,8 @@
 //     is ever materialized for CAM layers). Trivial opcodes (PING,
 //     LIST_MODELS, STATS) are answered inline; work-bearing ones (INFER,
 //     INFER_BATCH, DEPLOY) are handed to the executor pool through a
-//     util::BoundedQueue so a slow forward never stalls the event loop.
+//     util::PriorityBucketQueue (highest wire priority class first) so a
+//     slow forward never stalls the event loop.
 //
 //   * Executor threads. Each pops a request, drives the Server (submit +
 //     future wait — so the engines' micro-batching coalesces requests
@@ -98,6 +99,7 @@ struct NetServerStats {
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
   std::int64_t jobs_in_flight = 0;   ///< dispatched jobs without a posted reply (gauge)
+  std::string kernel_isa;            ///< CAM scan kernel table in use (cam::kernel_isa)
 };
 
 class NetServer {

@@ -10,10 +10,13 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "cam/cam_array.hpp"
 #include "cam/cam_conv2d.hpp"
+#include "cam/cam_kernels.hpp"
 #include "cam/lut.hpp"
 #include "nn/im2col.hpp"
 #include "nn/infer_context.hpp"
@@ -848,6 +851,220 @@ TEST(FusedWeighted, Int8MatchesExactIntegerReference) {
       EXPECT_EQ(fused.muls, ref.muls);
     }
   }
+}
+
+// ------------------------------------------------- cross-ISA kernel tables
+
+// The CAM scans dispatch at runtime between kernel tables compiled for
+// different ISA tiers (cam/cam_kernels.hpp). Every table the host can run
+// must reproduce the baseline table BITWISE through the public CamArray
+// entry points: hits, output tiles, OpCounter totals and usage histograms.
+
+using cam::detail::KernelTable;
+using cam::detail::ScopedKernelTable;
+
+enum class Entry { SearchBlock, SearchAccumulate, ScoresBlock, SoftmaxAccumulate };
+
+const char* entry_name(Entry e) {
+  switch (e) {
+    case Entry::SearchBlock: return "search_block";
+    case Entry::SearchAccumulate: return "search_accumulate_block";
+    case Entry::ScoresBlock: return "similarity_scores_block";
+    case Entry::SoftmaxAccumulate: return "similarity_softmax_accumulate_block";
+  }
+  return "?";
+}
+
+struct SweepResult {
+  std::vector<std::int64_t> hits;
+  std::vector<float> out;  ///< [cout, len] output tile, or [p, len] scores
+  CounterSnapshot counter;
+  std::vector<std::uint64_t> usage;
+};
+
+// Drives one entry point over the tile grid the conv kernels use, with
+// `table` pinned on this thread. Usage is reset first so each result holds
+// this sweep's histogram only.
+SweepResult sweep(const KernelTable& table, const CamArray& array, const LutMemory& lut,
+                  const Tensor& cols, CamPrecision precision, Entry entry) {
+  const ScopedKernelTable pin(table);
+  array.reset_usage();
+  const std::int64_t d = array.word_dim(), p = array.word_count(), len = cols.dim(1);
+  const std::int64_t rows = entry == Entry::ScoresBlock ? p : lut.cout();
+  OpCounter counter;
+  std::vector<std::int64_t> hits(static_cast<std::size_t>(len), -1);
+  std::vector<float> out(static_cast<std::size_t>(rows * len), 0.5f);
+  std::vector<float> qtile(static_cast<std::size_t>(d * kCamTileMax));
+  std::vector<float> scores(static_cast<std::size_t>(p * kCamTileMax));
+  for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
+    const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
+    nn::pack_cols_tile(cols.data(), len, d, l0, lb, qtile.data());
+    switch (entry) {
+      case Entry::SearchBlock:
+        array.search_block(qtile.data(), lb, hits.data() + l0, counter, precision);
+        break;
+      case Entry::SearchAccumulate:
+        array.search_accumulate_block(qtile.data(), lb, lut, out.data() + l0, len, counter,
+                                      precision);
+        break;
+      case Entry::ScoresBlock:
+        array.similarity_scores_block(qtile.data(), lb, scores.data(), counter);
+        for (std::int64_t m = 0; m < p; ++m) {
+          std::memcpy(out.data() + m * len + l0, scores.data() + m * lb,
+                      static_cast<std::size_t>(lb) * sizeof(float));
+        }
+        break;
+      case Entry::SoftmaxAccumulate:
+        array.similarity_softmax_accumulate_block(qtile.data(), lb, 0.75f, lut, scores.data(),
+                                                  out.data() + l0, len, counter, precision);
+        break;
+    }
+  }
+  return {hits, out, CounterSnapshot(counter), array.usage()};
+}
+
+void expect_same_sweep(const SweepResult& want, const SweepResult& got, const std::string& what) {
+  EXPECT_EQ(want.hits, got.hits) << what;
+  ASSERT_EQ(want.out.size(), got.out.size()) << what;
+  EXPECT_EQ(std::memcmp(want.out.data(), got.out.data(), want.out.size() * sizeof(float)), 0)
+      << "output tile differs: " << what;
+  EXPECT_TRUE(want.counter == got.counter) << "counter drift: " << what;
+  EXPECT_EQ(want.usage, got.usage) << "usage drift: " << what;
+}
+
+TEST(CrossIsaKernels, TablesResolveOnceWidestLastAndPinPerThread) {
+  const cam::detail::SupportedKernels supported = cam::detail::supported_kernels();
+  ASSERT_GE(supported.count, 1);
+  EXPECT_EQ(supported.tables[0], &cam::detail::kBaselineKernels);
+  EXPECT_STREQ(supported.tables[0]->isa, "baseline");
+  const KernelTable& resolved = cam::detail::resolved_kernels();
+  EXPECT_EQ(&resolved, supported.tables[supported.count - 1]);
+  EXPECT_STREQ(cam::kernel_isa(), resolved.isa);
+  EXPECT_EQ(&cam::detail::active_kernels(), &resolved);
+  {
+    const ScopedKernelTable outer(cam::detail::kBaselineKernels);
+    EXPECT_EQ(&cam::detail::active_kernels(), &cam::detail::kBaselineKernels);
+    {
+      const ScopedKernelTable inner(resolved);
+      EXPECT_EQ(&cam::detail::active_kernels(), &resolved);
+    }
+    EXPECT_EQ(&cam::detail::active_kernels(), &cam::detail::kBaselineKernels);
+    // The pin is per thread; the process-wide answer does not move.
+    EXPECT_STREQ(cam::kernel_isa(), resolved.isa);
+  }
+  EXPECT_EQ(&cam::detail::active_kernels(), &resolved);
+}
+
+TEST(CrossIsaKernels, EveryHostTableBitwiseMatchesBaseline) {
+  const cam::detail::SupportedKernels supported = cam::detail::supported_kernels();
+  if (supported.count < 2) GTEST_SKIP() << "host runs the baseline kernel table only";
+  const KernelTable& baseline = *supported.tables[0];
+
+  struct Config {
+    CamPrecision precision;
+    SearchMetric metric;
+    std::vector<Entry> entries;
+  };
+  const Config configs[] = {
+      {CamPrecision::Float32, SearchMetric::L1BestMatch,
+       {Entry::SearchBlock, Entry::SearchAccumulate}},
+      {CamPrecision::Float32, SearchMetric::DotProduct,
+       {Entry::SearchBlock, Entry::SearchAccumulate, Entry::ScoresBlock,
+        Entry::SoftmaxAccumulate}},
+      {CamPrecision::Int8, SearchMetric::L1BestMatch,
+       {Entry::SearchBlock, Entry::SearchAccumulate}},
+      {CamPrecision::Int8, SearchMetric::DotProduct,
+       {Entry::SearchBlock, Entry::SearchAccumulate, Entry::SoftmaxAccumulate}},
+      {CamPrecision::Binary, SearchMetric::L1BestMatch,
+       {Entry::SearchBlock, Entry::SearchAccumulate}},
+  };
+  constexpr std::int64_t kCout = 13;
+  // p = 300 exceeds the byte-lane Hamming scan's 256-word bound, so the
+  // wide tables' in-kernel fallback is pinned too.
+  const std::int64_t kTableWords[] = {1, 32, 300};
+  for (int t = 1; t < supported.count; ++t) {
+    const KernelTable& table = *supported.tables[t];
+    for (const Config& cfg : configs) {
+      for (const std::int64_t len : kLens) {
+        for (const std::int64_t d : kDims) {
+          for (const std::int64_t p : kTableWords) {
+            for (const bool noise : {false, true}) {
+              Rng rng(static_cast<std::uint64_t>(12000 + len * 1000 + d * 100 + p +
+                                                 static_cast<int>(cfg.precision) * 7 +
+                                                 static_cast<int>(cfg.metric) * 3 + noise));
+              CamArray array(rng.randn({p, d}), cfg.metric);
+              if (noise) {
+                const Tensor offsets = rng.randn({p});
+                array.set_matchline_noise(
+                    std::vector<float>(offsets.data(), offsets.data() + p));
+              }
+              if (cfg.precision != CamPrecision::Float32) array.prepare_quantized(cfg.precision);
+              const LutMemory lut(rng.randn({kCout, p}));
+              const Tensor cols = rng.randn({d, len});
+              for (const Entry entry : cfg.entries) {
+                const std::string what =
+                    std::string(table.isa) + " " + entry_name(entry) + " precision=" +
+                    cam::precision_name(cfg.precision) +
+                    " metric=" + std::to_string(static_cast<int>(cfg.metric)) +
+                    " len=" + std::to_string(len) + " d=" + std::to_string(d) +
+                    " p=" + std::to_string(p) + " noise=" + std::to_string(noise);
+                expect_same_sweep(sweep(baseline, array, lut, cols, cfg.precision, entry),
+                                  sweep(table, array, lut, cols, cfg.precision, entry), what);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(CrossIsaKernels, ConcurrentLanesOnMixedTablesShareOneLedger) {
+  // Lanes pinned to different tables search one array at once: each lane's
+  // output tile matches the baseline sweep, and the shared histogram and
+  // counter see exactly the sum of the lanes (thread_local scratch and pins,
+  // atomic ledgers).
+  const cam::detail::SupportedKernels supported = cam::detail::supported_kernels();
+  constexpr std::int64_t kP = 32, kD = 9, kLen = 130, kCout = 13, kLanes = 4;
+  Rng rng(12345);
+  CamArray array(rng.randn({kP, kD}), SearchMetric::L1BestMatch);
+  array.prepare_quantized(CamPrecision::Int8);
+  const LutMemory lut(rng.randn({kCout, kP}));
+  const Tensor cols = rng.randn({kD, kLen});
+  const SweepResult want = sweep(*supported.tables[0], array, lut, cols, CamPrecision::Int8,
+                                 Entry::SearchAccumulate);
+  array.reset_usage();
+
+  OpCounter shared;
+  std::vector<std::vector<float>> outs(kLanes);
+  std::vector<std::thread> lanes;
+  for (std::int64_t i = 0; i < kLanes; ++i) {
+    lanes.emplace_back([&, i] {
+      const ScopedKernelTable pin(*supported.tables[i % supported.count]);
+      std::vector<float> out(static_cast<std::size_t>(kCout * kLen), 0.5f);
+      std::vector<float> qtile(static_cast<std::size_t>(kD * kCamTileMax));
+      for (std::int64_t l0 = 0; l0 < kLen; l0 += kCamTileMax) {
+        const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, kLen - l0);
+        nn::pack_cols_tile(cols.data(), kLen, kD, l0, lb, qtile.data());
+        array.search_accumulate_block(qtile.data(), lb, lut, out.data() + l0, kLen, shared,
+                                      CamPrecision::Int8);
+      }
+      outs[static_cast<std::size_t>(i)] = std::move(out);
+    });
+  }
+  for (std::thread& t : lanes) t.join();
+
+  for (const std::vector<float>& out : outs) {
+    EXPECT_EQ(std::memcmp(out.data(), want.out.data(), out.size() * sizeof(float)), 0);
+  }
+  const CounterSnapshot total(shared);
+  EXPECT_EQ(total.searches, kLanes * want.counter.searches);
+  EXPECT_EQ(total.adds, kLanes * want.counter.adds);
+  EXPECT_EQ(total.adds_q, kLanes * want.counter.adds_q);
+  EXPECT_EQ(total.lut_reads, kLanes * want.counter.lut_reads);
+  std::vector<std::uint64_t> want_usage = want.usage;
+  for (std::uint64_t& u : want_usage) u *= kLanes;
+  EXPECT_EQ(array.usage(), want_usage);
 }
 
 }  // namespace

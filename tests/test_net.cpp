@@ -452,6 +452,9 @@ TEST(NetServer, PingListModelsStats) {
   const std::string json = client.stats_json("lenet5-d");
   EXPECT_NE(json.find("\"generation\":1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"requests\":"), std::string::npos) << json;
+  EXPECT_NE(json.find(std::string("\"kernel_isa\":\"") + cam::kernel_isa() + "\""),
+            std::string::npos)
+      << json;
   EXPECT_THROW(client.stats_json("ghost"), runtime::UnknownModelError);
   client.ping();  // the error left the connection healthy
 
@@ -461,6 +464,7 @@ TEST(NetServer, PingListModelsStats) {
   EXPECT_EQ(stats.connections_accepted, 1u);
   EXPECT_GE(stats.frames, 5u);
   EXPECT_EQ(stats.replies_error, 1u);  // the ghost stats lookup
+  EXPECT_EQ(stats.kernel_isa, cam::kernel_isa());
   util::set_global_threads(1);
 }
 
