@@ -516,7 +516,7 @@ void run_open_clients(runtime::Server& server, const std::string& model, const T
   std::vector<std::thread> threads;
   for (OpenClient& client : clients) {
     threads.emplace_back([&, t0] {
-      util::BoundedQueue<InFlight> handoff;  // unbounded sender->collector
+      util::PriorityBucketQueue<InFlight> handoff(1);  // unbounded sender->collector
       std::atomic<long long> evicted{0};
       std::thread collector([&] {
         std::vector<InFlight> batch;
@@ -545,7 +545,7 @@ void run_open_clients(runtime::Server& server, const std::string& model, const T
         try {
           InFlight item{arrival,
                         server.submit(model, nth(static_cast<std::int64_t>(i)), client.priority)};
-          handoff.push(item);
+          handoff.push(item, 0);
         } catch (const runtime::OverloadedError&) {
           ++client.shed;
         }
@@ -674,7 +674,6 @@ void run_slo_sweep(std::int64_t per_client, double slo_ms) {
   runtime::EngineConfig adaptive_config = fixed_config;
   adaptive_config.priority_classes = 4;
   adaptive_config.slo_target_ms = slo_ms;
-  adaptive_config.ctl_min_batch = 1;
 
   // Adaptive: the controller shrinks the micro-batch and caps queue depth
   // against the SLO while high-class requests jump the line.

@@ -245,7 +245,7 @@ void CamArray::search_block_core(const float* queries, std::int64_t lb, std::int
     count_into(&OpCounter::muls, counter, bank_port_, static_cast<std::uint64_t>(p_ * d_ * lb));
   }
   count_into(&OpCounter::cam_searches, counter, bank_port_, static_cast<std::uint64_t>(lb));
-  record_usage_block_i32(hit32, lb);
+  record_usage_block(hit32, lb);
 }
 
 void CamArray::search_block(const float* queries, std::int64_t lb, std::int64_t* hits,
@@ -329,18 +329,8 @@ void CamArray::similarity_softmax_accumulate_block(const float* queries, std::in
     const float inv = static_cast<float>(1.0 / denom);
     for (std::int64_t m = 0; m < p_; ++m) scores[m * lb + l] *= inv;
   }
-  record_usage_block_i32(hit32, lb);
-  lut.weighted_accumulate_block(scores, lb, out, out_stride, counter);
-  // The weighted accumulate ledgers inside LutMemory (adds/muls cout*p per
-  // column + one lut_read per column); mirror the same amounts into the
-  // bank port so the bank ledger stays equal to this array's share of the
-  // network total. Keep in sync with LutMemory::weighted_accumulate_block.
-  if (bank_port_) {
-    const std::uint64_t wacc = static_cast<std::uint64_t>(lut.cout() * p_ * lb);
-    bank_port_->adds.fetch_add(wacc, std::memory_order_relaxed);
-    bank_port_->muls.fetch_add(wacc, std::memory_order_relaxed);
-    bank_port_->lut_reads.fetch_add(static_cast<std::uint64_t>(lb), std::memory_order_relaxed);
-  }
+  record_usage_block(hit32, lb);
+  lut.weighted_accumulate_block(scores, lb, out, out_stride, counter, bank_port_);
 }
 
 void CamArray::similarity_scores_block(const float* queries, std::int64_t lb, float* scores,
@@ -353,33 +343,13 @@ void CamArray::similarity_scores_block(const float* queries, std::int64_t lb, fl
   count_into(&OpCounter::muls, counter, bank_port_, static_cast<std::uint64_t>(p_ * d_ * lb));
 }
 
-void CamArray::record_usage_block(const std::int64_t* hits, std::int64_t lb) const {
+void CamArray::record_usage_block(const std::int32_t* hits, std::int64_t lb) const {
   if (lb <= 0) return;
   if (lb > kCamTileMax) throw std::invalid_argument("CamArray: tile larger than kCamTileMax");
   // Aggregate before touching the shared histogram: lb hits usually land on
   // a handful of distinct words, so this turns lb atomics into a few. The
   // scratch vector is kept all-zero between calls (entries are reset as
   // they are flushed), so only `touched` distinct words cost anything.
-  thread_local std::vector<std::uint32_t> counts;
-  if (counts.size() < static_cast<std::size_t>(p_)) counts.resize(static_cast<std::size_t>(p_), 0);
-  std::int64_t touched[kCamTileMax];
-  std::int64_t nt = 0;
-  for (std::int64_t l = 0; l < lb; ++l) {
-    const std::size_t m = static_cast<std::size_t>(hits[l]);
-    if (counts[m]++ == 0) touched[nt++] = hits[l];
-  }
-  for (std::int64_t t = 0; t < nt; ++t) {
-    const std::size_t m = static_cast<std::size_t>(touched[t]);
-    std::atomic_ref<std::uint64_t>(usage_[m]).fetch_add(counts[m], std::memory_order_relaxed);
-    counts[m] = 0;
-  }
-}
-
-void CamArray::record_usage_block_i32(const std::int32_t* hits, std::int64_t lb) const {
-  if (lb <= 0) return;
-  if (lb > kCamTileMax) throw std::invalid_argument("CamArray: tile larger than kCamTileMax");
-  // Same distinct-word aggregation as record_usage_block, over the 32-bit
-  // in-register hits of the blocked/fused kernels.
   thread_local std::vector<std::uint32_t> counts;
   if (counts.size() < static_cast<std::size_t>(p_)) counts.resize(static_cast<std::size_t>(p_), 0);
   std::int32_t touched[kCamTileMax];

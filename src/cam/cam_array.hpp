@@ -161,8 +161,8 @@ class CamArray {
   /// Blocked match-line read: scores[m * lb + l] = <word_m, query_l> for a
   /// dim-major query tile (layout as in search_block). One atomic aggregate
   /// per call; each score bitwise-equal to similarity_scores. Does NOT
-  /// record usage — the caller records the post-softmax argmax, ideally via
-  /// record_usage_block.
+  /// record usage — the caller records the softmax argmax via record_usage
+  /// (similarity_softmax_accumulate_block does this itself).
   void similarity_scores_block(const float* queries, std::int64_t lb, float* scores,
                                OpCounter& counter) const;
 
@@ -173,9 +173,6 @@ class CamArray {
     std::atomic_ref<std::uint64_t>(usage_[static_cast<std::size_t>(word)])
         .fetch_add(1, std::memory_order_relaxed);
   }
-  /// Aggregated histogram update for a tile of hits: one relaxed atomic per
-  /// distinct word instead of one per hit.
-  void record_usage_block(const std::int64_t* hits, std::int64_t lb) const;
   const std::vector<std::uint64_t>& usage() const { return usage_; }
   void reset_usage() const { std::fill(usage_.begin(), usage_.end(), 0); }
 
@@ -209,7 +206,9 @@ class CamArray {
   detail::Int8Plane int8_plane() const;  ///< throws unless prepare_quantized(Int8) ran
   void search_block_core(const float* queries, std::int64_t lb, std::int32_t* hit32,
                          OpCounter& counter, CamPrecision precision) const;
-  void record_usage_block_i32(const std::int32_t* hits, std::int64_t lb) const;
+  /// Aggregated histogram update for a tile of hits: one relaxed atomic per
+  /// distinct word instead of one per hit.
+  void record_usage_block(const std::int32_t* hits, std::int64_t lb) const;
 
   Tensor words_;
   std::int64_t p_, d_;

@@ -46,15 +46,6 @@ Engine::Engine(std::unique_ptr<nn::Sequential> net, EngineConfig config)
   if (config_.slo_target_ms < 0.0) {
     throw std::invalid_argument("Engine: slo_target_ms must be >= 0");
   }
-  if (config_.ctl_min_batch < 1) {
-    throw std::invalid_argument("Engine: ctl_min_batch must be >= 1");
-  }
-  // Resolve the controller ceilings: 0 = inherit the fixed knobs.
-  if (config_.ctl_max_batch == 0) config_.ctl_max_batch = config_.max_batch;
-  if (config_.ctl_max_wait.count() == 0) config_.ctl_max_wait = config_.batch_wait;
-  if (config_.ctl_max_batch < config_.ctl_min_batch) {
-    throw std::invalid_argument("Engine: ctl_max_batch must be >= ctl_min_batch");
-  }
   stats_.classes.resize(static_cast<std::size_t>(config_.priority_classes));
   class_latency_.reserve(static_cast<std::size_t>(config_.priority_classes));
   for (std::int64_t c = 0; c < config_.priority_classes; ++c) {
@@ -642,13 +633,13 @@ void Engine::update_controller(double batch_ms, std::int64_t batch_size) {
   // classic AIMD-flavored asymmetry: back off fast, grow deliberately. The
   // window gate keeps the controller from steering on a handful of samples.
   if (window_n >= 8 && p99 > 0.85 * config_.slo_target_ms) {
-    eff_batch_.store(std::max(config_.ctl_min_batch, cur_batch / 2), std::memory_order_relaxed);
+    eff_batch_.store(std::max<std::int64_t>(1, cur_batch / 2), std::memory_order_relaxed);
     eff_wait_us_.store(cur_wait / 2, std::memory_order_relaxed);
   } else if (window_n >= 8 && p99 < 0.6 * config_.slo_target_ms &&
              static_cast<std::int64_t>(queue_.size()) >= cur_batch) {
-    eff_batch_.store(std::min(config_.ctl_max_batch, cur_batch * 2), std::memory_order_relaxed);
+    eff_batch_.store(std::min(config_.max_batch, cur_batch * 2), std::memory_order_relaxed);
     eff_wait_us_.store(
-        std::min<std::int64_t>(config_.ctl_max_wait.count(),
+        std::min<std::int64_t>(config_.batch_wait.count(),
                                std::max<std::int64_t>(cur_wait * 2, 50)),
         std::memory_order_relaxed);
   }
@@ -661,8 +652,7 @@ void Engine::update_controller(double batch_ms, std::int64_t batch_size) {
       ewma_sample_ms_ > 0.0) {
     const double budget = 0.5 * config_.slo_target_ms;
     auto cap = static_cast<std::int64_t>(budget / ewma_sample_ms_);
-    cap = std::clamp<std::int64_t>(cap, std::max<std::int64_t>(config_.ctl_min_batch, 1),
-                                   config_.max_pending);
+    cap = std::clamp<std::int64_t>(cap, 1, config_.max_pending);
     depth_cap_.store(cap, std::memory_order_relaxed);
     queue_.set_soft_capacity(static_cast<std::size_t>(cap));
   }

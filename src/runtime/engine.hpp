@@ -148,14 +148,10 @@ struct EngineConfig {
   /// Batching still never crosses samples: the controller only moves WHICH
   /// requests share a micro-batch, never how any sample is computed, so
   /// per-sample outputs stay bitwise-identical at every setting.
+  /// The controller's bounds are the fixed knobs themselves: the effective
+  /// batch size moves within [1, max_batch] and the effective straggler
+  /// wait within [0, batch_wait].
   double slo_target_ms = 0.0;
-  /// Controller bounds (used only when slo_target_ms > 0): the effective
-  /// batch size moves within [ctl_min_batch, ctl_max_batch] and the
-  /// effective straggler wait within [0, ctl_max_wait]. 0 for the maxima
-  /// means "inherit max_batch / batch_wait".
-  std::int64_t ctl_min_batch = 1;
-  std::int64_t ctl_max_batch = 0;
-  std::chrono::microseconds ctl_max_wait{0};
   /// Sliding-window size (samples) of the latency estimator behind
   /// EngineStats::p50/p99 and the controller — percentiles describe the most
   /// recent `latency_window` requests, not lifetime history.

@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cstring>
 #include <deque>
-#include <poll.h>
 #include <stdexcept>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -14,11 +13,6 @@
 #include "tensor/serialize.hpp"
 #include "util/fault_injector.hpp"
 #include "util/timer.hpp"
-
-#if defined(__linux__)
-#include <sys/epoll.h>
-#define PECAN_HAVE_EPOLL 1
-#endif
 
 #ifndef MSG_NOSIGNAL
 #define MSG_NOSIGNAL 0
@@ -65,88 +59,26 @@ struct NetServer::Job {
       std::chrono::steady_clock::time_point::max();
 };
 
-/// Readiness-notification backend: epoll where available, poll() otherwise.
-/// Reactor-thread only.
-class NetServer::Poller {
- public:
-  struct Event {
-    int fd = -1;
-    bool readable = false;
-    bool writable = false;
-    bool error = false;
-  };
-  virtual ~Poller() = default;
-  virtual void add(int fd, bool rd, bool wr) = 0;
-  virtual void mod(int fd, bool rd, bool wr) = 0;
-  virtual void del(int fd) = 0;
-  virtual void wait(std::vector<Event>& out, int timeout_ms) = 0;
-};
+void NetServer::Poller::set(int fd, bool rd, bool wr) {
+  interest_[fd] = static_cast<short>((rd ? POLLIN : 0) | (wr ? POLLOUT : 0));
+}
 
-#ifdef PECAN_HAVE_EPOLL
-class NetServer::EpollPoller final : public Poller {
- public:
-  EpollPoller() : epfd_(::epoll_create1(0)) {
-    if (!epfd_.valid()) throw std::runtime_error("epoll_create1 failed");
+void NetServer::Poller::wait(std::vector<Event>& out, int timeout_ms) {
+  out.clear();
+  fds_.clear();
+  for (const auto& [fd, ev] : interest_) fds_.push_back({fd, ev, 0});
+  const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
+  if (n <= 0) return;
+  for (const pollfd& p : fds_) {
+    if (p.revents == 0) continue;
+    Event ev;
+    ev.fd = p.fd;
+    ev.readable = (p.revents & (POLLIN | POLLHUP)) != 0;
+    ev.writable = (p.revents & POLLOUT) != 0;
+    ev.error = (p.revents & (POLLERR | POLLNVAL)) != 0;
+    out.push_back(ev);
   }
-  void add(int fd, bool rd, bool wr) override { ctl(EPOLL_CTL_ADD, fd, rd, wr); }
-  void mod(int fd, bool rd, bool wr) override { ctl(EPOLL_CTL_MOD, fd, rd, wr); }
-  void del(int fd) override { ::epoll_ctl(epfd_.get(), EPOLL_CTL_DEL, fd, nullptr); }
-  void wait(std::vector<Event>& out, int timeout_ms) override {
-    out.clear();
-    epoll_event events[64];
-    const int n = ::epoll_wait(epfd_.get(), events, 64, timeout_ms);
-    for (int i = 0; i < n; ++i) {
-      Event ev;
-      ev.fd = events[i].data.fd;
-      ev.readable = (events[i].events & (EPOLLIN | EPOLLHUP)) != 0;
-      ev.writable = (events[i].events & EPOLLOUT) != 0;
-      ev.error = (events[i].events & EPOLLERR) != 0;
-      out.push_back(ev);
-    }
-  }
-
- private:
-  void ctl(int op, int fd, bool rd, bool wr) {
-    epoll_event ev{};
-    ev.data.fd = fd;
-    ev.events = (rd ? EPOLLIN : 0u) | (wr ? EPOLLOUT : 0u);
-    if (::epoll_ctl(epfd_.get(), op, fd, &ev) != 0) {
-      throw std::runtime_error(std::string("epoll_ctl failed: ") + std::strerror(errno));
-    }
-  }
-  util::Fd epfd_;
-};
-#endif
-
-class NetServer::PollPoller final : public Poller {
- public:
-  void add(int fd, bool rd, bool wr) override { interest_[fd] = events(rd, wr); }
-  void mod(int fd, bool rd, bool wr) override { interest_[fd] = events(rd, wr); }
-  void del(int fd) override { interest_.erase(fd); }
-  void wait(std::vector<Event>& out, int timeout_ms) override {
-    out.clear();
-    fds_.clear();
-    for (const auto& [fd, ev] : interest_) fds_.push_back({fd, ev, 0});
-    const int n = ::poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n <= 0) return;
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      Event ev;
-      ev.fd = p.fd;
-      ev.readable = (p.revents & (POLLIN | POLLHUP)) != 0;
-      ev.writable = (p.revents & POLLOUT) != 0;
-      ev.error = (p.revents & (POLLERR | POLLNVAL)) != 0;
-      out.push_back(ev);
-    }
-  }
-
- private:
-  static short events(bool rd, bool wr) {
-    return static_cast<short>((rd ? POLLIN : 0) | (wr ? POLLOUT : 0));
-  }
-  std::map<int, short> interest_;
-  std::vector<pollfd> fds_;
-};
+}
 
 // ----------------------------------------------------------------- lifecycle
 
@@ -177,17 +109,8 @@ void NetServer::start() {
   util::set_nonblocking(wake_read_.get(), true);
   util::set_nonblocking(wake_write_.get(), true);
 
-#ifdef PECAN_HAVE_EPOLL
-  if (config_.force_poll) {
-    poller_ = std::make_unique<PollPoller>();
-  } else {
-    poller_ = std::make_unique<EpollPoller>();
-  }
-#else
-  poller_ = std::make_unique<PollPoller>();
-#endif
-  poller_->add(listen_fd_.get(), /*rd=*/true, /*wr=*/false);
-  poller_->add(wake_read_.get(), /*rd=*/true, /*wr=*/false);
+  poller_.set(listen_fd_.get(), /*rd=*/true, /*wr=*/false);
+  poller_.set(wake_read_.get(), /*rd=*/true, /*wr=*/false);
 
   running_.store(true, std::memory_order_release);
   for (int i = 0; i < config_.executors; ++i) {
@@ -208,7 +131,6 @@ void NetServer::stop() {
   jobs_.close();
   for (std::thread& t : executors_) t.join();
   executors_.clear();
-  poller_.reset();
   wake_read_.reset();
   wake_write_.reset();
   running_.store(false, std::memory_order_release);
@@ -257,12 +179,12 @@ void NetServer::reactor_loop() {
         // Stop accepting and stop reading: no new requests enter; in-flight
         // ones keep executing and their replies keep flushing.
         if (listen_fd_.valid()) {
-          poller_->del(listen_fd_.get());
+          poller_.del(listen_fd_.get());
           listen_fd_.reset();
         }
         for (auto& [fd, conn] : conns_) {
           conn->reading = false;
-          poller_->mod(fd, /*rd=*/false, conn->want_write);
+          poller_.set(fd, /*rd=*/false, conn->want_write);
         }
       }
       bool flushed = true;
@@ -279,7 +201,7 @@ void NetServer::reactor_loop() {
       if (drained || expired) break;
     }
 
-    poller_->wait(events, drain_started ? 10 : 200);
+    poller_.wait(events, drain_started ? 10 : 200);
     for (const Poller::Event& ev : events) {
       if (listen_fd_.valid() && ev.fd == listen_fd_.get()) {
         accept_ready();
@@ -326,7 +248,7 @@ void NetServer::accept_ready() {
     }
     auto conn = std::make_shared<Conn>(cfd, config_.max_frame_bytes);
     conns_[cfd] = conn;
-    poller_->add(cfd, /*rd=*/true, /*wr=*/false);
+    poller_.set(cfd, /*rd=*/true, /*wr=*/false);
     std::lock_guard<std::mutex> lock(stats_mutex_);
     ++stats_.connections_accepted;
     ++stats_.connections_active;
@@ -336,7 +258,7 @@ void NetServer::accept_ready() {
 void NetServer::close_conn(const std::shared_ptr<Conn>& conn) {
   if (conn->closed.exchange(true, std::memory_order_acq_rel)) return;
   const int fd = conn->fd.get();
-  poller_->del(fd);
+  poller_.del(fd);
   conns_.erase(fd);
   std::lock_guard<std::mutex> lock(stats_mutex_);
   --stats_.connections_active;
@@ -388,7 +310,7 @@ void NetServer::handle_readable(const std::shared_ptr<Conn>& conn) {
                          conn->decoder.error_request_id(), {}, conn->decoder.error());
       conn->reading = false;
       conn->close_after_flush = true;
-      poller_->mod(conn->fd.get(), /*rd=*/false, conn->want_write);
+      poller_.set(conn->fd.get(), /*rd=*/false, conn->want_write);
       post_reply(conn, std::move(reply), wire::Status::BadFrame);
       return;
     }
@@ -698,11 +620,11 @@ bool NetServer::flush_writes(const std::shared_ptr<Conn>& conn) {
     if (conn->close_after_flush) return false;  // error reply delivered; close
     if (conn->want_write) {
       conn->want_write = false;
-      poller_->mod(fd, conn->reading, false);
+      poller_.set(fd, conn->reading, false);
     }
   } else if (!conn->want_write) {
     conn->want_write = true;
-    poller_->mod(fd, conn->reading, true);
+    poller_.set(fd, conn->reading, true);
   }
   return true;
 }

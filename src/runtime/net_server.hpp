@@ -9,9 +9,9 @@
 // Architecture — one reactor, W executors, replies multiplexed:
 //
 //   * Reactor thread. A non-blocking accept loop plus per-connection reads,
-//     driven by epoll on Linux (poll() fallback elsewhere, or on request via
-//     NetServerConfig::force_poll). The reactor decodes frames straight out
-//     of each connection's receive buffer — for INFER/INFER_BATCH the
+//     driven by POSIX poll() — the server is sized for a handful of
+//     connections, not C10K. The reactor decodes frames straight out of
+//     each connection's receive buffer — for INFER/INFER_BATCH the
 //     payload floats land directly in the engine-ready Tensor (one
 //     socket-buffer→tensor copy, no intermediate frame or batch assembly;
 //     the fused im2col_tile path downstream means no contiguous batch tensor
@@ -58,6 +58,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <poll.h>
 #include <string>
 #include <thread>
 #include <vector>
@@ -75,7 +76,6 @@ struct NetServerConfig {
   int executors = 2;       ///< request-execution threads (>= 1)
   std::size_t max_frame_bytes = wire::kDefaultMaxFrameBytes;
   std::chrono::milliseconds drain_timeout{5000};  ///< stop() upper bound
-  bool force_poll = false;  ///< use the poll() backend even where epoll exists
   /// Priority classes of the executor job queue: a frame's optional priority
   /// byte (clamped to [0, priority_classes-1]) orders execution — executors
   /// always pop the highest class first — and is forwarded to
@@ -130,9 +130,27 @@ class NetServer {
  private:
   struct Conn;
   struct Job;
-  class Poller;
-  class EpollPoller;
-  class PollPoller;
+
+  /// Readiness notification over POSIX poll(): the reactor serves a handful
+  /// of connections, so rebuilding the pollfd array per wait costs nothing
+  /// measurable. Reactor-thread only.
+  class Poller {
+   public:
+    struct Event {
+      int fd = -1;
+      bool readable = false;
+      bool writable = false;
+      bool error = false;
+    };
+    /// Registers `fd` or replaces its read/write interest.
+    void set(int fd, bool rd, bool wr);
+    void del(int fd) { interest_.erase(fd); }
+    void wait(std::vector<Event>& out, int timeout_ms);
+
+   private:
+    std::map<int, short> interest_;
+    std::vector<pollfd> fds_;
+  };
 
   void reactor_loop();
   void executor_loop();
@@ -158,7 +176,7 @@ class NetServer {
 
   util::Fd listen_fd_;
   util::Fd wake_read_, wake_write_;  ///< self-pipe: executors wake the reactor
-  std::unique_ptr<Poller> poller_;
+  Poller poller_;
 
   std::thread reactor_;
   std::vector<std::thread> executors_;

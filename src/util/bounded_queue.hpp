@@ -1,25 +1,46 @@
-// Bounded MPMC queue — the admission-controlled pending buffer of the
-// serving runtime.
+// util::PriorityBucketQueue — the admission-controlled pending buffer of the
+// serving runtime (Engine's sample queue, NetServer's executor job queue).
 //
-// Any number of producers push work items; any number of consumers pop them
-// (the Engine's batcher is currently the only consumer, but nothing here
-// assumes that). The queue owns the three policy decisions a serving front
-// door needs and nothing else:
-//   * a capacity bound — push() blocks while full (backpressure propagates
-//     to the caller), try_push() returns Full immediately (caller sheds);
+// A bounded MPMC queue: any number of producers push work items, any number
+// of consumers pop them. K priority classes share ONE capacity bound
+// (admission control is about total queued work, not per-class fairness);
+// class indices are 0..K-1 with HIGHER values more urgent, and class 0 is
+// the default every legacy producer lands in. A single-class queue is the
+// plain FIFO. The queue owns the policy decisions a serving front door needs
+// and nothing else:
+//   * a capacity bound (0 = unbounded) — push() blocks while full
+//     (backpressure propagates to the caller), try_push() returns Full
+//     immediately (caller sheds);
 //   * close semantics — close() wakes every blocked producer and consumer;
 //     pushes after close fail with Closed, pops keep draining whatever is
 //     already queued so no accepted item is ever dropped;
 //   * batched consumption — pop_batch() waits for the first item, then
 //     briefly for stragglers (micro-batch coalescing), then pops the longest
-//     prefix a caller predicate accepts.
+//     prefix a caller predicate accepts;
+//   * consumers drain the highest non-empty class first — pop_batch picks
+//     every item (the first AND each coalesced straggler) from the highest
+//     class available at that moment, so batches coalesce ACROSS classes
+//     while strict precedence holds at every single pop;
+//   * under Reject-mode pressure the LOWEST class sheds first —
+//     try_push_evict on a full queue evicts the newest item of the lowest
+//     occupied class strictly below the incoming one (drop-tail of the least
+//     urgent traffic) and hands it back to the caller to fail; an incoming
+//     item that is itself (tied for) lowest is the one shed.
 //
 // Push never moves from the caller's item unless it is accepted, so a
 // rejected producer still owns its payload and can retry elsewhere. (Note
 // this is a queue-level guarantee: Engine::submit takes its sample by
 // value, so at THAT boundary a shed request's tensor is gone either way.)
+//
+// Per-class depth and shed counters are kept here, where every admission
+// decision lands, so EngineStats can report them without a second ledger.
+//
+// A `soft_capacity` below the hard bound lets a controller shrink the
+// admission window at runtime (deadline-derived queue caps): pushes respect
+// min(capacity, soft_capacity) while items already queued stay poppable.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -39,158 +60,6 @@ enum class PushResult {
 };
 
 template <typename T>
-class BoundedQueue {
- public:
-  /// capacity == 0 means unbounded.
-  explicit BoundedQueue(std::size_t capacity = 0) : capacity_(capacity) {}
-
-  BoundedQueue(const BoundedQueue&) = delete;
-  BoundedQueue& operator=(const BoundedQueue&) = delete;
-
-  /// Non-blocking push: sheds instead of waiting when full.
-  PushResult try_push(T& item) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_) return PushResult::Closed;
-      if (capacity_ != 0 && items_.size() >= capacity_) return PushResult::Full;
-      items_.push_back(std::move(item));
-    }
-    cv_.notify_all();
-    return PushResult::Ok;
-  }
-
-  /// Blocking push: waits for space (backpressure). Never returns Full.
-  PushResult push(T& item) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] {
-        return closed_ || capacity_ == 0 || items_.size() < capacity_;
-      });
-      if (closed_) return PushResult::Closed;
-      items_.push_back(std::move(item));
-    }
-    cv_.notify_all();
-    return PushResult::Ok;
-  }
-
-  /// Consumer side. Blocks until at least one item is queued (or returns 0
-  /// when the queue is closed and drained). If fewer than `want` items are
-  /// queued and the queue is still open, waits up to `straggler` for more to
-  /// coalesce. Then appends to `out` the longest prefix of up to `max` items
-  /// for which keep(first, candidate) holds, where `first` is the first item
-  /// popped by THIS call (always taken, and unaffected by anything the
-  /// caller already had in `out`).
-  template <typename Keep>
-  std::size_t pop_batch(std::vector<T>& out, std::size_t max,
-                        std::chrono::microseconds straggler, std::size_t want, Keep keep) {
-    std::size_t popped = 0;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      for (;;) {
-        cv_.wait(lock, [this] { return closed_ || !items_.empty(); });
-        if (closed_ && items_.empty()) return 0;  // closed and drained
-        if (!closed_ && items_.size() < want && !at_capacity()) {
-          // A queue at capacity can't coalesce further — waiting for more
-          // stragglers would burn the whole window with producers stalled
-          // behind a full queue (want > capacity is a legal config).
-          cv_.wait_for(lock, straggler, [this, want] {
-            return closed_ || items_.size() >= want || at_capacity();
-          });
-          // The straggler wait releases the lock, so a concurrent consumer
-          // may have drained the queue meanwhile: re-check before front().
-          if (items_.empty()) continue;
-        }
-        break;
-      }
-      const std::size_t first = out.size();
-      out.push_back(std::move(items_.front()));
-      items_.pop_front();
-      ++popped;
-      while (!items_.empty() && popped < max && keep(out[first], items_.front())) {
-        out.push_back(std::move(items_.front()));
-        items_.pop_front();
-        ++popped;
-      }
-    }
-    cv_.notify_all();  // free space for blocked producers
-    return popped;
-  }
-
-  /// Moves out everything still queued (works after close(); used to answer
-  /// leftovers during shutdown).
-  std::vector<T> drain() {
-    std::vector<T> out;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      out.reserve(items_.size());
-      while (!items_.empty()) {
-        out.push_back(std::move(items_.front()));
-        items_.pop_front();
-      }
-    }
-    cv_.notify_all();
-    return out;
-  }
-
-  /// Rejects future pushes and wakes every blocked producer/consumer.
-  /// Already-queued items stay poppable. Idempotent.
-  void close() {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      closed_ = true;
-    }
-    cv_.notify_all();
-  }
-
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
-
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return items_.size();
-  }
-
-  std::size_t capacity() const { return capacity_; }
-
- private:
-  /// Caller must hold mutex_.
-  bool at_capacity() const { return capacity_ != 0 && items_.size() >= capacity_; }
-
-  const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::condition_variable cv_;
-  std::deque<T> items_;
-  bool closed_ = false;
-};
-
-// Priority-bucketed bounded MPMC queue — the SLO-aware sibling of
-// BoundedQueue, and the pending buffer behind Engine request priorities.
-//
-// K priority classes share ONE capacity bound (admission control is about
-// total queued work, not per-class fairness). Class indices are 0..K-1 with
-// HIGHER values more urgent; class 0 is the default every legacy producer
-// lands in. On top of the BoundedQueue contract (close semantics, rejected
-// pushes never consume the item, straggler-coalescing pop_batch) it owns the
-// two scheduling policies of a priority front door:
-//   * consumers drain the highest non-empty class first — pop_batch picks
-//     every item (the first AND each coalesced straggler) from the highest
-//     class available at that moment, so batches coalesce ACROSS classes
-//     while strict precedence holds at every single pop;
-//   * under Reject-mode pressure the LOWEST class sheds first —
-//     try_push_evict on a full queue evicts the newest item of the lowest
-//     occupied class strictly below the incoming one (drop-tail of the least
-//     urgent traffic) and hands it back to the caller to fail; an incoming
-//     item that is itself (tied for) lowest is the one shed.
-//
-// Per-class depth and shed counters are kept here, where every admission
-// decision lands, so EngineStats can report them without a second ledger.
-//
-// A `soft_capacity` below the hard bound lets a controller shrink the
-// admission window at runtime (deadline-derived queue caps): pushes respect
-// min(capacity, soft_capacity) while items already queued stay poppable.
-template <typename T>
 class PriorityBucketQueue {
  public:
   /// `classes` >= 1 priority buckets; capacity == 0 means unbounded.
@@ -198,7 +67,6 @@ class PriorityBucketQueue {
       : capacity_(capacity),
         soft_capacity_(capacity),
         buckets_(classes == 0 ? 1 : classes),
-        depth_(buckets_.size(), 0),
         shed_(buckets_.size(), 0) {}
 
   PriorityBucketQueue(const PriorityBucketQueue&) = delete;
@@ -249,7 +117,6 @@ class PriorityBucketQueue {
         }
         evicted = std::move(buckets_[victim].back());
         buckets_[victim].pop_back();
-        --depth_[victim];
         --total_;
         ++shed_[victim];
       }
@@ -271,10 +138,15 @@ class PriorityBucketQueue {
     return PushResult::Ok;
   }
 
-  /// Same contract as BoundedQueue::pop_batch, with precedence: the first
-  /// item and every coalesced straggler are each taken from the HIGHEST
-  /// non-empty class at that pop. keep(first, candidate) still bounds the
-  /// prefix (shape coalescing crosses classes freely).
+  /// Consumer side. Blocks until at least one item is queued (or returns 0
+  /// when the queue is closed and drained). If fewer than `want` items are
+  /// queued and the queue is still open, waits up to `straggler` for more to
+  /// coalesce. Then appends to `out` the longest prefix of up to `max` items
+  /// for which keep(first, candidate) holds, where `first` is the first item
+  /// popped by THIS call (always taken, and unaffected by anything the
+  /// caller already had in `out`). The first item and every coalesced
+  /// straggler are each taken from the HIGHEST non-empty class at that pop;
+  /// keep() bounds the prefix across classes freely.
   template <typename Keep>
   std::size_t pop_batch(std::vector<T>& out, std::size_t max,
                         std::chrono::microseconds straggler, std::size_t want, Keep keep) {
@@ -285,10 +157,15 @@ class PriorityBucketQueue {
         cv_.wait(lock, [this] { return closed_ || total_ > 0; });
         if (closed_ && total_ == 0) return 0;  // closed and drained
         if (!closed_ && total_ < want && !at_capacity()) {
+          // A queue at capacity can't coalesce further — waiting for more
+          // stragglers would burn the whole window with producers stalled
+          // behind a full queue (want > capacity is a legal config).
           cv_.wait_for(lock, straggler, [this, want] {
             return closed_ || total_ >= want || at_capacity();
           });
-          if (total_ == 0) continue;  // a concurrent consumer drained us
+          // The straggler wait releases the lock, so a concurrent consumer
+          // may have drained the queue meanwhile: re-check before popping.
+          if (total_ == 0) continue;
         }
         break;
       }
@@ -317,6 +194,8 @@ class PriorityBucketQueue {
     return out;
   }
 
+  /// Rejects future pushes and wakes every blocked producer/consumer.
+  /// Already-queued items stay poppable. Idempotent.
   void close() {
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -337,7 +216,7 @@ class PriorityBucketQueue {
 
   std::size_t depth(std::size_t cls) const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return depth_[clamp_class(cls)];
+    return buckets_[clamp_class(cls)].size();
   }
 
   /// Items shed from class `cls` (try_push rejections + evictions), lifetime.
@@ -379,7 +258,6 @@ class PriorityBucketQueue {
 
   void enqueue(T&& item, std::size_t cls) {
     buckets_[cls].push_back(std::move(item));
-    ++depth_[cls];
     ++total_;
   }
 
@@ -396,7 +274,6 @@ class PriorityBucketQueue {
     const std::size_t c = top_class();
     T item = std::move(buckets_[c].front());
     buckets_[c].pop_front();
-    --depth_[c];
     --total_;
     return item;
   }
@@ -406,7 +283,6 @@ class PriorityBucketQueue {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::vector<std::deque<T>> buckets_;
-  std::vector<std::size_t> depth_;
   std::vector<std::uint64_t> shed_;
   std::size_t total_ = 0;
   bool closed_ = false;

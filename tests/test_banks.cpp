@@ -123,41 +123,47 @@ TEST(BankMap, ValidatesConfig) {
 // ----------------------------------------------------- per-bank op ledgers
 
 TEST(BankLedger, BankSearchesAndEnergyPartitionTheNetworkLedger) {
-  util::set_global_threads(2);
-  runtime::EngineConfig config;
-  config.path = runtime::ExecPath::Cam;
-  config.bank_config.banks = 4;
-  runtime::Engine engine(lenet(7), config);
-  engine.forward_batch(mnist_batch(11, 6));
-  engine.forward_batch(mnist_batch(13, 3));
-  util::set_global_threads(1);
+  // PECAN-D runs the best-match search + LUT gather epilogue; PECAN-A runs
+  // the similarity + softmax + weighted-accumulate epilogue, whose LUT ops
+  // reach the bank port through LutMemory::weighted_accumulate_block.
+  for (const models::Variant variant : {models::Variant::PecanD, models::Variant::PecanA}) {
+    SCOPED_TRACE(variant == models::Variant::PecanD ? "PECAN-D" : "PECAN-A");
+    util::set_global_threads(2);
+    runtime::EngineConfig config;
+    config.path = runtime::ExecPath::Cam;
+    config.bank_config.banks = 4;
+    runtime::Engine engine(lenet(7, variant), config);
+    engine.forward_batch(mnist_batch(11, 6));
+    engine.forward_batch(mnist_batch(13, 3));
+    util::set_global_threads(1);
 
-  const runtime::EngineStats stats = engine.stats();
-  ASSERT_EQ(stats.banks.size(), 4u);
-  ASSERT_NE(engine.counter(), nullptr);
+    const runtime::EngineStats stats = engine.stats();
+    ASSERT_EQ(stats.banks.size(), 4u);
+    ASSERT_NE(engine.counter(), nullptr);
 
-  // The ports mirror the SAME aggregates the network counter receives, so
-  // the per-bank search counts partition the network total EXACTLY.
-  std::uint64_t bank_searches = 0;
-  double bank_energy_pj = 0.0;
-  for (const cam::BankStats& b : stats.banks) {
-    EXPECT_GT(b.searches, 0u);  // round-robin over >4 arrays: no idle bank
-    bank_searches += b.searches;
-    bank_energy_pj += b.energy_pj;
+    // The ports mirror the SAME aggregates the network counter receives, so
+    // the per-bank search counts partition the network total EXACTLY.
+    std::uint64_t bank_searches = 0;
+    double bank_energy_pj = 0.0;
+    for (const cam::BankStats& b : stats.banks) {
+      EXPECT_GT(b.searches, 0u);  // round-robin over >4 arrays: no idle bank
+      bank_searches += b.searches;
+      bank_energy_pj += b.energy_pj;
+    }
+    EXPECT_EQ(bank_searches, engine.counter()->cam_searches.load());
+
+    // Energy: exact integer counts x the same table on both sides; only the
+    // double summation order differs between "price each bank then sum" and
+    // "sum the ledgers then price".
+    EXPECT_GT(stats.energy_pj, 0.0);
+    EXPECT_NEAR(bank_energy_pj, stats.energy_pj, 1e-6 * stats.energy_pj);
+
+    // 9 samples served through forward_batch: the per-inference figure is
+    // the total over exactly those samples.
+    EXPECT_EQ(stats.direct_samples, 9u);
+    EXPECT_NEAR(stats.energy_per_inference_nj, stats.energy_pj / 1e3 / 9.0,
+                1e-9 * stats.energy_per_inference_nj);
   }
-  EXPECT_EQ(bank_searches, engine.counter()->cam_searches.load());
-
-  // Energy: exact integer counts x the same table on both sides; only the
-  // double summation order differs between "price each bank then sum" and
-  // "sum the ledgers then price".
-  EXPECT_GT(stats.energy_pj, 0.0);
-  EXPECT_NEAR(bank_energy_pj, stats.energy_pj, 1e-6 * stats.energy_pj);
-
-  // 9 samples served through forward_batch: the per-inference figure is the
-  // total over exactly those samples.
-  EXPECT_EQ(stats.direct_samples, 9u);
-  EXPECT_NEAR(stats.energy_per_inference_nj, stats.energy_pj / 1e3 / 9.0,
-              1e-9 * stats.energy_per_inference_nj);
 }
 
 TEST(BankLedger, ConcurrentForwardsKeepBankLedgersExact) {

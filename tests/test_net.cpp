@@ -7,7 +7,7 @@
 // concurrent connections and across a mid-traffic hot-swap with zero lost
 // requests; error statuses (UNKNOWN_MODEL, BAD_REQUEST, BAD_FRAME,
 // OVERLOADED) map to the right wire codes; graceful drain flushes every
-// in-flight reply; the poll() fallback serves identically.
+// in-flight reply.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -926,31 +926,6 @@ TEST(NetServer, GracefulDrainFlushesEveryInFlightReply) {
   EXPECT_FALSE(net.running());
   // After the drain the server closed the connection in an orderly way.
   EXPECT_THROW((void)client.recv(), std::runtime_error);
-  util::set_global_threads(1);
-}
-
-TEST(NetServer, ForcePollBackendServesIdentically) {
-  util::set_global_threads(2);
-  runtime::Server server;
-  Rng data(11);
-  server.deploy("m", lenet(7));
-  const Tensor batch = lenet_batch(data, 2);
-  const std::vector<Tensor> ref = split_rows(runtime::Engine(lenet(7)).forward_batch(batch));
-
-  runtime::NetServerConfig config = loopback_config();
-  config.force_poll = true;  // exercise the non-epoll reactor
-  runtime::NetServer net(server, config);
-  net.start();
-
-  runtime::NetClient client("127.0.0.1", net.port());
-  client.ping();
-  const std::vector<Tensor> rows = split_rows(client.infer_batch("m", batch));
-  for (std::size_t s = 0; s < rows.size(); ++s) {
-    ASSERT_TRUE(matches(rows[s], ref[s])) << "poll-backend sample " << s;
-  }
-  EXPECT_TRUE(matches(client.infer("m", nth_sample(batch, 1)), ref[1]));
-  net.stop();
-  EXPECT_EQ(net.stats().replies_error, 0u);
   util::set_global_threads(1);
 }
 

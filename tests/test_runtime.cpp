@@ -346,7 +346,6 @@ TEST(EngineSlo, ControllerShrinksBatchUnderSloPressureBitwiseIdentical) {
   runtime::EngineConfig config;
   config.max_batch = 8;
   config.slo_target_ms = 1e-6;  // unreachable: every windowed p99 breaches it
-  config.ctl_min_batch = 1;
   runtime::Engine engine(std::move(served), config);
   EXPECT_EQ(engine.stats().eff_max_batch, 8);  // controller starts at the config
 
@@ -367,9 +366,33 @@ TEST(EngineSlo, ControllerShrinksBatchUnderSloPressureBitwiseIdentical) {
   // 32 requests against a micro-ms SLO: the multiplicative decrease reaches
   // the floor (8 -> 4 -> 2 -> 1 takes three post-window batches; at least
   // 24 batches ran after the 8-sample window filled).
-  EXPECT_EQ(stats.eff_max_batch, config.ctl_min_batch);
+  EXPECT_EQ(stats.eff_max_batch, 1);
   EXPECT_LT(stats.eff_batch_wait_us, config.batch_wait.count());
   EXPECT_EQ(stats.requests, 32u);
+}
+
+TEST(EngineSlo, ControllerGrowthStopsAtMaxBatchAndBatchWait) {
+  // A loose SLO with a deep queue takes the growth branch after every
+  // batch once the window fills; the fixed knobs are its ceiling, so the
+  // effective batch size and straggler wait never leave their start values.
+  Rng rng(241);
+  runtime::EngineConfig config;
+  config.max_batch = 4;
+  config.slo_target_ms = 1e6;  // always comfortably under: grow whenever deep
+  runtime::Engine engine(models::make_lenet5(models::Variant::PecanD, rng), config);
+
+  Rng data_rng(251);
+  const Tensor batch = random_batch(data_rng, 4);
+  constexpr int kBurst = 64;
+  std::vector<std::future<Tensor>> futures;
+  for (int r = 0; r < kBurst; ++r) futures.push_back(engine.submit(nth_sample_3d(batch, r % 4)));
+  for (std::future<Tensor>& f : futures) f.get();
+  engine.shutdown();
+
+  const runtime::EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kBurst));
+  EXPECT_EQ(stats.eff_max_batch, config.max_batch);
+  EXPECT_EQ(stats.eff_batch_wait_us, config.batch_wait.count());
 }
 
 // --------------------------------------------------- concurrent serving

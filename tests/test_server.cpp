@@ -1,4 +1,5 @@
-// Tests for the multi-model serving front-end: util::BoundedQueue semantics,
+// Tests for the multi-model serving front-end: single-class
+// util::PriorityBucketQueue semantics (the plain bounded FIFO),
 // ModelRegistry hot-swap ownership, and the Server's three acceptance
 // guarantees — (a) per-sample results through the Server are bitwise-
 // identical to a direct Engine forward for every registered model under >=4
@@ -36,42 +37,45 @@ namespace {
 
 using namespace std::chrono_literals;
 
-// --------------------------------------------------------------- BoundedQueue
+// ------------------------------------------------- PriorityBucketQueue, 1 class
+//
+// The single-class queue is the plain bounded FIFO: capacity, close, pop_batch
+// coalescing and MPMC delivery, with no priority precedence in play.
 
 constexpr auto kKeepAll = [](const int&, const int&) { return true; };
 
-TEST(BoundedQueue, TryPushShedsAtCapacity) {
-  util::BoundedQueue<int> queue(2);
+TEST(PriorityBucketQueue, TryPushShedsAtCapacity) {
+  util::PriorityBucketQueue<int> queue(1, 2);
   int a = 1, b = 2, c = 3;
-  EXPECT_EQ(queue.try_push(a), util::PushResult::Ok);
-  EXPECT_EQ(queue.try_push(b), util::PushResult::Ok);
-  EXPECT_EQ(queue.try_push(c), util::PushResult::Full);
+  EXPECT_EQ(queue.try_push(a, 0), util::PushResult::Ok);
+  EXPECT_EQ(queue.try_push(b, 0), util::PushResult::Ok);
+  EXPECT_EQ(queue.try_push(c, 0), util::PushResult::Full);
   EXPECT_EQ(c, 3);  // rejected item is untouched
   EXPECT_EQ(queue.size(), 2u);
 
   std::vector<int> batch;
   EXPECT_EQ(queue.pop_batch(batch, 8, 0us, 1, kKeepAll), 2u);
-  EXPECT_EQ(queue.try_push(c), util::PushResult::Ok);  // space freed
+  EXPECT_EQ(queue.try_push(c, 0), util::PushResult::Ok);  // space freed
 }
 
-TEST(BoundedQueue, UnboundedNeverSheds) {
-  util::BoundedQueue<int> queue;  // capacity 0 = unbounded
+TEST(PriorityBucketQueue, UnboundedNeverSheds) {
+  util::PriorityBucketQueue<int> queue(1);  // capacity 0 = unbounded
   for (int i = 0; i < 1000; ++i) {
     int v = i;
-    ASSERT_EQ(queue.try_push(v), util::PushResult::Ok);
+    ASSERT_EQ(queue.try_push(v, 0), util::PushResult::Ok);
   }
   EXPECT_EQ(queue.size(), 1000u);
 }
 
-TEST(BoundedQueue, BlockingPushWaitsForSpace) {
-  util::BoundedQueue<int> queue(1);
+TEST(PriorityBucketQueue, BlockingPushWaitsForSpace) {
+  util::PriorityBucketQueue<int> queue(1, 1);
   int first = 1;
-  ASSERT_EQ(queue.push(first), util::PushResult::Ok);
+  ASSERT_EQ(queue.push(first, 0), util::PushResult::Ok);
 
   std::atomic<bool> pushed{false};
   std::thread producer([&] {
     int second = 2;
-    EXPECT_EQ(queue.push(second), util::PushResult::Ok);  // blocks until pop
+    EXPECT_EQ(queue.push(second, 0), util::PushResult::Ok);  // blocks until pop
     pushed.store(true);
   });
   std::this_thread::sleep_for(20ms);
@@ -85,15 +89,15 @@ TEST(BoundedQueue, BlockingPushWaitsForSpace) {
   EXPECT_EQ(queue.size(), 1u);
 }
 
-TEST(BoundedQueue, CloseWakesBlockedProducerWithItemIntact) {
-  util::BoundedQueue<int> queue(1);
+TEST(PriorityBucketQueue, CloseWakesBlockedProducerWithItemIntact) {
+  util::PriorityBucketQueue<int> queue(1, 1);
   int first = 1;
-  ASSERT_EQ(queue.push(first), util::PushResult::Ok);
+  ASSERT_EQ(queue.push(first, 0), util::PushResult::Ok);
 
   std::atomic<int> result{-1};
   int blocked_item = 42;
   std::thread producer([&] {
-    result.store(static_cast<int>(queue.push(blocked_item)));
+    result.store(static_cast<int>(queue.push(blocked_item, 0)));
   });
   std::this_thread::sleep_for(20ms);
   queue.close();
@@ -107,14 +111,14 @@ TEST(BoundedQueue, CloseWakesBlockedProducerWithItemIntact) {
   batch.clear();
   EXPECT_EQ(queue.pop_batch(batch, 8, 0us, 1, kKeepAll), 0u);
   int late = 7;
-  EXPECT_EQ(queue.try_push(late), util::PushResult::Closed);
+  EXPECT_EQ(queue.try_push(late, 0), util::PushResult::Closed);
 }
 
-TEST(BoundedQueue, PopBatchCoalescesLongestPrefixAcceptedByPredicate) {
-  util::BoundedQueue<int> queue(8);
+TEST(PriorityBucketQueue, PopBatchCoalescesLongestPrefixAcceptedByPredicate) {
+  util::PriorityBucketQueue<int> queue(1, 8);
   for (int v : {1, 1, 1, 2, 2}) {
     int item = v;
-    ASSERT_EQ(queue.try_push(item), util::PushResult::Ok);
+    ASSERT_EQ(queue.try_push(item, 0), util::PushResult::Ok);
   }
   const auto same = [](const int& first, const int& candidate) { return first == candidate; };
   std::vector<int> batch;
@@ -124,13 +128,13 @@ TEST(BoundedQueue, PopBatchCoalescesLongestPrefixAcceptedByPredicate) {
   EXPECT_EQ(batch[0], 2);
 }
 
-TEST(BoundedQueue, PopBatchWaitsForStragglers) {
-  util::BoundedQueue<int> queue(8);
+TEST(PriorityBucketQueue, PopBatchWaitsForStragglers) {
+  util::PriorityBucketQueue<int> queue(1, 8);
   std::thread producer([&] {
     for (int v = 0; v < 3; ++v) {
       std::this_thread::sleep_for(5ms);
       int item = v;
-      queue.push(item);
+      queue.push(item, 0);
     }
   });
   std::vector<int> batch;
@@ -139,11 +143,11 @@ TEST(BoundedQueue, PopBatchWaitsForStragglers) {
   producer.join();
 }
 
-TEST(BoundedQueue, PopBatchAnchorsPredicateOnThisCallsFirstItem) {
-  util::BoundedQueue<int> queue(8);
+TEST(PriorityBucketQueue, PopBatchAnchorsPredicateOnThisCallsFirstItem) {
+  util::PriorityBucketQueue<int> queue(1, 8);
   for (int v : {1, 1, 2}) {
     int item = v;
-    ASSERT_EQ(queue.try_push(item), util::PushResult::Ok);
+    ASSERT_EQ(queue.try_push(item, 0), util::PushResult::Ok);
   }
   const auto same = [](const int& first, const int& candidate) { return first == candidate; };
   // The caller's vector already holds unrelated elements from a previous
@@ -154,13 +158,13 @@ TEST(BoundedQueue, PopBatchAnchorsPredicateOnThisCallsFirstItem) {
   EXPECT_EQ(out, (std::vector<int>{9, 9, 1, 1}));
 }
 
-TEST(BoundedQueue, ConcurrentConsumerDrainingDuringStragglerWaitIsSafe) {
+TEST(PriorityBucketQueue, ConcurrentConsumerDrainingDuringStragglerWaitIsSafe) {
   // Consumer A enters the straggler wait (want > queued); consumer B steals
   // the only item meanwhile. A must re-check instead of popping from an
   // empty deque, then see close() and return 0.
-  util::BoundedQueue<int> queue(8);
+  util::PriorityBucketQueue<int> queue(1, 8);
   int item = 1;
-  ASSERT_EQ(queue.try_push(item), util::PushResult::Ok);
+  ASSERT_EQ(queue.try_push(item, 0), util::PushResult::Ok);
 
   std::atomic<std::size_t> a_popped{999};
   std::thread consumer_a([&] {
@@ -176,14 +180,14 @@ TEST(BoundedQueue, ConcurrentConsumerDrainingDuringStragglerWaitIsSafe) {
   EXPECT_EQ(a_popped.load(), 0u);  // A saw closed+empty, not UB on front()
 }
 
-TEST(BoundedQueue, FullQueueSkipsStragglerWaitWhenWantExceedsCapacity) {
+TEST(PriorityBucketQueue, FullQueueSkipsStragglerWaitWhenWantExceedsCapacity) {
   // want > capacity is a legal config (Engine: max_batch > max_pending).
   // A full queue can never coalesce more, so pop_batch must return
   // immediately instead of burning the whole straggler window.
-  util::BoundedQueue<int> queue(2);
+  util::PriorityBucketQueue<int> queue(1, 2);
   for (int v : {1, 2}) {
     int item = v;
-    ASSERT_EQ(queue.try_push(item), util::PushResult::Ok);
+    ASSERT_EQ(queue.try_push(item, 0), util::PushResult::Ok);
   }
   const auto start = std::chrono::steady_clock::now();
   std::vector<int> batch;
@@ -191,9 +195,9 @@ TEST(BoundedQueue, FullQueueSkipsStragglerWaitWhenWantExceedsCapacity) {
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
 }
 
-TEST(BoundedQueue, MpmcDeliversEveryItemExactlyOnce) {
+TEST(PriorityBucketQueue, MpmcDeliversEveryItemExactlyOnce) {
   constexpr int kProducers = 4, kConsumers = 3, kPerProducer = 200;
-  util::BoundedQueue<int> queue(4);  // small capacity: real backpressure
+  util::PriorityBucketQueue<int> queue(1, 4);  // small capacity: real backpressure
   std::vector<std::vector<int>> received(kConsumers);
   std::vector<std::thread> threads;
   for (int c = 0; c < kConsumers; ++c) {
@@ -212,7 +216,7 @@ TEST(BoundedQueue, MpmcDeliversEveryItemExactlyOnce) {
     producers.emplace_back([&, p] {
       for (int i = 0; i < kPerProducer; ++i) {
         int v = p * kPerProducer + i;
-        ASSERT_EQ(queue.push(v), util::PushResult::Ok);
+        ASSERT_EQ(queue.push(v, 0), util::PushResult::Ok);
       }
     });
   }

@@ -1,7 +1,7 @@
 // Tests for the utility substrate: CLI parsing, CSV/PGM writers, formatting,
-// the BoundedQueue close/pop_batch race (no accepted item lost or duplicated
-// when close() lands while consumers are mid-coalesce), the
-// PriorityBucketQueue scheduling policies (FIFO within class, strict
+// the PriorityBucketQueue close/pop_batch race (no accepted item lost or
+// duplicated when close() lands while consumers are mid-coalesce), its
+// scheduling policies (FIFO within class, strict
 // cross-class precedence, shed-lowest-first eviction, cross-class
 // coalescing), and the LatencyWindow percentile ring.
 #include <gtest/gtest.h>
@@ -69,7 +69,7 @@ TEST(Cli, TracksUnusedKeys) {
 // are mid-coalesce inside pop_batch (straggler wait) and producers that are
 // blocked in push(). Run many short rounds so close() lands at a different
 // phase each time.
-TEST(BoundedQueue, PopBatchCloseRaceLosesNothingDuplicatesNothing) {
+TEST(PriorityBucketQueue, PopBatchCloseRaceLosesNothingDuplicatesNothing) {
   using namespace std::chrono_literals;
   constexpr int kRounds = 40;
   constexpr int kProducers = 3;
@@ -78,7 +78,7 @@ TEST(BoundedQueue, PopBatchCloseRaceLosesNothingDuplicatesNothing) {
   constexpr auto kKeep = [](const int&, const int&) { return true; };
 
   for (int round = 0; round < kRounds; ++round) {
-    BoundedQueue<int> queue(4);  // small capacity: producers block often
+    PriorityBucketQueue<int> queue(1, 4);  // small capacity: producers block often
 
     std::mutex accepted_mutex;
     std::vector<int> accepted;
@@ -90,7 +90,7 @@ TEST(BoundedQueue, PopBatchCloseRaceLosesNothingDuplicatesNothing) {
           const int value = item;
           // Alternate blocking and shedding pushes: both must agree with the
           // consumer side about what was accepted.
-          const PushResult result = (i % 2 == 0) ? queue.push(item) : queue.try_push(item);
+          const PushResult result = (i % 2 == 0) ? queue.push(item, 0) : queue.try_push(item, 0);
           if (result == PushResult::Ok) {
             std::lock_guard<std::mutex> lock(accepted_mutex);
             accepted.push_back(value);
@@ -136,13 +136,13 @@ TEST(BoundedQueue, PopBatchCloseRaceLosesNothingDuplicatesNothing) {
 // close() while a consumer is parked INSIDE the straggler wait (queue has
 // items, but fewer than `want`): the consumer must still pop what is there —
 // close never discards queued items.
-TEST(BoundedQueue, CloseDuringStragglerWaitStillDeliversQueuedItems) {
+TEST(PriorityBucketQueue, CloseDuringStragglerWaitStillDeliversQueuedItems) {
   using namespace std::chrono_literals;
   constexpr auto kKeep = [](const int&, const int&) { return true; };
-  BoundedQueue<int> queue(16);
+  PriorityBucketQueue<int> queue(1, 16);
   for (int v : {1, 2, 3}) {
     int item = v;
-    ASSERT_EQ(queue.try_push(item), PushResult::Ok);
+    ASSERT_EQ(queue.try_push(item, 0), PushResult::Ok);
   }
 
   std::vector<int> batch;
