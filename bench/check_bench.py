@@ -41,6 +41,15 @@ gate too (coverage loss is a regression); kernels without a recorded speedup
 (pure-rate rows like im2col and the end-to-end img/s rows) are reported but
 never gated on ratio (a "gate" object still applies).
 
+Gate drift fails too. bench_kernels writes each row's ``gate`` object from
+its own source, but the bounds enforced are the reference's. So a current
+row whose ``gate`` differs from its reference row's (a floor edited in the
+bench source but not in the reference, or the other way round) fails, and
+so does a current row that carries a ``gate`` but has no reference row (its
+floors would otherwise never be enforced). Benches that leave ``gate`` to
+the hand-maintained reference (the serving and wire benches) emit none, and
+are not affected.
+
 Failures are reported as a named-row diff: every failing row is listed with
 the metric that failed, the floor/reference it was held to, and the measured
 value — not just the first mismatch.
@@ -107,6 +116,13 @@ def check_row(name, ref_row, cur_row, min_ratio, failures):
         return "FAIL (missing)"
     verdict = "ok"
 
+    cur_gate = cur_row.get("gate")
+    if cur_gate is not None and cur_gate != gate:
+        failures.append(
+            RowFailure(name, "gate", f"reference {json.dumps(gate, sort_keys=True)}",
+                       json.dumps(cur_gate, sort_keys=True)))
+        verdict = "FAIL"
+
     if ref_speedup is not None:
         cur_speedup = cur_row.get("speedup")
         if cur_speedup is None:
@@ -143,6 +159,47 @@ def check_row(name, ref_row, cur_row, min_ratio, failures):
     return verdict
 
 
+def compare(reference, current, min_ratio, gate_prefix, report=lambda line: None):
+    """Gates every in-prefix row of `current` against `reference` (both
+    name -> row dicts); returns the failures and reports one line per row."""
+    failures = []
+    for name, ref_row in reference.items():
+        gated = not gate_prefix or name.startswith(gate_prefix)
+        ref_speedup = ref_row.get("speedup")
+        cur_row = current.get(name)
+        has_gate = (ref_speedup is not None or ref_row.get("gate")
+                    or (cur_row is not None and cur_row.get("gate")))
+        if not gated or not has_gate:
+            status = "-" if cur_row is not None else "missing (not gated)"
+            report(f"{name:<32} {'-':>12} {'-':>12} {'-':>7}  {status}")
+            continue
+        verdict = check_row(name, ref_row, cur_row, min_ratio, failures)
+        ref_s = f"{ref_speedup:.2f}" if ref_speedup is not None else "-"
+        cur_s = ("-" if cur_row is None or cur_row.get("speedup") is None
+                 else f"{cur_row['speedup']:.2f}")
+        ratio_s = "-"
+        if ref_speedup and cur_row is not None and cur_row.get("speedup") is not None:
+            ratio_s = f"{cur_row['speedup'] / ref_speedup:.2f}x"
+        report(f"{name:<32} {ref_s:>12} {cur_s:>12} {ratio_s:>7}  {verdict}")
+    for name, cur_row in current.items():
+        if name in reference or not cur_row.get("gate"):
+            continue
+        if gate_prefix and not name.startswith(gate_prefix):
+            continue
+        failures.append(RowFailure(name, "reference", "gated row must be in reference",
+                                   "MISSING"))
+        report(f"{name:<32} {'-':>12} {'-':>12} {'-':>7}  FAIL (no reference row)")
+    return failures
+
+
+def report_case(description, expected, failures):
+    """Prints one selftest verdict; returns 1 on a mismatch, else 0."""
+    ok = len(failures) == expected
+    print(f"  {description:<34} expected {expected} failure(s), "
+          f"got {len(failures)}  {'ok' if ok else 'MISMATCH'}")
+    return 0 if ok else 1
+
+
 def selftest():
     """Exercises every gate bound in both directions against fixtures."""
     cases = [
@@ -173,19 +230,39 @@ def selftest():
          {"expired_frac": 0.8}, 1),
         ("unknown gate key trips", {"gate": {"goodput_min": 0.9}}, {"goodput": 1.0}, 1),
     ]
+    # Gate drift between the bench's emitted gate and the reference's, and
+    # gated rows without a reference row (whole-file fixtures: reference
+    # rows, current rows, gate prefix).
+    floor = {"min_speedup": 1.5}
+    file_cases = [
+        ("gate identical pass", {"r": {"gate": floor}}, {"r": {"gate": floor, "speedup": 2.0}},
+         "", 0),
+        ("gate int vs float pass", {"r": {"gate": {"min_speedup": 2}}},
+         {"r": {"gate": {"min_speedup": 2.0}, "speedup": 2.5}}, "", 0),
+        ("gate edited in bench trips", {"r": {"gate": floor}},
+         {"r": {"gate": {"min_speedup": 1.2}, "speedup": 2.0}}, "", 1),
+        ("gate added in bench trips", {"r": {"speedup": 2.0}},
+         {"r": {"gate": floor, "speedup": 2.0}}, "", 1),
+        ("gate added, no ref speedup trips", {"r": {}}, {"r": {"gate": floor, "speedup": 2.0}},
+         "", 1),
+        ("no gate emitted pass", {"r": {"gate": floor}}, {"r": {"speedup": 2.0}}, "", 0),
+        ("unreferenced gated row trips", {}, {"new": {"gate": floor, "speedup": 2.0}}, "", 1),
+        ("unreferenced ungated row pass", {}, {"new": {"speedup": 2.0}}, "", 0),
+        ("unreferenced row off-prefix pass", {}, {"new": {"gate": floor, "speedup": 2.0}},
+         "qcam/", 0),
+    ]
     bad = 0
     for description, ref_row, cur_row, expected in cases:
         failures = []
         check_row("fixture", ref_row, cur_row, 0.5, failures)
-        status = "ok" if len(failures) == expected else "MISMATCH"
-        if len(failures) != expected:
-            bad += 1
-        print(f"  {description:<28} expected {expected} failure(s), "
-              f"got {len(failures)}  {status}")
+        bad += report_case(description, expected, failures)
+    for description, reference, current, prefix, expected in file_cases:
+        bad += report_case(description, expected, compare(reference, current, 0.5, prefix))
     if bad:
         print(f"\nselftest FAILED: {bad} case(s) mismatched.", file=sys.stderr)
         return 1
-    print(f"\nselftest passed ({len(cases)} cases, every bound tripped and cleared).")
+    print(f"\nselftest passed ({len(cases) + len(file_cases)} cases, "
+          "every bound tripped and cleared).")
     return 0
 
 
@@ -219,25 +296,8 @@ def main():
     current = load_results(args.current)
     reference = load_results(args.reference)
 
-    failures = []
     print(f"{'kernel':<32} {'ref speedup':>12} {'cur speedup':>12} {'ratio':>7}  verdict")
-    for name, ref_row in reference.items():
-        gated = not args.gate_prefix or name.startswith(args.gate_prefix)
-        ref_speedup = ref_row.get("speedup")
-        has_gate = ref_speedup is not None or ref_row.get("gate")
-        if not gated or not has_gate:
-            status = "-" if name in current else "missing (not gated)"
-            print(f"{name:<32} {'-':>12} {'-':>12} {'-':>7}  {status}")
-            continue
-        cur_row = current.get(name)
-        verdict = check_row(name, ref_row, cur_row, args.min_ratio, failures)
-        ref_s = f"{ref_speedup:.2f}" if ref_speedup is not None else "-"
-        cur_s = ("-" if cur_row is None or cur_row.get("speedup") is None
-                 else f"{cur_row['speedup']:.2f}")
-        ratio_s = "-"
-        if ref_speedup and cur_row is not None and cur_row.get("speedup") is not None:
-            ratio_s = f"{cur_row['speedup'] / ref_speedup:.2f}x"
-        print(f"{name:<32} {ref_s:>12} {cur_s:>12} {ratio_s:>7}  {verdict}")
+    failures = compare(reference, current, args.min_ratio, args.gate_prefix, report=print)
 
     if failures:
         print("\nbench regression gate FAILED — row diff:", file=sys.stderr)

@@ -56,41 +56,29 @@ CamArray::CamArray(Tensor words, SearchMetric metric)
 }
 
 std::int64_t CamArray::search(const float* query, std::int64_t stride, OpCounter& counter) const {
+  if (metric_ != SearchMetric::L1BestMatch) {
+    throw std::invalid_argument(
+        "CamArray: best-match search is L1-only (dot arrays serve through similarity scores)");
+  }
   count_into(&OpCounter::cam_searches, counter, bank_port_, 1);
-  std::int64_t best = 0;
   // Match-line noise (empty = off): word m's offset is applied AFTER its
   // full d-term accumulation — the same point the blocked kernel applies
   // it, so scalar and blocked stay bitwise-identical with noise on too.
   const float* nz = mlnoise_.empty() ? nullptr : mlnoise_.data();
-  if (metric_ == SearchMetric::L1BestMatch) {
-    float best_dist = std::numeric_limits<float>::max();
-    for (std::int64_t m = 0; m < p_; ++m) {
-      const float* w = words_.data() + m * d_;
-      float dist = 0.f;
-      for (std::int64_t i = 0; i < d_; ++i) dist += std::fabs(query[i * stride] - w[i]);
-      if (nz) dist += nz[m];
-      if (dist < best_dist) {
-        best_dist = dist;
-        best = m;
-      }
+  std::int64_t best = 0;
+  float best_dist = std::numeric_limits<float>::max();
+  for (std::int64_t m = 0; m < p_; ++m) {
+    const float* w = words_.data() + m * d_;
+    float dist = 0.f;
+    for (std::int64_t i = 0; i < d_; ++i) dist += std::fabs(query[i * stride] - w[i]);
+    if (nz) dist += nz[m];
+    if (dist < best_dist) {
+      best_dist = dist;
+      best = m;
     }
-    // Match-line arithmetic: per word, d subtractions + d accumulations.
-    count_into(&OpCounter::adds, counter, bank_port_, static_cast<std::uint64_t>(2 * p_ * d_));
-  } else {
-    float best_score = -std::numeric_limits<float>::max();
-    for (std::int64_t m = 0; m < p_; ++m) {
-      const float* w = words_.data() + m * d_;
-      float score = 0.f;
-      for (std::int64_t i = 0; i < d_; ++i) score += query[i * stride] * w[i];
-      if (nz) score += nz[m];
-      if (score > best_score) {
-        best_score = score;
-        best = m;
-      }
-    }
-    count_into(&OpCounter::adds, counter, bank_port_, static_cast<std::uint64_t>(p_ * d_));
-    count_into(&OpCounter::muls, counter, bank_port_, static_cast<std::uint64_t>(p_ * d_));
   }
+  // Match-line arithmetic: per word, d subtractions + d accumulations.
+  count_into(&OpCounter::adds, counter, bank_port_, static_cast<std::uint64_t>(2 * p_ * d_));
   record_usage(best);
   return best;
 }
@@ -202,29 +190,27 @@ detail::Int8Plane CamArray::int8_plane() const {
           qparams_.inv_scale, qparams_.zero_point};
 }
 
-void CamArray::search_block_core(const float* queries, std::int64_t lb, std::int32_t* hit32,
-                                 OpCounter& counter, CamPrecision precision) const {
+void CamArray::search_accumulate_block(const float* queries, std::int64_t lb, const LutMemory& lut,
+                                       float* out, std::int64_t out_stride, OpCounter& counter,
+                                       CamPrecision precision) const {
+  if (lb <= 0) return;
+  if (lb > kCamTileMax) throw std::invalid_argument("CamArray: tile larger than kCamTileMax");
+  if (metric_ != SearchMetric::L1BestMatch) {
+    throw std::invalid_argument(
+        "CamArray: best-match search is L1-only (dot arrays serve through "
+        "similarity_softmax_accumulate_block)");
+  }
+  if (lut.entries() != p_) {
+    throw std::invalid_argument("CamArray: LUT entry count does not match word count");
+  }
   const detail::KernelTable& k = detail::active_kernels();
+  std::int32_t hit32[kCamTileMax];
   if (precision == CamPrecision::Int8) {
-    const detail::Int8Plane plane = int8_plane();
-    const detail::KernelScratch scratch = lane_scratch(p_, d_);
-    if (metric_ == SearchMetric::L1BestMatch) {
-      k.int8_l1_hits(plane, queries, lb, scratch, hit32);
-      count_into(&OpCounter::adds_q, counter, bank_port_,
-                 static_cast<std::uint64_t>(2 * p_ * d_ * lb));
-    } else {
-      k.int8_dot_hits(plane, queries, lb, scratch, hit32);
-      count_into(&OpCounter::adds_q, counter, bank_port_,
-                 static_cast<std::uint64_t>(p_ * d_ * lb));
-      count_into(&OpCounter::muls_q, counter, bank_port_,
-                 static_cast<std::uint64_t>(p_ * d_ * lb));
-    }
+    k.int8_l1_hits(int8_plane(), queries, lb, lane_scratch(p_, d_), hit32);
+    count_into(&OpCounter::adds_q, counter, bank_port_,
+               static_cast<std::uint64_t>(2 * p_ * d_ * lb));
   } else if (precision == CamPrecision::Binary) {
     if (!binary_ready_) throw std::logic_error("CamArray: prepare_quantized(Binary) not called");
-    if (metric_ != SearchMetric::L1BestMatch) {
-      throw std::invalid_argument(
-          "CamArray: binary sign-plane search is L1-only (map Binary to Int8 for dot/softmax)");
-    }
     const detail::BinaryPlane plane{bwords_.data(), wbytes_.data(), bthresh_.data(), p_, d_,
                                     bword_stride_};
     k.binary_hits(plane, queries, lb, lane_scratch(p_, d_), hit32);
@@ -232,46 +218,20 @@ void CamArray::search_block_core(const float* queries, std::int64_t lb, std::int
     // identical XOR+popcount totals, just spread across lanes.
     count_into(&OpCounter::xor_popcounts, counter, bank_port_,
                static_cast<std::uint64_t>(p_ * bword_stride_ * lb));
-  } else if (metric_ == SearchMetric::L1BestMatch) {
+  } else {
     // Match-line noise injects in the Float32 scans only (float_plane()
     // carries it), after each word's full accumulation — identically to the
     // scalar search(), so blocked == scalar holds with noise on.
     k.f32_l1_hits(float_plane(), queries, lb, hit32);
     count_into(&OpCounter::adds, counter, bank_port_,
                static_cast<std::uint64_t>(2 * p_ * d_ * lb));
-  } else {
-    k.f32_dot_hits(float_plane(), queries, lb, hit32);
-    count_into(&OpCounter::adds, counter, bank_port_, static_cast<std::uint64_t>(p_ * d_ * lb));
-    count_into(&OpCounter::muls, counter, bank_port_, static_cast<std::uint64_t>(p_ * d_ * lb));
   }
   count_into(&OpCounter::cam_searches, counter, bank_port_, static_cast<std::uint64_t>(lb));
   record_usage_block(hit32, lb);
-}
-
-void CamArray::search_block(const float* queries, std::int64_t lb, std::int64_t* hits,
-                            OpCounter& counter, CamPrecision precision) const {
-  if (lb <= 0) return;
-  if (lb > kCamTileMax) throw std::invalid_argument("CamArray: tile larger than kCamTileMax");
-  std::int32_t hit32[kCamTileMax];
-  search_block_core(queries, lb, hit32, counter, precision);
-  for (std::int64_t l = 0; l < lb; ++l) hits[l] = hit32[l];
-}
-
-void CamArray::search_accumulate_block(const float* queries, std::int64_t lb, const LutMemory& lut,
-                                       float* out, std::int64_t out_stride, OpCounter& counter,
-                                       CamPrecision precision) const {
-  if (lb <= 0) return;
-  if (lb > kCamTileMax) throw std::invalid_argument("CamArray: tile larger than kCamTileMax");
-  if (lut.entries() != p_) {
-    throw std::invalid_argument("CamArray: LUT entry count does not match word count");
-  }
-  std::int32_t hit32[kCamTileMax];
-  search_block_core(queries, lb, hit32, counter, precision);
   // Fused epilogue: the winners go straight into the LUT row sweep while
-  // still hot. hits are < p_ by construction, so unlike accumulate_block no
-  // per-element bounds re-check is needed.
-  detail::active_kernels().lut_gather(lut.table().data(), lut.cout(), p_, hit32, lb, out,
-                                      out_stride);
+  // still hot. hits are < p_ by construction, so no per-element bounds
+  // re-check is needed.
+  k.lut_gather(lut.table().data(), lut.cout(), p_, hit32, lb, out, out_stride);
   count_into(&OpCounter::adds, counter, bank_port_, static_cast<std::uint64_t>(lut.cout() * lb));
   count_into(&OpCounter::lut_reads, counter, bank_port_, static_cast<std::uint64_t>(lb));
 }
@@ -296,18 +256,22 @@ void CamArray::similarity_softmax_accumulate_block(const float* queries, std::in
     detail::active_kernels().int8_dot_scores(int8_plane(), queries, lb,
                                              qparams_.scale * qparams_.scale,
                                              lane_scratch(p_, d_), scores);
-    count_into(&OpCounter::cam_searches, counter, bank_port_, static_cast<std::uint64_t>(lb));
     count_into(&OpCounter::adds_q, counter, bank_port_,
                static_cast<std::uint64_t>(p_ * d_ * lb));
     count_into(&OpCounter::muls_q, counter, bank_port_,
                static_cast<std::uint64_t>(p_ * d_ * lb));
   } else {
-    similarity_scores_block(queries, lb, scores, counter);
+    // Each score is bitwise-equal to similarity_scores() of its query,
+    // match-line noise included.
+    detail::active_kernels().f32_dot_scores(float_plane(), queries, lb, scores);
+    count_into(&OpCounter::adds, counter, bank_port_, static_cast<std::uint64_t>(p_ * d_ * lb));
+    count_into(&OpCounter::muls, counter, bank_port_, static_cast<std::uint64_t>(p_ * d_ * lb));
   }
+  count_into(&OpCounter::cam_searches, counter, bank_port_, static_cast<std::uint64_t>(lb));
   // Column softmax of the [p, lb] score tile, in place — same per-element
-  // operations as the scalar path (float exp, double denominator, one float
-  // normalize multiply) so the Float32 fused path stays bitwise-identical
-  // to the unfused sequence.
+  // operations as the scalar spec (float exp, double denominator, one float
+  // normalize multiply) so the Float32 path stays bitwise-identical to
+  // similarity_scores + softmax + weighted_accumulate.
   std::int32_t hit32[kCamTileMax];
   for (std::int64_t l = 0; l < lb; ++l) {
     float mx = scores[l];
@@ -331,16 +295,6 @@ void CamArray::similarity_softmax_accumulate_block(const float* queries, std::in
   }
   record_usage_block(hit32, lb);
   lut.weighted_accumulate_block(scores, lb, out, out_stride, counter, bank_port_);
-}
-
-void CamArray::similarity_scores_block(const float* queries, std::int64_t lb, float* scores,
-                                       OpCounter& counter) const {
-  if (lb <= 0) return;
-  if (lb > kCamTileMax) throw std::invalid_argument("CamArray: tile larger than kCamTileMax");
-  detail::active_kernels().f32_dot_scores(float_plane(), queries, lb, scores);
-  count_into(&OpCounter::cam_searches, counter, bank_port_, static_cast<std::uint64_t>(lb));
-  count_into(&OpCounter::adds, counter, bank_port_, static_cast<std::uint64_t>(p_ * d_ * lb));
-  count_into(&OpCounter::muls, counter, bank_port_, static_cast<std::uint64_t>(p_ * d_ * lb));
 }
 
 void CamArray::record_usage_block(const std::int32_t* hits, std::int64_t lb) const {

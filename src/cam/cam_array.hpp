@@ -1,13 +1,16 @@
 // Behavioural model of a best-match content addressable memory array.
 //
 // One CamArray holds the p prototypes of one PQ group as its stored words.
-// A search presents a query subvector on the search lines and returns the
-// index of the best-matching word:
+// Each PECAN mode reads the array one way:
 //   L1 metric  — analog/ternary CAM best-match (PECAN-D): the match-line
 //                discharge is proportional to the l1 mismatch, so the
 //                winner-take-all picks argmin ||q - w||_1. Costs 2*p*d adds.
 //   Dot metric — crossbar inner-product read (PECAN-A): returns all p
-//                similarity scores, p*d MACs.
+//                similarity scores for the softmax, p*d MACs. There is no
+//                dot-metric best match: PECAN-A weighs every word.
+// Each mode has one scalar reference (search / similarity_scores, plus the
+// LutMemory scalar accumulates) and one blocked entry that serving calls
+// (search_accumulate_block / similarity_softmax_accumulate_block).
 // The array also keeps a per-word usage histogram (Fig. 6) and supports
 // pruning never-used words (§5 of the paper).
 #pragma once
@@ -92,46 +95,36 @@ class CamArray {
   /// Mutable access for hardware non-ideality models (cam/nonideal.hpp).
   Tensor& mutable_words() { return words_; }
 
-  /// Best-match search; query points at d floats with stride `stride`
-  /// between components (column access into an im2col matrix).
-  /// Increments counter.adds (L1: 2*p*d) or counter.adds/muls (dot: p*d).
+  /// Scalar L1 best-match search, the PECAN-D spec; query points at d floats
+  /// with stride `stride` between components (column access into an im2col
+  /// matrix). Increments counter.adds by 2*p*d. Throws std::invalid_argument
+  /// on a DotProduct array.
   std::int64_t search(const float* query, std::int64_t stride, OpCounter& counter) const;
 
-  /// Blocked best-match search over a tile of lb <= kCamTileMax queries
-  /// packed dim-major: component i of query l at queries[i * lb + l] (see
-  /// nn::pack_cols_tile). Scans every stored word across the whole tile with
-  /// unit-stride inner loops and issues ONE relaxed atomic aggregate per
-  /// call (cam_searches += lb, adds/muls += per-search cost * lb) plus one
-  /// usage-histogram atomic per *distinct* hit word. At Float32, hits[l] is
-  /// bitwise-identical to search(query_l, ...) — same scan order, same
-  /// summation order, same lowest-index tie-break. Int8/Binary resolve the
-  /// same argmin/argmax over their quantized distances (deterministic, same
-  /// lowest-index tie-break) and require prepare_quantized() first.
-  void search_block(const float* queries, std::int64_t lb, std::int64_t* hits,
-                    OpCounter& counter, CamPrecision precision = CamPrecision::Float32) const;
-
-  /// Fused search -> LUT accumulate epilogue: resolves the tile's best
-  /// matches exactly like search_block (including usage recording and op
-  /// accounting) and immediately adds lut column hit[l] into column l of the
-  /// [cout, lb] output tile while the hit indices are still in registers —
-  /// no int64 hits round-trip through memory, no per-call bounds re-check in
-  /// the LUT. Output is bitwise-identical to search_block followed by
-  /// LutMemory::accumulate_block (same row sweep, same add order), and the
-  /// counter sees the same totals (adds += cout*lb, lut_reads += lb on top
-  /// of the search cost). lut.entries() must equal word_count().
+  /// PECAN-D blocked entry: resolves the L1 best match of each query in a
+  /// tile of lb <= kCamTileMax queries packed dim-major (component i of
+  /// query l at queries[i * lb + l], see nn::im2col_tile) and adds lut column
+  /// hit[l] into column l of the [cout, lb] output tile while the hit
+  /// indices are still in registers. One relaxed atomic aggregate per op
+  /// kind per call, plus one usage-histogram atomic per *distinct* hit word.
+  /// At Float32 the output, the OpCounter totals and the usage histogram are
+  /// bitwise-identical to search() + LutMemory::accumulate() per query (same
+  /// scan order, same summation order, same lowest-index tie-break). Int8 and
+  /// Binary resolve the same argmin over their quantized distances (same
+  /// tie-break) and require prepare_quantized() first. lut.entries() must
+  /// equal word_count(); a DotProduct array throws std::invalid_argument.
   void search_accumulate_block(const float* queries, std::int64_t lb, const LutMemory& lut,
                                float* out, std::int64_t out_stride, OpCounter& counter,
                                CamPrecision precision = CamPrecision::Float32) const;
 
-  /// Weighted fused epilogue for PECAN-A: computes the tile's match-line
-  /// scores (similarity_scores_block at Float32; dequantized int8 crossbar
-  /// reads at Int8), softmaxes each column in place in `scores` (size
-  /// >= p * lb), records the pre-softmax argmax in the usage histogram, and
-  /// weighted-accumulates into the [cout, lb] output tile. At Float32 the
-  /// result is bitwise-identical to the unfused
-  /// similarity_scores_block + softmax + weighted_accumulate_block sequence.
-  /// Binary has no meaningful scores — callers map Binary to Int8 first;
-  /// passing Binary here throws.
+  /// PECAN-A blocked entry: computes the tile's match-line scores (float
+  /// dot products at Float32; dequantized int8 crossbar reads at Int8),
+  /// softmaxes each column in place in `scores` (size >= p * lb), records
+  /// the pre-softmax argmax in the usage histogram, and weighted-accumulates
+  /// into the [cout, lb] output tile. At Float32 the output and OpCounter
+  /// totals are bitwise-identical to similarity_scores() + softmax +
+  /// LutMemory::weighted_accumulate() per query. Binary has no meaningful
+  /// scores — callers map Binary to Int8 first; passing Binary here throws.
   void similarity_softmax_accumulate_block(const float* queries, std::int64_t lb,
                                            float temperature, const LutMemory& lut, float* scores,
                                            float* out, std::int64_t out_stride, OpCounter& counter,
@@ -153,18 +146,10 @@ class CamArray {
   /// every bit position near maximum entropy.
   const std::vector<float>& binary_thresholds() const { return bthresh_; }
 
-  /// Dot-product read of ALL match lines (PECAN-A needs the full score
-  /// vector for its softmax): scores[m] = <word_m, query>.
+  /// Scalar dot-product read of ALL match lines, the PECAN-A spec:
+  /// scores[m] = <word_m, query>. Does not record usage.
   void similarity_scores(const float* query, std::int64_t stride, float* scores,
                          OpCounter& counter) const;
-
-  /// Blocked match-line read: scores[m * lb + l] = <word_m, query_l> for a
-  /// dim-major query tile (layout as in search_block). One atomic aggregate
-  /// per call; each score bitwise-equal to similarity_scores. Does NOT
-  /// record usage — the caller records the softmax argmax via record_usage
-  /// (similarity_softmax_accumulate_block does this itself).
-  void similarity_scores_block(const float* queries, std::int64_t lb, float* scores,
-                               OpCounter& counter) const;
 
   /// Usage histogram maintenance (Fig. 6). Atomic: the runtime engine
   /// searches one array from many lanes concurrently and the histogram
@@ -204,8 +189,6 @@ class CamArray {
  private:
   detail::FloatPlane float_plane() const;
   detail::Int8Plane int8_plane() const;  ///< throws unless prepare_quantized(Int8) ran
-  void search_block_core(const float* queries, std::int64_t lb, std::int32_t* hit32,
-                         OpCounter& counter, CamPrecision precision) const;
   /// Aggregated histogram update for a tile of hits: one relaxed atomic per
   /// distinct word instead of one per hit.
   void record_usage_block(const std::int32_t* hits, std::int64_t lb) const;

@@ -96,10 +96,10 @@ Tensor CamConv2d::infer(const Tensor& input, nn::InferContext&) const {
   const std::int64_t grain = std::max<std::int64_t>(1, (1 << 12) / tile_cost);
 
   // One tile of one sample: the unit of parallel work. All scratch is
-  // per-tile and lane-local, so lanes never touch the caller's arena. Both
-  // modes run the fused search->accumulate epilogue: winners (or softmax
-  // weights) flow straight into the LUT sweep without a hits round-trip,
-  // bitwise-identical to the unfused two-pass sequence at Float32.
+  // per-tile and lane-local, so lanes never touch the caller's arena. Each
+  // mode has one blocked CAM entry: winners (or softmax weights) flow
+  // straight into the LUT sweep without a hits round-trip, bitwise-identical
+  // to the scalar column-at-a-time spec at Float32.
   const CamPrecision eff = effective_precision();
   const auto tile_body = [&](const float* image, float* out_s, std::int64_t l0, std::int64_t lb,
                              float* qtile, float* scores) {

@@ -73,21 +73,19 @@ struct KernelScratch {
 };
 
 /// One compilation of the kernel source. Every entry scans a dim-major
-/// [d, lb] query tile (lb <= kKernelTile); the *_hits entries write the
-/// winner index of each query (lowest index on ties), the *_scores entries
-/// write [p, lb] score rows. All tables are bitwise-equal entry by entry.
+/// [d, lb] query tile (lb <= kKernelTile). The *_hits entries are PECAN-D's
+/// L1 best match and write the winner index of each query (lowest index on
+/// ties); the *_scores entries are PECAN-A's match-line reads and write
+/// [p, lb] score rows for the softmax. All tables are bitwise-equal entry by
+/// entry.
 struct KernelTable {
   const char* isa;  ///< "baseline" or "x86-64-v4"
   void (*f32_l1_hits)(const FloatPlane& w, const float* queries, std::int64_t lb,
                       std::int32_t* hits);
-  void (*f32_dot_hits)(const FloatPlane& w, const float* queries, std::int64_t lb,
-                       std::int32_t* hits);
   void (*f32_dot_scores)(const FloatPlane& w, const float* queries, std::int64_t lb,
                          float* scores);
   void (*int8_l1_hits)(const Int8Plane& w, const float* queries, std::int64_t lb,
                        const KernelScratch& s, std::int32_t* hits);
-  void (*int8_dot_hits)(const Int8Plane& w, const float* queries, std::int64_t lb,
-                        const KernelScratch& s, std::int32_t* hits);
   /// Dequantized crossbar read: scale_sq * (sum q*w - zp*wsum - zp*qsum + d*zp^2).
   void (*int8_dot_scores)(const Int8Plane& w, const float* queries, std::int64_t lb,
                           float scale_sq, const KernelScratch& s, float* scores);

@@ -23,21 +23,6 @@ void LutMemory::accumulate(std::int64_t k, float* out, std::int64_t out_stride,
   counter.lut_reads.fetch_add(1, std::memory_order_relaxed);
 }
 
-void LutMemory::accumulate_block(const std::int64_t* hits, std::int64_t lb, float* out,
-                                 std::int64_t out_stride, OpCounter& counter) const {
-  if (lb <= 0) return;
-  for (std::int64_t l = 0; l < lb; ++l) {
-    if (hits[l] < 0 || hits[l] >= p_) throw std::out_of_range("LutMemory: entry out of range");
-  }
-  for (std::int64_t c = 0; c < cout_; ++c) {
-    const float* row = table_.data() + c * p_;
-    float* o = out + c * out_stride;
-    for (std::int64_t l = 0; l < lb; ++l) o[l] += row[hits[l]];
-  }
-  counter.adds.fetch_add(static_cast<std::uint64_t>(cout_ * lb), std::memory_order_relaxed);
-  counter.lut_reads.fetch_add(static_cast<std::uint64_t>(lb), std::memory_order_relaxed);
-}
-
 void LutMemory::weighted_accumulate(const float* weights, float* out, std::int64_t out_stride,
                                     OpCounter& counter) const {
   for (std::int64_t c = 0; c < cout_; ++c) {

@@ -24,16 +24,9 @@ class LutMemory {
   const Tensor& table() const { return table_; }
   Tensor& table() { return table_; }
 
-  /// PECAN-D accumulate: out[c] += table[c, k] for all c (cout adds).
+  /// PECAN-D accumulate: out[c] += table[c, k] for all c (cout adds). The
+  /// scalar spec; CamArray::search_accumulate_block runs the blocked form.
   void accumulate(std::int64_t k, float* out, std::int64_t out_stride, OpCounter& counter) const;
-
-  /// Blocked PECAN-D accumulate for a tile of lb <= kCamTileMax searches:
-  /// out[c * out_stride + l] += table[c, hits[l]]. Sweeps the table row by
-  /// row so each row is read once per tile (instead of once per search) and
-  /// issues one atomic aggregate per call. Bitwise-equal to lb scalar
-  /// accumulate() calls.
-  void accumulate_block(const std::int64_t* hits, std::int64_t lb, float* out,
-                        std::int64_t out_stride, OpCounter& counter) const;
 
   /// PECAN-A weighted accumulate: out[c] += sum_m weights[m] * table[c, m]
   /// (p*cout muls + p*cout adds).

@@ -42,11 +42,12 @@ void col2im_accumulate(const float* cols, const Conv2dGeometry& g, float* im_gra
 /// Convenience wrappers on Tensors (single image, not batched).
 Tensor im2col(const Tensor& image, const Conv2dGeometry& g);
 
-/// Packs a [d, lb] tile of im2col columns into contiguous dim-major storage
-/// for the blocked CAM kernels: out[i * lb + l] = group_cols[i * len + l0 + l],
-/// where group_cols points at a group's first row of a [*, len] column
-/// matrix. d row copies — the only strided access the blocked search path
-/// performs per tile.
+/// Packs a [d, lb] tile of im2col columns into contiguous dim-major storage:
+/// out[i * lb + l] = group_cols[i * len + l0 + l], where group_cols points at
+/// a group's first row of a [*, len] column matrix. This is im2col_tile's
+/// test reference (im2col + pack_cols_tile is the two-pass definition of the
+/// fused gather); tests and benches also use it to feed the blocked CAM
+/// entries query tiles cut from a column matrix.
 inline void pack_cols_tile(const float* group_cols, std::int64_t len, std::int64_t d,
                            std::int64_t l0, std::int64_t lb, float* out) {
   for (std::int64_t i = 0; i < d; ++i) {

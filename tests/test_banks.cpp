@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "cam/cam_array.hpp"
 #include "cam/convert.hpp"
 #include "cam/nonideal.hpp"
+#include "cam_spec.hpp"
 #include "models/lenet.hpp"
 #include "ops/energy_model.hpp"
 #include "runtime/engine.hpp"
@@ -245,24 +247,31 @@ TEST(BankIdentity, QuantizedPrecisionsUnaffectedByBankCount) {
 // ------------------------------------------------------- match-line noise
 
 TEST(MatchlineNoise, ScalarAndBlockedSearchAgreeWithNoiseOn) {
-  // The offsets apply after each word's full accumulation, so the
-  // scalar/blocked bitwise equivalence must hold with noise ON too.
-  Rng rng(31);
-  const std::int64_t p = 24, d = 7, lb = 11;
-  cam::CamArray array(rng.randn({p, d}), cam::SearchMetric::L1BestMatch);
-  std::vector<float> offsets(static_cast<std::size_t>(p));
-  for (float& o : offsets) o = rng.normal(0.f, 2.f);
-  array.set_matchline_noise(offsets);
-
-  Tensor queries = rng.randn({d, lb});  // dim-major tile
-  cam::OpCounter counter;
-  std::vector<std::int64_t> blocked(static_cast<std::size_t>(lb));
-  array.search_block(queries.data(), lb, blocked.data(), counter);
-  for (std::int64_t l = 0; l < lb; ++l) {
-    EXPECT_EQ(array.search(queries.data() + l, lb, counter), blocked[static_cast<std::size_t>(l)])
-        << "query " << l;
+  // The offsets apply after each word's full accumulation, so both modes'
+  // blocked entry == scalar spec bitwise equivalence must hold with noise ON
+  // too: D's best match + LUT column and A's softmax-weighted LUT sum.
+  const std::int64_t p = 24, d = 7, cout = 5;
+  for (const cam::SearchMetric metric :
+       {cam::SearchMetric::L1BestMatch, cam::SearchMetric::DotProduct}) {
+    for (const std::int64_t len : {std::int64_t{11}, std::int64_t{70}}) {
+      Rng rng(31 + static_cast<std::uint64_t>(len));
+      cam::CamArray array(rng.randn({p, d}), metric);
+      std::vector<float> offsets(static_cast<std::size_t>(p));
+      for (float& o : offsets) o = rng.normal(0.f, 2.f);
+      array.set_matchline_noise(offsets);
+      const cam::LutMemory lut(rng.randn({cout, p}));
+      const Tensor cols = rng.randn({d, len});
+      const camspec::Outcome spec = camspec::run_spec(array, lut, cols, 0.5f);
+      camspec::expect_same(spec, camspec::run_blocked(array, lut, cols, 0.5f),
+                           "metric=" + std::to_string(static_cast<int>(metric)) +
+                               " len=" + std::to_string(len));
+      // The offsets really move the winners: the noiseless spec differs.
+      array.clear_matchline_noise();
+      EXPECT_NE(camspec::run_spec(array, lut, cols, 0.5f).out, spec.out);
+    }
   }
   // Wrong-length offset vectors are rejected.
+  cam::CamArray array(Rng(32).randn({p, d}), cam::SearchMetric::L1BestMatch);
   EXPECT_THROW(array.set_matchline_noise(std::vector<float>(3)), std::invalid_argument);
 }
 

@@ -1,7 +1,8 @@
-// Blocked-kernel equivalence tests: the tiled CAM search / LUT accumulate
-// and the register-blocked sgemm must reproduce the scalar reference
-// kernels BITWISE across odd tail sizes, both match metrics, and any thread
-// count — and charge the OpCounter identically. These invariants are what
+// Blocked-kernel equivalence tests: each PECAN mode's blocked CAM entry
+// (search_accumulate_block for D, similarity_softmax_accumulate_block for A)
+// and the register-blocked sgemm must reproduce their scalar reference specs
+// BITWISE across odd tail sizes and any thread count — and charge the
+// OpCounter and the usage histogram identically. These invariants are what
 // lets the serving hot path swap kernels without perturbing the paper's
 // numbers.
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include "cam/cam_conv2d.hpp"
 #include "cam/cam_kernels.hpp"
 #include "cam/lut.hpp"
+#include "cam_spec.hpp"
 #include "nn/im2col.hpp"
 #include "nn/infer_context.hpp"
 #include "tensor/rng.hpp"
@@ -32,95 +34,48 @@ using cam::kCamTileMax;
 using cam::LutMemory;
 using cam::OpCounter;
 using cam::SearchMetric;
+using camspec::CounterSnapshot;
 
-struct CounterSnapshot {
-  std::uint64_t adds, muls, searches, lut_reads, adds_q, muls_q, xors;
-  explicit CounterSnapshot(const OpCounter& c)
-      : adds(c.adds.load()), muls(c.muls.load()), searches(c.cam_searches.load()),
-        lut_reads(c.lut_reads.load()), adds_q(c.adds_q.load()), muls_q(c.muls_q.load()),
-        xors(c.xor_popcounts.load()) {}
-  bool operator==(const CounterSnapshot& o) const {
-    return adds == o.adds && muls == o.muls && searches == o.searches &&
-           lut_reads == o.lut_reads && adds_q == o.adds_q && muls_q == o.muls_q && xors == o.xors;
-  }
-};
-
-// Sweep axes from the issue: tails that do not divide the tile (len mod
-// kCamTileMax != 0), tiny and odd subvector dims, single-word arrays.
+// Sweep axes: tails that do not divide the tile (len mod kCamTileMax != 0),
+// tiny and odd subvector dims, single-word arrays.
 const std::int64_t kLens[] = {1, 5, 63, 64, 65, 130};
 const std::int64_t kDims[] = {1, 2, 9};
 const std::int64_t kWords[] = {1, 32};
+constexpr std::int64_t kCout = 13;
+constexpr float kTemp = 0.75f;
 
-TEST(SearchBlock, BitwiseMatchesScalarAcrossTails) {
-  for (const SearchMetric metric : {SearchMetric::L1BestMatch, SearchMetric::DotProduct}) {
-    for (const std::int64_t len : kLens) {
-      for (const std::int64_t d : kDims) {
-        for (const std::int64_t p : kWords) {
-          Rng rng(static_cast<std::uint64_t>(1000 + len * 100 + d * 10 + p));
+// Fused == scalar spec for one mode at Float32, with match-line noise off
+// and on (the offsets land after each word's full accumulation on both
+// sides).
+void expect_blocked_matches_spec(SearchMetric metric, std::uint64_t seed) {
+  for (const std::int64_t len : kLens) {
+    for (const std::int64_t d : kDims) {
+      for (const std::int64_t p : kWords) {
+        for (const bool noise : {false, true}) {
+          Rng rng(seed + static_cast<std::uint64_t>(len * 1000 + d * 100 + p * 2 + noise));
           CamArray array(rng.randn({p, d}), metric);
-          Tensor cols = rng.randn({d, len});  // queries are strided columns
-
-          OpCounter scalar_counter;
-          std::vector<std::int64_t> scalar_hits(static_cast<std::size_t>(len));
-          for (std::int64_t l = 0; l < len; ++l) {
-            scalar_hits[static_cast<std::size_t>(l)] =
-                array.search(cols.data() + l, len, scalar_counter);
+          if (noise) {
+            const Tensor offsets = rng.randn({p});
+            array.set_matchline_noise(std::vector<float>(offsets.data(), offsets.data() + p));
           }
-          const std::vector<std::uint64_t> scalar_usage = array.usage();
-          array.reset_usage();
-
-          OpCounter blocked_counter;
-          std::vector<std::int64_t> blocked_hits(static_cast<std::size_t>(len));
-          std::vector<float> qtile(static_cast<std::size_t>(d * kCamTileMax));
-          for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
-            const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
-            nn::pack_cols_tile(cols.data(), len, d, l0, lb, qtile.data());
-            array.search_block(qtile.data(), lb, blocked_hits.data() + l0, blocked_counter);
-          }
-
-          EXPECT_EQ(scalar_hits, blocked_hits)
-              << "metric=" << static_cast<int>(metric) << " len=" << len << " d=" << d
-              << " p=" << p;
-          EXPECT_TRUE(CounterSnapshot(scalar_counter) == CounterSnapshot(blocked_counter))
-              << "counter drift at len=" << len << " d=" << d << " p=" << p;
-          EXPECT_EQ(scalar_usage, array.usage()) << "usage drift at len=" << len;
-          array.reset_usage();
+          const LutMemory lut(rng.randn({kCout, p}));
+          const Tensor cols = rng.randn({d, len});  // queries are strided columns
+          camspec::expect_same(camspec::run_spec(array, lut, cols, kTemp),
+                               camspec::run_blocked(array, lut, cols, kTemp),
+                               "len=" + std::to_string(len) + " d=" + std::to_string(d) +
+                                   " p=" + std::to_string(p) + " noise=" + std::to_string(noise));
         }
       }
     }
   }
 }
 
-TEST(SearchBlock, ScoresBitwiseMatchScalar) {
-  for (const std::int64_t len : kLens) {
-    for (const std::int64_t d : kDims) {
-      for (const std::int64_t p : kWords) {
-        Rng rng(static_cast<std::uint64_t>(2000 + len * 100 + d * 10 + p));
-        CamArray array(rng.randn({p, d}), SearchMetric::DotProduct);
-        Tensor cols = rng.randn({d, len});
+TEST(FusedEpilogue, DistanceMatchesScalarSpecAcrossTails) {
+  expect_blocked_matches_spec(SearchMetric::L1BestMatch, 1000);
+}
 
-        OpCounter scalar_counter, blocked_counter;
-        std::vector<float> scalar_scores(static_cast<std::size_t>(p));
-        std::vector<float> blocked_scores(static_cast<std::size_t>(p * kCamTileMax));
-        std::vector<float> qtile(static_cast<std::size_t>(d * kCamTileMax));
-        for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
-          const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
-          nn::pack_cols_tile(cols.data(), len, d, l0, lb, qtile.data());
-          array.similarity_scores_block(qtile.data(), lb, blocked_scores.data(), blocked_counter);
-          for (std::int64_t l = 0; l < lb; ++l) {
-            array.similarity_scores(cols.data() + l0 + l, len, scalar_scores.data(),
-                                    scalar_counter);
-            for (std::int64_t m = 0; m < p; ++m) {
-              ASSERT_EQ(scalar_scores[static_cast<std::size_t>(m)],
-                        blocked_scores[static_cast<std::size_t>(m * lb + l)])
-                  << "len=" << len << " d=" << d << " p=" << p << " m=" << m << " l=" << l0 + l;
-            }
-          }
-        }
-        EXPECT_TRUE(CounterSnapshot(scalar_counter) == CounterSnapshot(blocked_counter));
-      }
-    }
-  }
+TEST(FusedEpilogue, AngleMatchesScalarSpecAcrossTails) {
+  expect_blocked_matches_spec(SearchMetric::DotProduct, 2000);
 }
 
 // ------------------------------------------------- fused im2col tile pack
@@ -203,41 +158,22 @@ TEST(Im2colTile, DilationMatchesIndexDefinition) {
   }
 }
 
-TEST(SearchBlock, RejectsOversizedTile) {
+TEST(FusedEpilogue, RejectsOversizedTile) {
   Rng rng(7);
-  CamArray array(rng.randn({4, 3}), SearchMetric::L1BestMatch);
+  CamArray l1(rng.randn({4, 3}), SearchMetric::L1BestMatch);
+  CamArray dot(rng.randn({4, 3}), SearchMetric::DotProduct);
+  const LutMemory lut(rng.randn({2, 4}));
   OpCounter counter;
   std::vector<float> queries(static_cast<std::size_t>(3 * (kCamTileMax + 1)));
-  std::vector<std::int64_t> hits(static_cast<std::size_t>(kCamTileMax + 1));
-  EXPECT_THROW(array.search_block(queries.data(), kCamTileMax + 1, hits.data(), counter),
+  std::vector<float> scores(static_cast<std::size_t>(4 * (kCamTileMax + 1)));
+  std::vector<float> out(static_cast<std::size_t>(2 * (kCamTileMax + 1)));
+  EXPECT_THROW(l1.search_accumulate_block(queries.data(), kCamTileMax + 1, lut, out.data(),
+                                          kCamTileMax + 1, counter),
                std::invalid_argument);
-}
-
-TEST(LutBlock, AccumulateBlockMatchesScalar) {
-  Rng rng(11);
-  const std::int64_t cout = 13, p = 8, len = 130;
-  LutMemory lut(rng.randn({cout, p}));
-  std::vector<std::int64_t> hits(static_cast<std::size_t>(len));
-  for (std::int64_t l = 0; l < len; ++l) hits[static_cast<std::size_t>(l)] = (l * 5) % p;
-
-  Tensor scalar_out = rng.randn({cout, len});
-  Tensor blocked_out = scalar_out;
-  OpCounter scalar_counter, blocked_counter;
-  for (std::int64_t l = 0; l < len; ++l) {
-    lut.accumulate(hits[static_cast<std::size_t>(l)], scalar_out.data() + l, len, scalar_counter);
-  }
-  for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
-    const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
-    lut.accumulate_block(hits.data() + l0, lb, blocked_out.data() + l0, len, blocked_counter);
-  }
-  for (std::int64_t i = 0; i < scalar_out.numel(); ++i) {
-    ASSERT_EQ(scalar_out[i], blocked_out[i]) << i;
-  }
-  EXPECT_TRUE(CounterSnapshot(scalar_counter) == CounterSnapshot(blocked_counter));
-
-  std::int64_t bad = p;
-  EXPECT_THROW(lut.accumulate_block(&bad, 1, blocked_out.data(), len, blocked_counter),
-               std::out_of_range);
+  EXPECT_THROW(dot.similarity_softmax_accumulate_block(queries.data(), kCamTileMax + 1, 1.f, lut,
+                                                       scores.data(), out.data(), kCamTileMax + 1,
+                                                       counter),
+               std::invalid_argument);
 }
 
 TEST(LutBlock, WeightedBlockMatchesScalar) {
@@ -465,34 +401,16 @@ std::vector<std::int64_t> quantized_reference_hits(const CamArray& array, const 
       for (std::int64_t i = 0; i < d; ++i) {
         q[static_cast<std::size_t>(i)] = affine_quantize(cols[i * len + l], qp);
       }
-      if (array.metric() == SearchMetric::L1BestMatch) {
-        std::int64_t best = std::numeric_limits<std::int64_t>::max();
-        for (std::int64_t m = 0; m < p; ++m) {
-          std::int64_t dist = 0;
-          for (std::int64_t i = 0; i < d; ++i) {
-            const std::int32_t w = affine_quantize(words[m * d + i], qp);
-            dist += std::abs(q[static_cast<std::size_t>(i)] - w);
-          }
-          if (dist < best) {
-            best = dist;
-            best_m = m;
-          }
+      std::int64_t best = std::numeric_limits<std::int64_t>::max();
+      for (std::int64_t m = 0; m < p; ++m) {
+        std::int64_t dist = 0;
+        for (std::int64_t i = 0; i < d; ++i) {
+          const std::int32_t w = affine_quantize(words[m * d + i], qp);
+          dist += std::abs(q[static_cast<std::size_t>(i)] - w);
         }
-      } else {
-        // Argmax of the zero-point-corrected crossbar read dot - zp*sum(w).
-        std::int64_t best = std::numeric_limits<std::int64_t>::min();
-        for (std::int64_t m = 0; m < p; ++m) {
-          std::int64_t dot = 0, wsum = 0;
-          for (std::int64_t i = 0; i < d; ++i) {
-            const std::int32_t w = affine_quantize(words[m * d + i], qp);
-            dot += static_cast<std::int64_t>(q[static_cast<std::size_t>(i)]) * w;
-            wsum += w;
-          }
-          const std::int64_t score = dot - qp.zero_point * wsum;
-          if (score > best) {
-            best = score;
-            best_m = m;
-          }
+        if (dist < best) {
+          best = dist;
+          best_m = m;
         }
       }
     }
@@ -501,19 +419,7 @@ std::vector<std::int64_t> quantized_reference_hits(const CamArray& array, const 
   return hits;
 }
 
-// Drives search_block over the tile grid the conv kernels use.
-std::vector<std::int64_t> blocked_hits(const CamArray& array, const Tensor& cols,
-                                       CamPrecision precision, OpCounter& counter) {
-  const std::int64_t d = array.word_dim(), len = cols.dim(1);
-  std::vector<std::int64_t> hits(static_cast<std::size_t>(len));
-  std::vector<float> qtile(static_cast<std::size_t>(d * kCamTileMax));
-  for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
-    const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
-    nn::pack_cols_tile(cols.data(), len, d, l0, lb, qtile.data());
-    array.search_block(qtile.data(), lb, hits.data() + l0, counter, precision);
-  }
-  return hits;
-}
+using camspec::blocked_hits;
 
 std::vector<std::uint64_t> usage_of(const std::vector<std::int64_t>& hits, std::int64_t p) {
   std::vector<std::uint64_t> usage(static_cast<std::size_t>(p), 0);
@@ -521,8 +427,7 @@ std::vector<std::uint64_t> usage_of(const std::vector<std::int64_t>& hits, std::
   return usage;
 }
 
-// Odd dims exercise the dot path's pair padding; d=16/17 cross the int8 L1
-// kernel's 8-dim group boundary.
+// d=16/17 cross the int8 L1 kernel's 8-dim group boundary.
 const std::int64_t kQDims[] = {1, 2, 9, 16, 17};
 
 TEST(QuantizedSearch, Int8L1MatchesScalarQuantizedReference) {
@@ -542,41 +447,15 @@ TEST(QuantizedSearch, Int8L1MatchesScalarQuantizedReference) {
         EXPECT_EQ(array.usage(), usage_of(hits, p));
 
         // Quantized searches land in the int8-lane counters; the float
-        // add/mul ledger must stay untouched.
+        // ledger sees only the [1, p] LUT's one add per search.
         const CounterSnapshot snap(counter);
         EXPECT_EQ(snap.searches, static_cast<std::uint64_t>(len));
         EXPECT_EQ(snap.adds_q, static_cast<std::uint64_t>(2 * p * d * len));
-        EXPECT_EQ(snap.adds, 0u);
+        EXPECT_EQ(snap.adds, static_cast<std::uint64_t>(len));
+        EXPECT_EQ(snap.lut_reads, static_cast<std::uint64_t>(len));
         EXPECT_EQ(snap.muls, 0u);
         EXPECT_EQ(snap.muls_q, 0u);
         EXPECT_EQ(snap.xors, 0u);
-      }
-    }
-  }
-}
-
-TEST(QuantizedSearch, Int8DotMatchesScalarQuantizedReference) {
-  for (const std::int64_t len : kLens) {
-    for (const std::int64_t d : kQDims) {
-      for (const std::int64_t p : kWords) {
-        Rng rng(static_cast<std::uint64_t>(6000 + len * 100 + d * 10 + p));
-        CamArray array(rng.randn({p, d}), SearchMetric::DotProduct);
-        array.prepare_quantized(CamPrecision::Int8);
-        Tensor cols = rng.randn({d, len});
-
-        OpCounter counter;
-        const std::vector<std::int64_t> hits =
-            blocked_hits(array, cols, CamPrecision::Int8, counter);
-        EXPECT_EQ(hits, quantized_reference_hits(array, cols, CamPrecision::Int8))
-            << "len=" << len << " d=" << d << " p=" << p;
-        EXPECT_EQ(array.usage(), usage_of(hits, p));
-
-        const CounterSnapshot snap(counter);
-        EXPECT_EQ(snap.searches, static_cast<std::uint64_t>(len));
-        EXPECT_EQ(snap.adds_q, static_cast<std::uint64_t>(p * d * len));
-        EXPECT_EQ(snap.muls_q, static_cast<std::uint64_t>(p * d * len));
-        EXPECT_EQ(snap.adds, 0u);
-        EXPECT_EQ(snap.muls, 0u);
       }
     }
   }
@@ -603,7 +482,7 @@ TEST(QuantizedSearch, BinaryHammingMatchesSignReference) {
         const std::int64_t bwords = (d + 63) / 64;
         EXPECT_EQ(snap.searches, static_cast<std::uint64_t>(len));
         EXPECT_EQ(snap.xors, static_cast<std::uint64_t>(p * bwords * len));
-        EXPECT_EQ(snap.adds, 0u);
+        EXPECT_EQ(snap.adds, static_cast<std::uint64_t>(len));
         EXPECT_EQ(snap.adds_q, 0u);
       }
     }
@@ -614,80 +493,82 @@ TEST(QuantizedSearch, RequiresPreparedPlaneAndL1ForBinary) {
   Rng rng(71);
   OpCounter counter;
   std::vector<float> queries(static_cast<std::size_t>(9), 0.f);
-  std::int64_t hit = 0;
+  const LutMemory lut(rng.randn({3, 4}));
+  std::vector<float> scores(static_cast<std::size_t>(4 * kCamTileMax));
+  std::vector<float> out(3, 0.f);
 
   CamArray l1(rng.randn({4, 9}), SearchMetric::L1BestMatch);
-  EXPECT_THROW(l1.search_block(queries.data(), 1, &hit, counter, CamPrecision::Int8),
-               std::logic_error);
-  EXPECT_THROW(l1.search_block(queries.data(), 1, &hit, counter, CamPrecision::Binary),
-               std::logic_error);
+  const auto search_l1 = [&](cam::CamPrecision precision) {
+    l1.search_accumulate_block(queries.data(), 1, lut, out.data(), 1, counter, precision);
+  };
+  EXPECT_THROW(search_l1(CamPrecision::Int8), std::logic_error);
+  EXPECT_THROW(search_l1(CamPrecision::Binary), std::logic_error);
   EXPECT_FALSE(l1.quantized_ready(CamPrecision::Int8));
   l1.prepare_quantized(CamPrecision::Int8);
   EXPECT_TRUE(l1.quantized_ready(CamPrecision::Int8));
-  EXPECT_NO_THROW(l1.search_block(queries.data(), 1, &hit, counter, CamPrecision::Int8));
+  EXPECT_NO_THROW(search_l1(CamPrecision::Int8));
 
   CamArray dot(rng.randn({4, 9}), SearchMetric::DotProduct);
+  const auto softmax_dot = [&](cam::CamPrecision precision) {
+    dot.similarity_softmax_accumulate_block(queries.data(), 1, 1.f, lut, scores.data(), out.data(),
+                                            1, counter, precision);
+  };
+  EXPECT_THROW(softmax_dot(CamPrecision::Int8), std::logic_error);
+  dot.prepare_quantized(CamPrecision::Int8);
   dot.prepare_quantized(CamPrecision::Binary);
-  // The sign plane carries no magnitudes: binary dot search and binary
-  // softmax reads both refuse instead of silently degrading.
-  EXPECT_THROW(dot.search_block(queries.data(), 1, &hit, counter, CamPrecision::Binary),
-               std::invalid_argument);
-  LutMemory lut(rng.randn({3, 4}));
-  std::vector<float> scores(static_cast<std::size_t>(4 * kCamTileMax));
-  std::vector<float> out(3, 0.f);
-  EXPECT_THROW(dot.similarity_softmax_accumulate_block(queries.data(), 1, 1.f, lut, scores.data(),
-                                                       out.data(), 1, counter,
-                                                       CamPrecision::Binary),
-               std::invalid_argument);
-  EXPECT_THROW(dot.similarity_softmax_accumulate_block(queries.data(), 1, 1.f, lut, scores.data(),
-                                                       out.data(), 1, counter, CamPrecision::Int8),
-               std::logic_error);
+  // The sign plane carries no magnitudes, so the binary softmax read
+  // refuses instead of silently degrading.
+  EXPECT_THROW(softmax_dot(CamPrecision::Binary), std::invalid_argument);
+  // A dot array has no best-match search at any precision: PECAN-A weighs
+  // every word, so both D entries refuse instead of reaching a missing
+  // kernel.
+  EXPECT_THROW(dot.search(queries.data(), 1, counter), std::invalid_argument);
+  for (const CamPrecision precision :
+       {CamPrecision::Float32, CamPrecision::Int8, CamPrecision::Binary}) {
+    EXPECT_THROW(dot.search_accumulate_block(queries.data(), 1, lut, out.data(), 1, counter,
+                                             precision),
+                 std::invalid_argument)
+        << cam::precision_name(precision);
+  }
 }
 
 // ------------------------------------------------- fused search epilogue
 
-TEST(FusedEpilogue, MatchesTwoPassAtEveryPrecision) {
-  constexpr std::int64_t kP = 32, kD = 9, kCout = 13;
+// The D entry with a real LUT at every precision against the scalar
+// winners: search() at Float32, the independent quantized references at
+// Int8/Binary, each followed by one scalar LutMemory::accumulate per query.
+TEST(FusedEpilogue, MatchesScalarAtEveryPrecision) {
+  constexpr std::int64_t kP = 32, kD = 9;
   for (const CamPrecision precision :
        {CamPrecision::Float32, CamPrecision::Int8, CamPrecision::Binary}) {
     for (const std::int64_t len : kLens) {
       Rng rng(static_cast<std::uint64_t>(8000 + len * 10 + static_cast<int>(precision)));
       CamArray array(rng.randn({kP, kD}), SearchMetric::L1BestMatch);
       if (precision != CamPrecision::Float32) array.prepare_quantized(precision);
-      LutMemory lut(rng.randn({kCout, kP}));
-      Tensor cols = rng.randn({kD, len});
-      std::vector<float> qtile(static_cast<std::size_t>(kD * kCamTileMax));
+      const LutMemory lut(rng.randn({kCout, kP}));
+      const Tensor cols = rng.randn({kD, len});
 
-      // Two-pass reference: search_block then LUT accumulate_block.
-      OpCounter two_pass_counter;
-      Tensor expected({kCout, len}, std::vector<float>(static_cast<std::size_t>(kCout * len), 0.f));
-      std::vector<std::int64_t> hits(static_cast<std::size_t>(kCamTileMax));
-      for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
-        const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
-        nn::pack_cols_tile(cols.data(), len, kD, l0, lb, qtile.data());
-        array.search_block(qtile.data(), lb, hits.data(), two_pass_counter, precision);
-        lut.accumulate_block(hits.data(), lb, expected.data() + l0, len, two_pass_counter);
+      OpCounter scalar_counter;
+      std::vector<std::int64_t> hits(static_cast<std::size_t>(len));
+      if (precision == CamPrecision::Float32) {
+        for (std::int64_t l = 0; l < len; ++l) {
+          hits[static_cast<std::size_t>(l)] = array.search(cols.data() + l, len, scalar_counter);
+        }
+      } else {
+        hits = quantized_reference_hits(array, cols, precision);
       }
-      const std::vector<std::uint64_t> two_pass_usage = array.usage();
-      array.reset_usage();
-
-      OpCounter fused_counter;
-      Tensor actual({kCout, len}, std::vector<float>(static_cast<std::size_t>(kCout * len), 0.f));
-      for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
-        const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
-        nn::pack_cols_tile(cols.data(), len, kD, l0, lb, qtile.data());
-        array.search_accumulate_block(qtile.data(), lb, lut, actual.data() + l0, len,
-                                      fused_counter, precision);
+      std::vector<float> expected(static_cast<std::size_t>(kCout * len), 0.5f);
+      for (std::int64_t l = 0; l < len; ++l) {
+        lut.accumulate(hits[static_cast<std::size_t>(l)], expected.data() + l, len, scalar_counter);
       }
 
-      EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
-                            static_cast<std::size_t>(kCout * len) * sizeof(float)),
-                0)
-          << "precision=" << static_cast<int>(precision) << " len=" << len;
-      EXPECT_TRUE(CounterSnapshot(fused_counter) == CounterSnapshot(two_pass_counter))
-          << "counter drift at precision=" << static_cast<int>(precision) << " len=" << len;
-      EXPECT_EQ(array.usage(), two_pass_usage);
-      array.reset_usage();
+      const camspec::Outcome fused = camspec::run_blocked(array, lut, cols, kTemp, precision);
+      EXPECT_EQ(std::memcmp(fused.out.data(), expected.data(), expected.size() * sizeof(float)), 0)
+          << "precision=" << cam::precision_name(precision) << " len=" << len;
+      EXPECT_EQ(fused.usage, usage_of(hits, kP));
+      if (precision == CamPrecision::Float32) {
+        EXPECT_TRUE(fused.counter == CounterSnapshot(scalar_counter)) << "len=" << len;
+      }
     }
   }
 }
@@ -703,78 +584,8 @@ TEST(FusedEpilogue, RejectsMismatchedLut) {
                std::invalid_argument);
 }
 
-// Softmax replica with the exact op order of the fused kernel (float exp,
-// double denominator, one float normalize multiply); returns the
-// pre-softmax argmax recorded in the usage histogram.
-std::int64_t softmax_column_replica(float* scores, std::int64_t p, std::int64_t lb, std::int64_t l,
-                                    float temperature) {
-  float mx = scores[l];
-  std::int64_t best = 0;
-  for (std::int64_t m = 1; m < p; ++m) {
-    const float v = scores[m * lb + l];
-    if (v > mx) {
-      mx = v;
-      best = m;
-    }
-  }
-  double denom = 0;
-  for (std::int64_t m = 0; m < p; ++m) {
-    float& v = scores[m * lb + l];
-    v = std::exp((v - mx) / temperature);
-    denom += v;
-  }
-  const float inv = static_cast<float>(1.0 / denom);
-  for (std::int64_t m = 0; m < p; ++m) scores[m * lb + l] *= inv;
-  return best;
-}
-
-TEST(FusedWeighted, Float32BitwiseMatchesUnfusedSequence) {
-  constexpr std::int64_t kP = 8, kD = 9, kCout = 13;
-  constexpr float kTemp = 0.75f;
-  for (const std::int64_t len : {std::int64_t{1}, std::int64_t{63}, std::int64_t{64},
-                                 std::int64_t{65}}) {
-    Rng rng(static_cast<std::uint64_t>(9000 + len));
-    CamArray array(rng.randn({kP, kD}), SearchMetric::DotProduct);
-    LutMemory lut(rng.randn({kCout, kP}));
-    Tensor cols = rng.randn({kD, len});
-    std::vector<float> qtile(static_cast<std::size_t>(kD * kCamTileMax));
-    std::vector<float> scores(static_cast<std::size_t>(kP * kCamTileMax));
-    std::vector<std::uint64_t> expected_usage(static_cast<std::size_t>(kP), 0);
-
-    OpCounter ref_counter;
-    Tensor expected({kCout, len}, std::vector<float>(static_cast<std::size_t>(kCout * len), 0.f));
-    for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
-      const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
-      nn::pack_cols_tile(cols.data(), len, kD, l0, lb, qtile.data());
-      array.similarity_scores_block(qtile.data(), lb, scores.data(), ref_counter);
-      for (std::int64_t l = 0; l < lb; ++l) {
-        ++expected_usage[static_cast<std::size_t>(
-            softmax_column_replica(scores.data(), kP, lb, l, kTemp))];
-      }
-      lut.weighted_accumulate_block(scores.data(), lb, expected.data() + l0, len, ref_counter);
-    }
-
-    OpCounter fused_counter;
-    Tensor actual({kCout, len}, std::vector<float>(static_cast<std::size_t>(kCout * len), 0.f));
-    for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
-      const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
-      nn::pack_cols_tile(cols.data(), len, kD, l0, lb, qtile.data());
-      array.similarity_softmax_accumulate_block(qtile.data(), lb, kTemp, lut, scores.data(),
-                                                actual.data() + l0, len, fused_counter);
-    }
-
-    EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
-                          static_cast<std::size_t>(kCout * len) * sizeof(float)),
-              0)
-        << "len=" << len;
-    EXPECT_TRUE(CounterSnapshot(fused_counter) == CounterSnapshot(ref_counter)) << "len=" << len;
-    EXPECT_EQ(array.usage(), expected_usage);
-  }
-}
-
 TEST(FusedWeighted, Int8MatchesExactIntegerReference) {
-  constexpr std::int64_t kP = 8, kCout = 13;
-  constexpr float kTemp = 0.75f;
+  constexpr std::int64_t kP = 8;
   // Odd d exercises the dot scan's pair padding inside the fused read.
   for (const std::int64_t d : {std::int64_t{9}, std::int64_t{16}}) {
     for (const std::int64_t len : {std::int64_t{1}, std::int64_t{64}, std::int64_t{65}}) {
@@ -820,7 +631,7 @@ TEST(FusedWeighted, Int8MatchesExactIntegerReference) {
         }
         for (std::int64_t l = 0; l < lb; ++l) {
           ++expected_usage[static_cast<std::size_t>(
-              softmax_column_replica(scores.data(), kP, lb, l, kTemp))];
+              camspec::softmax_column(scores.data(), kP, lb, l, kTemp))];
         }
         lut.weighted_accumulate_block(scores.data(), lb, expected.data() + l0, len, ref_counter);
       }
@@ -857,79 +668,17 @@ TEST(FusedWeighted, Int8MatchesExactIntegerReference) {
 
 // The CAM scans dispatch at runtime between kernel tables compiled for
 // different ISA tiers (cam/cam_kernels.hpp). Every table the host can run
-// must reproduce the baseline table BITWISE through the public CamArray
-// entry points: hits, output tiles, OpCounter totals and usage histograms.
+// must reproduce the baseline table BITWISE through the two blocked CamArray
+// entries: output tiles, OpCounter totals and usage histograms.
 
 using cam::detail::KernelTable;
 using cam::detail::ScopedKernelTable;
 
-enum class Entry { SearchBlock, SearchAccumulate, ScoresBlock, SoftmaxAccumulate };
-
-const char* entry_name(Entry e) {
-  switch (e) {
-    case Entry::SearchBlock: return "search_block";
-    case Entry::SearchAccumulate: return "search_accumulate_block";
-    case Entry::ScoresBlock: return "similarity_scores_block";
-    case Entry::SoftmaxAccumulate: return "similarity_softmax_accumulate_block";
-  }
-  return "?";
-}
-
-struct SweepResult {
-  std::vector<std::int64_t> hits;
-  std::vector<float> out;  ///< [cout, len] output tile, or [p, len] scores
-  CounterSnapshot counter;
-  std::vector<std::uint64_t> usage;
-};
-
-// Drives one entry point over the tile grid the conv kernels use, with
-// `table` pinned on this thread. Usage is reset first so each result holds
-// this sweep's histogram only.
-SweepResult sweep(const KernelTable& table, const CamArray& array, const LutMemory& lut,
-                  const Tensor& cols, CamPrecision precision, Entry entry) {
+// The blocked entry of the array's mode with `table` pinned on this thread.
+camspec::Outcome sweep(const KernelTable& table, const CamArray& array, const LutMemory& lut,
+                       const Tensor& cols, CamPrecision precision) {
   const ScopedKernelTable pin(table);
-  array.reset_usage();
-  const std::int64_t d = array.word_dim(), p = array.word_count(), len = cols.dim(1);
-  const std::int64_t rows = entry == Entry::ScoresBlock ? p : lut.cout();
-  OpCounter counter;
-  std::vector<std::int64_t> hits(static_cast<std::size_t>(len), -1);
-  std::vector<float> out(static_cast<std::size_t>(rows * len), 0.5f);
-  std::vector<float> qtile(static_cast<std::size_t>(d * kCamTileMax));
-  std::vector<float> scores(static_cast<std::size_t>(p * kCamTileMax));
-  for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
-    const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
-    nn::pack_cols_tile(cols.data(), len, d, l0, lb, qtile.data());
-    switch (entry) {
-      case Entry::SearchBlock:
-        array.search_block(qtile.data(), lb, hits.data() + l0, counter, precision);
-        break;
-      case Entry::SearchAccumulate:
-        array.search_accumulate_block(qtile.data(), lb, lut, out.data() + l0, len, counter,
-                                      precision);
-        break;
-      case Entry::ScoresBlock:
-        array.similarity_scores_block(qtile.data(), lb, scores.data(), counter);
-        for (std::int64_t m = 0; m < p; ++m) {
-          std::memcpy(out.data() + m * len + l0, scores.data() + m * lb,
-                      static_cast<std::size_t>(lb) * sizeof(float));
-        }
-        break;
-      case Entry::SoftmaxAccumulate:
-        array.similarity_softmax_accumulate_block(qtile.data(), lb, 0.75f, lut, scores.data(),
-                                                  out.data() + l0, len, counter, precision);
-        break;
-    }
-  }
-  return {hits, out, CounterSnapshot(counter), array.usage()};
-}
-
-void expect_same_sweep(const SweepResult& want, const SweepResult& got, const std::string& what) {
-  EXPECT_EQ(want.hits, got.hits) << what;
-  ASSERT_EQ(want.out.size(), got.out.size()) << what;
-  EXPECT_EQ(std::memcmp(want.out.data(), got.out.data(), want.out.size() * sizeof(float)), 0)
-      << "output tile differs: " << what;
-  EXPECT_TRUE(want.counter == got.counter) << "counter drift: " << what;
-  EXPECT_EQ(want.usage, got.usage) << "usage drift: " << what;
+  return camspec::run_blocked(array, lut, cols, kTemp, precision);
 }
 
 TEST(CrossIsaKernels, TablesResolveOnceWidestLastAndPinPerThread) {
@@ -963,22 +712,14 @@ TEST(CrossIsaKernels, EveryHostTableBitwiseMatchesBaseline) {
   struct Config {
     CamPrecision precision;
     SearchMetric metric;
-    std::vector<Entry> entries;
   };
   const Config configs[] = {
-      {CamPrecision::Float32, SearchMetric::L1BestMatch,
-       {Entry::SearchBlock, Entry::SearchAccumulate}},
-      {CamPrecision::Float32, SearchMetric::DotProduct,
-       {Entry::SearchBlock, Entry::SearchAccumulate, Entry::ScoresBlock,
-        Entry::SoftmaxAccumulate}},
-      {CamPrecision::Int8, SearchMetric::L1BestMatch,
-       {Entry::SearchBlock, Entry::SearchAccumulate}},
-      {CamPrecision::Int8, SearchMetric::DotProduct,
-       {Entry::SearchBlock, Entry::SearchAccumulate, Entry::SoftmaxAccumulate}},
-      {CamPrecision::Binary, SearchMetric::L1BestMatch,
-       {Entry::SearchBlock, Entry::SearchAccumulate}},
+      {CamPrecision::Float32, SearchMetric::L1BestMatch},
+      {CamPrecision::Float32, SearchMetric::DotProduct},
+      {CamPrecision::Int8, SearchMetric::L1BestMatch},
+      {CamPrecision::Int8, SearchMetric::DotProduct},
+      {CamPrecision::Binary, SearchMetric::L1BestMatch},
   };
-  constexpr std::int64_t kCout = 13;
   // p = 300 exceeds the byte-lane Hamming scan's 256-word bound, so the
   // wide tables' in-kernel fallback is pinned too.
   const std::int64_t kTableWords[] = {1, 32, 300};
@@ -1001,16 +742,13 @@ TEST(CrossIsaKernels, EveryHostTableBitwiseMatchesBaseline) {
               if (cfg.precision != CamPrecision::Float32) array.prepare_quantized(cfg.precision);
               const LutMemory lut(rng.randn({kCout, p}));
               const Tensor cols = rng.randn({d, len});
-              for (const Entry entry : cfg.entries) {
-                const std::string what =
-                    std::string(table.isa) + " " + entry_name(entry) + " precision=" +
-                    cam::precision_name(cfg.precision) +
-                    " metric=" + std::to_string(static_cast<int>(cfg.metric)) +
-                    " len=" + std::to_string(len) + " d=" + std::to_string(d) +
-                    " p=" + std::to_string(p) + " noise=" + std::to_string(noise);
-                expect_same_sweep(sweep(baseline, array, lut, cols, cfg.precision, entry),
-                                  sweep(table, array, lut, cols, cfg.precision, entry), what);
-              }
+              const std::string what =
+                  std::string(table.isa) + " precision=" + cam::precision_name(cfg.precision) +
+                  " metric=" + std::to_string(static_cast<int>(cfg.metric)) +
+                  " len=" + std::to_string(len) + " d=" + std::to_string(d) +
+                  " p=" + std::to_string(p) + " noise=" + std::to_string(noise);
+              camspec::expect_same(sweep(baseline, array, lut, cols, cfg.precision),
+                                   sweep(table, array, lut, cols, cfg.precision), what);
             }
           }
         }
@@ -1025,14 +763,13 @@ TEST(CrossIsaKernels, ConcurrentLanesOnMixedTablesShareOneLedger) {
   // counter see exactly the sum of the lanes (thread_local scratch and pins,
   // atomic ledgers).
   const cam::detail::SupportedKernels supported = cam::detail::supported_kernels();
-  constexpr std::int64_t kP = 32, kD = 9, kLen = 130, kCout = 13, kLanes = 4;
+  constexpr std::int64_t kP = 32, kD = 9, kLen = 130, kLanes = 4;
   Rng rng(12345);
   CamArray array(rng.randn({kP, kD}), SearchMetric::L1BestMatch);
   array.prepare_quantized(CamPrecision::Int8);
   const LutMemory lut(rng.randn({kCout, kP}));
   const Tensor cols = rng.randn({kD, kLen});
-  const SweepResult want = sweep(*supported.tables[0], array, lut, cols, CamPrecision::Int8,
-                                 Entry::SearchAccumulate);
+  const camspec::Outcome want = sweep(*supported.tables[0], array, lut, cols, CamPrecision::Int8);
   array.reset_usage();
 
   OpCounter shared;

@@ -7,6 +7,7 @@
 #include "cam/cam_array.hpp"
 #include "cam/convert.hpp"
 #include "cam/nonideal.hpp"
+#include "cam_spec.hpp"
 #include "core/pecan_conv2d.hpp"
 #include "models/lenet.hpp"
 #include "nn/loss.hpp"
@@ -153,15 +154,13 @@ TEST(Nonideal, AffineQparamsZeroRangeStaysValid) {
   array.prepare_quantized(CamPrecision::Int8);
   array.prepare_quantized(CamPrecision::Binary);
   Rng rng(6);
-  Tensor tile = rng.randn({4, 8});  // dim-major [d, lb] query tile
+  Tensor cols = rng.randn({4, 8});  // 8 query columns of dimension 4
   OpCounter counter;
-  std::int64_t hits[8];
   for (const CamPrecision precision :
        {CamPrecision::Float32, CamPrecision::Int8, CamPrecision::Binary}) {
-    array.search_block(tile.data(), 8, hits, counter, precision);
-    for (int l = 0; l < 8; ++l) {
-      EXPECT_EQ(hits[l], 0) << "precision=" << static_cast<int>(precision) << " l=" << l;
-    }
+    EXPECT_EQ(camspec::blocked_hits(array, cols, precision, counter),
+              std::vector<std::int64_t>(8, 0))
+        << "precision=" << static_cast<int>(precision);
   }
 }
 
