@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_report.hpp"
 #include "cam/cam_array.hpp"
 #include "cam/cam_conv2d.hpp"
 #include "cam/lut.hpp"
@@ -34,22 +35,22 @@ using namespace pecan;
 
 namespace {
 
+using bench::Row;
+
 volatile float g_sink = 0.f;  // defeats dead-code elimination
 
-struct Row {
-  std::string name;
-  std::string unit;
-  double scalar = -1.0;   ///< "before" kernel rate; < 0 when not applicable
-  double blocked = -1.0;  ///< "after" kernel rate
-  double gb_per_s = -1.0; ///< effective bandwidth of the blocked kernel
-  // Absolute CI floors emitted as the row's "gate" object (check_bench.py
-  // enforces them on top of the ratio check when the row is gated). Kept
-  // far below the recorded full-run values so --smoke noise cannot trip
-  // them; < 0 means no floor.
-  double gate_min_speedup = -1.0;
-  double gate_min_gb = -1.0;
-  double speedup() const { return scalar > 0 && blocked > 0 ? blocked / scalar : -1.0; }
-};
+/// A before/after row: `scalar` is the reference rate, `blocked` the rate of
+/// the kernel serving runs, `speedup` their ratio. gb_per_s, when set, is
+/// the blocked kernel's effective bandwidth.
+Row ratio_row(std::string name, std::string unit, double scalar, double blocked) {
+  Row row;
+  row.name = std::move(name);
+  row.unit = std::move(unit);
+  row.scalar = scalar;
+  row.blocked = blocked;
+  row.speedup = blocked / scalar;
+  return row;
+}
 
 /// Runs body() until `min_time` elapsed (after one warmup call) and returns
 /// calls per second.
@@ -68,8 +69,8 @@ double rate(F&& body, double min_time) {
 /// Calls per second of `a` and of `b` from three alternating windows of
 /// rate() each; each side keeps its best window. Two adjacent windows alone
 /// let a stall or a load change that hits only one of them swing the ratio;
-/// the best of alternating windows does not. The CAM ratio rows carry
-/// absolute floors, so they are measured this way.
+/// the best of alternating windows does not. Every timed ratio row is
+/// measured this way.
 template <typename A, typename B>
 std::pair<double, double> paired_rates(A&& a, B&& b, double min_time) {
   double ra = 0.0, rb = 0.0;
@@ -149,12 +150,10 @@ Row bench_cam_search(cam::SearchMetric metric, std::int64_t p, std::int64_t d, s
   const auto [scalar_rate, blocked_rate] =
       paired_rates([&] { b.scalar(); }, [&] { b.blocked(cam::CamPrecision::Float32); }, min_time);
 
-  Row row;
-  row.name = std::string(b.l1() ? "cam_l1_search" : "cam_dot_scores") + "_p" + std::to_string(p) +
-             "_d" + std::to_string(d);
-  row.unit = "searches/s";
-  row.scalar = scalar_rate * static_cast<double>(len);
-  row.blocked = blocked_rate * static_cast<double>(len);
+  Row row = ratio_row(std::string(b.l1() ? "cam_l1_search" : "cam_dot_scores") + "_p" +
+                          std::to_string(p) + "_d" + std::to_string(d),
+                      "searches/s", scalar_rate * static_cast<double>(len),
+                      blocked_rate * static_cast<double>(len));
   // Per search the scan touches the full word array plus the query.
   row.gb_per_s = row.blocked * static_cast<double>((p * d + d) * 4) / 1e9;
   return row;
@@ -174,12 +173,11 @@ Row bench_qcam_search(cam::SearchMetric metric, cam::CamPrecision prec, std::int
   const auto [float_rate, quant_rate] = paired_rates(
       [&] { b.blocked(cam::CamPrecision::Float32); }, [&] { b.blocked(prec); }, min_time);
 
-  Row row;
-  row.name = std::string("qcam/") + cam::precision_name(prec) + (b.l1() ? "_l1" : "_dot") + "_p" +
-             std::to_string(p) + "_d" + std::to_string(d);
-  row.unit = "searches/s";
-  row.scalar = float_rate * static_cast<double>(len);
-  row.blocked = quant_rate * static_cast<double>(len);
+  Row row = ratio_row(std::string("qcam/") + cam::precision_name(prec) +
+                          (b.l1() ? "_l1" : "_dot") + "_p" + std::to_string(p) + "_d" +
+                          std::to_string(d),
+                      "searches/s", float_rate * static_cast<double>(len),
+                      quant_rate * static_cast<double>(len));
   // Bytes actually touched per search by the quantized scan: uint8 codes
   // (words + query) for int8, packed uint64 sign words for binary.
   const double bytes = prec == cam::CamPrecision::Binary
@@ -224,24 +222,18 @@ Row bench_sgemm(std::int64_t n, double min_time) {
   Tensor c({n, n});
   const double flops = 2.0 * static_cast<double>(n) * static_cast<double>(n) *
                        static_cast<double>(n);
-  const double ref_rate = rate(
+  const auto [ref_rate, blocked_rate] = paired_rates(
       [&] {
         old_streaming_gemm(n, n, n, a.data(), b.data(), c.data());
         g_sink = c[0];
       },
-      min_time);
-  const double blocked_rate = rate(
       [&] {
         matmul(a.data(), b.data(), c.data(), n, n, n);
         g_sink = c[0];
       },
       min_time);
-  Row row;
-  row.name = "sgemm_" + std::to_string(n);
-  row.unit = "gflop/s";
-  row.scalar = ref_rate * flops / 1e9;
-  row.blocked = blocked_rate * flops / 1e9;
-  return row;
+  return ratio_row("sgemm_" + std::to_string(n), "gflop/s", ref_rate * flops / 1e9,
+                   blocked_rate * flops / 1e9);
 }
 
 Row bench_im2col(std::int64_t c, std::int64_t hw, double min_time) {
@@ -279,7 +271,7 @@ Row bench_im2col_tile(std::int64_t c, std::int64_t hw, std::int64_t d, double mi
   Tensor cols({rows, len});
   std::vector<float> qtile(static_cast<std::size_t>(d * cam::kCamTileMax));
 
-  const double two_pass_rate = rate(
+  const auto [two_pass_rate, fused_rate] = paired_rates(
       [&] {
         nn::im2col(image.data(), g, cols.data());
         for (std::int64_t j = 0; j < D; ++j) {
@@ -290,8 +282,6 @@ Row bench_im2col_tile(std::int64_t c, std::int64_t hw, std::int64_t d, double mi
           }
         }
       },
-      min_time);
-  const double fused_rate = rate(
       [&] {
         for (std::int64_t j = 0; j < D; ++j) {
           for (std::int64_t l0 = 0; l0 < len; l0 += cam::kCamTileMax) {
@@ -303,12 +293,10 @@ Row bench_im2col_tile(std::int64_t c, std::int64_t hw, std::int64_t d, double mi
       },
       min_time);
 
-  Row row;
-  row.name = "im2col_tile_c" + std::to_string(c) + "_hw" + std::to_string(hw) + "_d" +
-             std::to_string(d);
-  row.unit = "tiles/s";
-  row.scalar = two_pass_rate * static_cast<double>(D * ntiles);
-  row.blocked = fused_rate * static_cast<double>(D * ntiles);
+  Row row = ratio_row("im2col_tile_c" + std::to_string(c) + "_hw" + std::to_string(hw) + "_d" +
+                          std::to_string(d),
+                      "tiles/s", two_pass_rate * static_cast<double>(D * ntiles),
+                      fused_rate * static_cast<double>(D * ntiles));
   // Each fused tile reads d*lb gathered floats and writes the packed tile.
   row.gb_per_s = row.blocked * static_cast<double>(d * cam::kCamTileMax * 8) / 1e9;
   return row;
@@ -399,44 +387,8 @@ Row bench_bank_energy(cam::CamPrecision prec) {
   };
   const double f32_nj = nj_per_inf(cam::CamPrecision::Float32);
   const double my_nj = nj_per_inf(prec);
-  Row row;
-  row.name = std::string("bank/energy_lenet_d_") + cam::precision_name(prec);
-  row.unit = "inf/uJ";
-  row.scalar = 1e3 / f32_nj;
-  row.blocked = 1e3 / my_nj;
-  return row;
-}
-
-void write_json(const std::string& path, const std::vector<Row>& rows, bool smoke) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "bench_kernels: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f,
-               "{\n  \"bench\": \"kernels\",\n  \"threads\": %d,\n  \"smoke\": %s,\n"
-               "  \"kernel_isa\": \"%s\",\n",
-               util::global_lanes(), smoke ? "true" : "false", cam::kernel_isa());
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f, "    {\"name\": \"%s\", \"unit\": \"%s\"", r.name.c_str(), r.unit.c_str());
-    if (r.scalar >= 0) std::fprintf(f, ", \"scalar\": %.4g", r.scalar);
-    if (r.blocked >= 0) std::fprintf(f, ", \"blocked\": %.4g", r.blocked);
-    if (r.speedup() >= 0) std::fprintf(f, ", \"speedup\": %.3g", r.speedup());
-    if (r.gb_per_s >= 0) std::fprintf(f, ", \"gb_per_s\": %.4g", r.gb_per_s);
-    if (r.gate_min_speedup >= 0 || r.gate_min_gb >= 0) {
-      std::fprintf(f, ", \"gate\": {");
-      if (r.gate_min_speedup >= 0) std::fprintf(f, "\"min_speedup\": %.3g", r.gate_min_speedup);
-      if (r.gate_min_speedup >= 0 && r.gate_min_gb >= 0) std::fprintf(f, ", ");
-      if (r.gate_min_gb >= 0) std::fprintf(f, "\"min_gb_per_s\": %.3g", r.gate_min_gb);
-      std::fprintf(f, "}");
-    }
-    std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
+  return ratio_row(std::string("bank/energy_lenet_d_") + cam::precision_name(prec), "inf/uJ",
+                   1e3 / f32_nj, 1e3 / my_nj);
 }
 
 }  // namespace
@@ -458,49 +410,32 @@ int main(int argc, char** argv) {
   rows.push_back(bench_cam_search(cam::SearchMetric::L1BestMatch, 8, 4, len, min_time));
   rows.push_back(bench_cam_search(cam::SearchMetric::DotProduct, 16, 9, len, min_time));
   rows.push_back(bench_cam_search(cam::SearchMetric::DotProduct, 8, 16, len, min_time));
+  // A row plus the absolute floors emitted as its "gate" object, which
+  // check_bench.py enforces on top of the ratio check when the row is gated.
+  // Timed floors sit far below the recorded full-run values so --smoke
+  // noise cannot trip them.
+  const auto gated = [](Row r, double min_speedup, double min_gb_per_s = -1) {
+    r.gate = {{"min_speedup", min_speedup}};
+    if (min_gb_per_s >= 0) r.gate.emplace_back("min_gb_per_s", min_gb_per_s);
+    return r;
+  };
   // Quantized operating points, measured against the Float32 entry.
   // Floors: speedup-vs-float must stay comfortably above 1 even under smoke
   // noise; GB/s floors catch a quantized path that stopped behaving like a
   // narrow-lane scan (values are a fraction of the recorded full-run rates).
-  {
-    Row r = bench_qcam_search(cam::SearchMetric::L1BestMatch, cam::CamPrecision::Int8, 64, 9, len,
-                              min_time);
-    r.gate_min_speedup = 1.5;
-    r.gate_min_gb = 1.0;
-    rows.push_back(r);
-  }
-  {
-    Row r = bench_qcam_search(cam::SearchMetric::L1BestMatch, cam::CamPrecision::Int8, 32, 16, len,
-                              min_time);
-    r.gate_min_speedup = 1.5;
-    r.gate_min_gb = 1.0;
-    rows.push_back(r);
-  }
-  {
-    Row r = bench_qcam_search(cam::SearchMetric::L1BestMatch, cam::CamPrecision::Binary, 64, 9, len,
-                              min_time);
-    r.gate_min_speedup = 2.0;
-    r.gate_min_gb = 0.1;
-    rows.push_back(r);
-  }
-  {
-    Row r = bench_qcam_search(cam::SearchMetric::L1BestMatch, cam::CamPrecision::Binary, 32, 16,
-                              len, min_time);
-    r.gate_min_speedup = 2.0;
-    r.gate_min_gb = 0.1;
-    rows.push_back(r);
-  }
-  {
-    // The dot entry's win over float is modest (~1.1x full-run: VPMADDWD
-    // halves the multiplies but the float kernel was already FMA-bound,
-    // not bandwidth-bound, and the softmax costs the same at either
-    // precision). Floor below parity so smoke noise cannot trip it; it
-    // still catches a quantized dot path that collapsed.
-    Row r = bench_qcam_search(cam::SearchMetric::DotProduct, cam::CamPrecision::Int8, 16, 9, len,
-                              min_time);
-    r.gate_min_speedup = 0.8;
-    rows.push_back(r);
-  }
+  constexpr auto kL1 = cam::SearchMetric::L1BestMatch;
+  constexpr auto kInt8 = cam::CamPrecision::Int8, kBinary = cam::CamPrecision::Binary;
+  rows.push_back(gated(bench_qcam_search(kL1, kInt8, 64, 9, len, min_time), 1.5, 1.0));
+  rows.push_back(gated(bench_qcam_search(kL1, kInt8, 32, 16, len, min_time), 1.5, 1.0));
+  rows.push_back(gated(bench_qcam_search(kL1, kBinary, 64, 9, len, min_time), 2.0, 0.1));
+  rows.push_back(gated(bench_qcam_search(kL1, kBinary, 32, 16, len, min_time), 2.0, 0.1));
+  // The dot entry's win over float is modest (~1.1x full-run: VPMADDWD
+  // halves the multiplies but the float kernel was already FMA-bound, not
+  // bandwidth-bound, and the softmax costs the same at either precision).
+  // Floor below parity so smoke noise cannot trip it; it still catches a
+  // quantized dot path that collapsed.
+  rows.push_back(gated(
+      bench_qcam_search(cam::SearchMetric::DotProduct, kInt8, 16, 9, len, min_time), 0.8));
   rows.push_back(bench_sgemm(64, min_time));
   rows.push_back(bench_sgemm(128, min_time));
   rows.push_back(bench_sgemm(256, min_time));
@@ -514,29 +449,24 @@ int main(int argc, char** argv) {
   // Exact energy-per-inference rows (bank/ prefix, gated as a family in CI).
   // These are ledger math, not timing, so the floors sit just under the
   // true ratios — any change to the op accounting or the energy table that
-  // moves an operating point's energy shows up as a gate failure.
-  {
-    Row r = bench_bank_energy(cam::CamPrecision::Float32);
-    r.gate_min_speedup = 0.99;  // float32 vs itself: exactly 1.0
-    rows.push_back(r);
-  }
-  {
-    Row r = bench_bank_energy(cam::CamPrecision::Int8);
-    r.gate_min_speedup = 10.0;  // true ratio ~12.3x, exact on every machine
-    rows.push_back(r);
-  }
-  {
-    Row r = bench_bank_energy(cam::CamPrecision::Binary);
-    r.gate_min_speedup = 12.0;  // true ratio ~15.7x, exact on every machine
-    rows.push_back(r);
-  }
+  // moves an operating point's energy shows up as a gate failure. True
+  // ratios, exact on every machine: float32 1.0, int8 ~12.3x, binary ~15.7x.
+  rows.push_back(gated(bench_bank_energy(cam::CamPrecision::Float32), 0.99));
+  rows.push_back(gated(bench_bank_energy(kInt8), 10.0));
+  rows.push_back(gated(bench_bank_energy(kBinary), 12.0));
 
   std::printf("%-28s %14s %14s %9s %9s  %s\n", "kernel", "scalar", "blocked", "speedup",
               "GB/s", "unit");
   for (const Row& r : rows) {
     std::printf("%-28s %14.4g %14.4g %9.3g %9.4g  %s\n", r.name.c_str(), r.scalar, r.blocked,
-                r.speedup(), r.gb_per_s, r.unit.c_str());
+                r.speedup, r.gb_per_s, r.unit.c_str());
   }
-  write_json(json_path, rows, smoke);
+  bench::write_json(json_path,
+                    {{"bench", "\"kernels\""},
+                     {"threads", std::to_string(util::global_lanes())},
+                     {"smoke", smoke ? "true" : "false"},
+                     {"kernel_isa", "\"" + std::string(cam::kernel_isa()) + "\""}},
+                    rows);
+  bench::warn_unused(args);
   return 0;
 }

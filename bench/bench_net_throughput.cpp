@@ -49,12 +49,12 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
-#include <random>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "bench_report.hpp"
 #include "models/lenet.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/net_client.hpp"
@@ -71,51 +71,11 @@ namespace {
 using namespace pecan;
 using Clock = std::chrono::steady_clock;
 
-/// One machine-readable result row for --json. Fields < 0 are omitted.
-struct JsonRow {
-  std::string name;  ///< e.g. "net/closed/c4" or "net/open/poisson"
-  double rps = -1;
-  double speedup = -1;  ///< closed-loop rows: RPS(cN) / RPS(c1) — the gate
-  double p50_ms = -1;
-  double p99_ms = -1;
-  long long shed = -1;
-  double goodput = -1;       ///< fault/ rows: bitwise-correct completions / total
-  double expired_frac = -1;  ///< fault/ rows: DEADLINE_EXCEEDED outcomes / total
-};
+using bench::bursty_schedule;
+using bench::percentile;
+using bench::poisson_schedule;
 
-std::vector<JsonRow> g_json_rows;
-
-void write_json(const std::string& path, int executors) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "bench_net_throughput: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"net_throughput\",\n  \"executors\": %d,\n", executors);
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < g_json_rows.size(); ++i) {
-    const JsonRow& r = g_json_rows[i];
-    std::fprintf(f, "    {\"name\": \"%s\"", r.name.c_str());
-    if (r.rps >= 0) std::fprintf(f, ", \"rps\": %.4g", r.rps);
-    if (r.speedup >= 0) std::fprintf(f, ", \"speedup\": %.3g", r.speedup);
-    if (r.p50_ms >= 0) std::fprintf(f, ", \"p50_ms\": %.4g", r.p50_ms);
-    if (r.p99_ms >= 0) std::fprintf(f, ", \"p99_ms\": %.4g", r.p99_ms);
-    if (r.shed >= 0) std::fprintf(f, ", \"shed\": %lld", r.shed);
-    if (r.goodput >= 0) std::fprintf(f, ", \"goodput\": %.4g", r.goodput);
-    if (r.expired_frac >= 0) std::fprintf(f, ", \"expired_frac\": %.4g", r.expired_frac);
-    std::fprintf(f, "}%s\n", i + 1 < g_json_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s\n", path.c_str());
-}
-
-double percentile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  std::sort(values.begin(), values.end());
-  const auto index = static_cast<std::size_t>(q * static_cast<double>(values.size() - 1));
-  return values[index];
-}
+std::vector<bench::Row> g_json_rows;
 
 struct RunResult {
   double rps = 0;
@@ -230,32 +190,6 @@ RunResult run_open(const std::string& host, std::uint16_t port, const std::strin
   return out;
 }
 
-/// Poisson arrivals: exponential inter-arrival gaps at `rate` req/s.
-std::vector<double> poisson_schedule(std::size_t n, double rate, std::uint64_t seed) {
-  std::mt19937_64 gen(seed);
-  std::exponential_distribution<double> gap(rate);
-  std::vector<double> offsets;
-  offsets.reserve(n);
-  double t = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    t += gap(gen);
-    offsets.push_back(t);
-  }
-  return offsets;
-}
-
-/// Bursty arrivals: `burst` simultaneous requests every `burst / rate`
-/// seconds — same average rate as the Poisson stream, maximally clumped.
-std::vector<double> bursty_schedule(std::size_t n, double rate, std::size_t burst) {
-  std::vector<double> offsets;
-  offsets.reserve(n);
-  const double gap = static_cast<double>(burst) / rate;
-  for (std::size_t i = 0; i < n; ++i) {
-    offsets.push_back(static_cast<double>(i / burst) * gap);
-  }
-  return offsets;
-}
-
 // --------------------------------------------------------------- fault mode
 
 struct ChaosResult {
@@ -330,7 +264,7 @@ void emit_chaos(const char* label, const std::string& row_name, const ChaosResul
               static_cast<unsigned long long>(r.retries),
               static_cast<unsigned long long>(r.reconnects));
   std::fflush(stdout);
-  JsonRow row;
+  bench::Row row;
   row.name = row_name;
   row.rps = r.rps;
   row.goodput = r.goodput();
@@ -343,7 +277,7 @@ void emit(const char* label, const std::string& row_name, const RunResult& r, do
               speedup >= 0 ? (std::to_string(speedup).substr(0, 4) + "x").c_str() : "-", r.p50_ms,
               r.p99_ms, r.shed);
   std::fflush(stdout);
-  JsonRow row;
+  bench::Row row;
   row.name = row_name;
   row.rps = r.rps;
   row.speedup = speedup;
@@ -481,9 +415,11 @@ int main(int argc, char** argv) {
     server->shutdown();
   }
 
-  if (!json_path.empty()) write_json(json_path, executors);
-  for (const std::string& key : args.unused()) {
-    std::fprintf(stderr, "warning: unused argument --%s\n", key.c_str());
+  if (!json_path.empty()) {
+    bench::write_json(json_path,
+                      {{"bench", "\"net_throughput\""}, {"executors", std::to_string(executors)}},
+                      g_json_rows);
   }
+  bench::warn_unused(args);
   return 0;
 }

@@ -36,10 +36,13 @@ off its narrow-lane memory behavior. Floors in the checked-in reference are
 deliberately far below the recorded full-run values so CI smoke-mode noise
 does not trip them.
 
-Kernels present in the reference but missing from the current run fail the
-gate too (coverage loss is a regression); kernels without a recorded speedup
-(pure-rate rows like im2col and the end-to-end img/s rows) are reported but
-never gated on ratio (a "gate" object still applies).
+Rows present in the reference but missing from the current run fail the
+gate too (coverage loss is a regression). That holds for every reference row
+within the gate prefix (the whole file when no prefix is given), including
+rows with no speedup and no ``gate`` such as ``shard/.../none`` and
+``slo/open8/fixed``. Rows without a recorded speedup (pure-rate rows like
+im2col and the end-to-end img/s rows) are reported but never gated on ratio
+(a "gate" object still applies).
 
 Gate drift fails too. bench_kernels writes each row's ``gate`` object from
 its own source, but the bounds enforced are the reference's. So a current
@@ -54,14 +57,12 @@ Failures are reported as a named-row diff: every failing row is listed with
 the metric that failed, the floor/reference it was held to, and the measured
 value — not just the first mismatch.
 
-The same gate covers the serving bench: BENCH_runtime.json records the
-batch-sharding sweep of bench_runtime_throughput, whose `shard/...` rows
-carry the sharded-over-unsharded img/s ratio as their speedup. That ratio is
-measured in one process on one machine, so — unlike raw img/s, which swings
-with runner hardware — it only drifts with core count and scheduler noise,
-which the 0.5x floor absorbs. Pass ``--gate-prefix shard/`` for that file:
-its other speedup-bearing rows (threaded-vs-serial, client scaling) measure
-the RUNNER's parallelism, not the code, and must stay report-only.
+The same gate covers the serving bench: BENCH_runtime.json records the two
+sweeps of bench_runtime_throughput. Its `shard/...` rows carry the
+sharded-over-unsharded img/s ratio as their speedup. That ratio is measured
+in one process on one machine, so — unlike raw img/s, which swings with
+runner hardware — it only drifts with core count and scheduler noise, which
+the 0.5x floor absorbs. Pass ``--gate-prefix shard/`` for those rows.
 
 BENCH_runtime.json's `slo/...` rows gate the SLO scheduler the same way
 (``--gate-prefix slo/``): their speedups are fixed-vs-adaptive p99,
@@ -169,7 +170,9 @@ def compare(reference, current, min_ratio, gate_prefix, report=lambda line: None
         cur_row = current.get(name)
         has_gate = (ref_speedup is not None or ref_row.get("gate")
                     or (cur_row is not None and cur_row.get("gate")))
-        if not gated or not has_gate:
+        # An in-prefix row the run no longer emits fails even without a
+        # bound: coverage loss is a regression.
+        if not gated or (not has_gate and cur_row is not None):
             status = "-" if cur_row is not None else "missing (not gated)"
             report(f"{name:<32} {'-':>12} {'-':>12} {'-':>7}  {status}")
             continue
@@ -250,6 +253,12 @@ def selftest():
         ("unreferenced ungated row pass", {}, {"new": {"speedup": 2.0}}, "", 0),
         ("unreferenced row off-prefix pass", {}, {"new": {"gate": floor, "speedup": 2.0}},
          "qcam/", 0),
+        # Reference rows with neither a speedup nor a gate must still be
+        # emitted, within the prefix (or the whole file without one).
+        ("ungated row present pass", {"r": {"p99_ms": 3.0}}, {"r": {"p99_ms": 9.0}}, "", 0),
+        ("ungated row missing trips", {"r": {"p99_ms": 3.0}}, {}, "", 1),
+        ("ungated prefixed row missing trips", {"slo/r": {"shed": 5}}, {}, "slo/", 1),
+        ("ungated off-prefix missing pass", {"shard/r": {"img_per_s": 9.0}}, {}, "slo/", 0),
     ]
     bad = 0
     for description, ref_row, cur_row, expected in cases:
@@ -282,9 +291,8 @@ def main():
         "--gate-prefix",
         default="",
         help="only gate rows whose name starts with this prefix; everything "
-        "else is report-only (use 'shard/' for BENCH_runtime.json, whose "
-        "non-shard speedups measure runner parallelism, not the code; "
-        "'qcam/' gates just the quantized CAM rows and their floors)",
+        "else is report-only (e.g. 'shard/' or 'slo/' for BENCH_runtime.json, "
+        "'qcam/' for just the quantized CAM rows and their floors)",
     )
     args = parser.parse_args()
 

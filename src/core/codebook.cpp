@@ -48,8 +48,7 @@ void Codebook::kmeans_init(const Tensor& stacked, std::int64_t iterations, Rng& 
     }
     // k-means++ seeding.
     const std::int64_t first = rng.index(len);
-    std::copy(&points[static_cast<std::size_t>(first * d_)],
-              &points[static_cast<std::size_t>((first + 1) * d_)], prototype(j, 0));
+    std::copy(points.data() + first * d_, points.data() + (first + 1) * d_, prototype(j, 0));
     for (std::int64_t l = 0; l < len; ++l) {
       min_dist[static_cast<std::size_t>(l)] = sq_l2(&points[static_cast<std::size_t>(l * d_)],
                                                     prototype(j, 0), d_);
@@ -68,8 +67,8 @@ void Codebook::kmeans_init(const Tensor& stacked, std::int64_t iterations, Rng& 
           }
         }
       }
-      std::copy(&points[static_cast<std::size_t>(chosen * d_)],
-                &points[static_cast<std::size_t>((chosen + 1) * d_)], prototype(j, m));
+      std::copy(points.data() + chosen * d_, points.data() + (chosen + 1) * d_,
+                prototype(j, m));
       for (std::int64_t l = 0; l < len; ++l) {
         const float dist = sq_l2(&points[static_cast<std::size_t>(l * d_)], prototype(j, m), d_);
         auto& md = min_dist[static_cast<std::size_t>(l)];
@@ -106,8 +105,7 @@ void Codebook::kmeans_init(const Tensor& stacked, std::int64_t iterations, Rng& 
         if (counts[static_cast<std::size_t>(m)] == 0) {
           // Reseed dead prototypes from a random point.
           const std::int64_t l = rng.index(len);
-          std::copy(&points[static_cast<std::size_t>(l * d_)],
-                    &points[static_cast<std::size_t>((l + 1) * d_)], prototype(j, m));
+          std::copy(points.data() + l * d_, points.data() + (l + 1) * d_, prototype(j, m));
           continue;
         }
         const double inv = 1.0 / static_cast<double>(counts[static_cast<std::size_t>(m)]);

@@ -75,6 +75,28 @@ TEST(Codebook, KmeansRecoversClusters) {
   }
 }
 
+// One sample column: every copy out of the gathered points ends exactly at
+// the end of the buffer (checked under -D_GLIBCXX_ASSERTIONS in CI).
+TEST(Codebook, KmeansSinglePointFitsPrototypeZero) {
+  Rng rng(5);
+  const std::int64_t groups = 2, p = 4, d = 3;
+  const Tensor stacked = rng.randn({groups * d, 1});
+  Codebook cb("km1", groups, p, d, rng);
+  const Tensor before = cb.parameter().value;
+  cb.kmeans_init(stacked, 3, rng);
+  for (std::int64_t j = 0; j < groups; ++j) {
+    for (std::int64_t i = 0; i < d; ++i) {
+      EXPECT_EQ(cb.prototype(j, 0)[i], stacked[j * d + i]);
+    }
+    // Prototypes past the one sample keep their random initialization.
+    for (std::int64_t m = 1; m < p; ++m) {
+      for (std::int64_t i = 0; i < d; ++i) {
+        EXPECT_EQ(cb.prototype(j, m)[i], before[(j * p + m) * d + i]);
+      }
+    }
+  }
+}
+
 TEST(PecanConv, OutputShape) {
   Rng rng(3);
   PecanConv2d layer("p", 8, 16, 3, 1, 1, false, dist_cfg(4, 9), rng);
