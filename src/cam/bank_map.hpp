@@ -32,6 +32,7 @@
 #include "cam/convert.hpp"
 #include "cam/op_counter.hpp"
 #include "ops/energy_model.hpp"
+#include "util/stats_fields.hpp"
 
 namespace pecan::cam {
 
@@ -62,13 +63,15 @@ struct BankAssignment {
 };
 
 /// Live per-bank snapshot (EngineStats::banks / the STATS wire verb).
+#define PECAN_BANK_STATS_FIELDS(X)            \
+  X(std::int64_t, arrays, 0, "count")         \
+  X(std::int64_t, words, 0, "count")          \
+  X(std::int64_t, capacity_words, 0, "count") \
+  X(double, occupancy, 0.0, "ratio")          \
+  X(std::uint64_t, searches, 0, "count")      \
+  X(double, energy_pj, 0.0, "pJ")
 struct BankStats {
-  std::int64_t arrays = 0;          ///< subspace arrays placed on this bank
-  std::int64_t words = 0;           ///< prototype words stored
-  std::int64_t capacity_words = 0;  ///< configured capacity (0 = unbounded)
-  double occupancy = 0.0;           ///< words / capacity (0 when unbounded)
-  std::uint64_t searches = 0;       ///< best-match queries served by this bank
-  double energy_pj = 0.0;           ///< exact energy of this bank's op ledger
+  PECAN_BANK_STATS_FIELDS(PECAN_STATS_MEMBER)
 };
 
 class BankMap {

@@ -12,6 +12,9 @@
 namespace pecan::runtime {
 
 namespace {
+/// Samples in the sliding latency windows behind p50/p99 and the SLO controller.
+constexpr std::size_t kLatencyWindow = 1024;
+
 /// Flattens nested Sequentials into a linear step list. Residual blocks
 /// stay single steps: their two branches are an internal fork/join, not a
 /// pipeline stage.
@@ -33,15 +36,12 @@ Engine::Engine(std::unique_ptr<nn::Sequential> net, EngineConfig config)
              config.max_pending > 0 ? static_cast<std::size_t>(config.max_pending) : 0),
       eff_batch_(config.max_batch),
       eff_wait_us_(config.batch_wait.count()),
-      latency_(config.latency_window > 0 ? static_cast<std::size_t>(config.latency_window) : 1) {
+      latency_(kLatencyWindow) {
   if (!net_) throw std::invalid_argument("Engine: null network");
   if (config_.max_batch < 1) throw std::invalid_argument("Engine: max_batch must be >= 1");
   if (config_.max_pending < 0) throw std::invalid_argument("Engine: max_pending must be >= 0");
   if (config_.priority_classes < 1) {
     throw std::invalid_argument("Engine: priority_classes must be >= 1");
-  }
-  if (config_.latency_window < 1) {
-    throw std::invalid_argument("Engine: latency_window must be >= 1");
   }
   if (config_.slo_target_ms < 0.0) {
     throw std::invalid_argument("Engine: slo_target_ms must be >= 0");
@@ -49,7 +49,7 @@ Engine::Engine(std::unique_ptr<nn::Sequential> net, EngineConfig config)
   stats_.classes.resize(static_cast<std::size_t>(config_.priority_classes));
   class_latency_.reserve(static_cast<std::size_t>(config_.priority_classes));
   for (std::int64_t c = 0; c < config_.priority_classes; ++c) {
-    class_latency_.emplace_back(static_cast<std::size_t>(config_.latency_window));
+    class_latency_.emplace_back(kLatencyWindow);
   }
   net_->set_training(false);
   if (config_.cam_precision != cam::CamPrecision::Float32 && config_.path != ExecPath::Cam) {

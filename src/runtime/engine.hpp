@@ -63,6 +63,7 @@
 #include "runtime/model_artifact.hpp"
 #include "util/bounded_queue.hpp"
 #include "util/latency_window.hpp"
+#include "util/stats_fields.hpp"
 
 namespace pecan::runtime {
 
@@ -152,10 +153,6 @@ struct EngineConfig {
   /// batch size moves within [1, max_batch] and the effective straggler
   /// wait within [0, batch_wait].
   double slo_target_ms = 0.0;
-  /// Sliding-window size (samples) of the latency estimator behind
-  /// EngineStats::p50/p99 and the controller — percentiles describe the most
-  /// recent `latency_window` requests, not lifetime history.
-  std::int64_t latency_window = 1024;
   /// Simulated multi-bank CAM backend (ExecPath::Cam only; ignored on the
   /// Float path). Every subspace array is placed onto one of
   /// bank_config.banks simulated banks at compile time (cam::BankMap), and
@@ -185,56 +182,49 @@ struct EngineConfig {
 /// Per-priority-class serving counters (EngineStats::classes, index =
 /// class). Latency percentiles cover submit() end-to-end time for samples of
 /// that class over the same bounded window as the global estimator.
+#define PECAN_ENGINE_CLASS_STATS_FIELDS(X) \
+  X(std::uint64_t, requests, 0, "count")   \
+  X(std::uint64_t, shed, 0, "count")       \
+  X(std::uint64_t, expired, 0, "count")    \
+  X(std::int64_t, depth, 0, "gauge")       \
+  X(double, p50_ms, 0.0, "ms")             \
+  X(double, p99_ms, 0.0, "ms")
 struct EngineClassStats {
-  std::uint64_t requests = 0;  ///< samples accepted at this class
-  std::uint64_t shed = 0;      ///< samples shed FROM this class (rejects + evictions)
-  std::uint64_t expired = 0;   ///< samples of this class whose deadline lapsed
-  std::int64_t depth = 0;      ///< samples of this class pending at snapshot time
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
+  PECAN_ENGINE_CLASS_STATS_FIELDS(PECAN_STATS_MEMBER)
 };
 
+/// One engine's live snapshot (Engine::stats()); every field's meaning and
+/// reset semantics are in docs/STATS_REFERENCE.md.
+#define PECAN_ENGINE_STATS_FIELDS(X)                     \
+  X(std::uint64_t, requests, 0, "count")                 \
+  X(std::uint64_t, batches, 0, "count")                  \
+  X(std::uint64_t, batched_samples, 0, "count")          \
+  X(std::uint64_t, direct_batches, 0, "count")           \
+  X(std::uint64_t, sharded_batches, 0, "count")          \
+  X(std::uint64_t, shard_executions, 0, "count")         \
+  X(std::uint64_t, latency_samples, 0, "count")          \
+  X(std::uint64_t, shed, 0, "count")                     \
+  X(std::uint64_t, expired, 0, "count")                  \
+  X(std::int64_t, queue_depth, 0, "gauge")               \
+  X(std::int64_t, in_flight, 0, "gauge")                 \
+  X(std::int64_t, peak_in_flight, 0, "high-water")       \
+  X(std::int64_t, contexts, 0, "high-water")             \
+  X(std::int64_t, scratch_bytes, 0, "bytes")             \
+  X(double, p50_ms, 0.0, "ms")                           \
+  X(double, p99_ms, 0.0, "ms")                           \
+  X(std::int64_t, eff_max_batch, 0, "samples")           \
+  X(std::int64_t, eff_batch_wait_us, 0, "µs")            \
+  X(std::int64_t, depth_cap, 0, "samples")               \
+  X(std::vector<EngineClassStats>, classes, {}, "array") \
+  X(std::uint64_t, direct_samples, 0, "count")           \
+  X(double, energy_pj, 0.0, "pJ")                        \
+  X(double, energy_per_inference_nj, 0.0, "nJ")          \
+  X(std::vector<cam::BankStats>, banks, {}, "array")     \
+  X(std::uint64_t, noise_shadow_samples, 0, "count")     \
+  X(std::uint64_t, noise_shadow_agree, 0, "count")       \
+  X(double, accuracy_under_variation, 1.0, "ratio")
 struct EngineStats {
-  std::uint64_t requests = 0;         ///< samples accepted by submit()
-  std::uint64_t batches = 0;          ///< micro-batches executed
-  std::uint64_t batched_samples = 0;  ///< samples served through micro-batches
-  std::uint64_t direct_batches = 0;   ///< forward_batch() calls
-  std::uint64_t sharded_batches = 0;  ///< forwards that split into >1 sample shard
-  std::uint64_t shard_executions = 0; ///< shard sub-executions across sharded forwards
-  std::uint64_t latency_samples = 0;  ///< samples measured into the latency window:
-                                      ///< one per forward_batch() call (wall time;
-                                      ///< shards attribute to their parent) plus one
-                                      ///< per submit()ed sample (END-TO-END: queue
-                                      ///< wait + coalesce + execute)
-  std::uint64_t shed = 0;             ///< submits shed by admission control
-                                      ///< (rejections + lowest-class evictions)
-  std::uint64_t expired = 0;          ///< submits that failed with DeadlineExceededError
-                                      ///< (admission-time sheds + batch-formation sweeps)
-  std::int64_t queue_depth = 0;       ///< samples pending at snapshot time
-  std::int64_t in_flight = 0;         ///< executions in flight at snapshot time (shards count)
-  std::int64_t peak_in_flight = 0;    ///< max concurrent executions observed
-  std::int64_t contexts = 0;          ///< InferContexts materialized (= peak concurrency)
-  std::int64_t scratch_bytes = 0;     ///< merged high-water arena profile (per context)
-  double p50_ms = 0.0;                ///< request latency, median (recent window)
-  double p99_ms = 0.0;                ///< request latency, 99th percentile
-  // SLO controller state (meaningful when EngineConfig::slo_target_ms > 0;
-  // otherwise eff_* mirror the fixed config and depth_cap is 0 = none).
-  std::int64_t eff_max_batch = 0;      ///< micro-batch cap the batcher is using now
-  std::int64_t eff_batch_wait_us = 0;  ///< straggler wait it is using now (µs)
-  std::int64_t depth_cap = 0;          ///< SLO-derived pending-depth cap (Reject mode)
-  std::vector<EngineClassStats> classes;  ///< per-priority-class counters (size = K)
-  // Energy + multi-bank accounting (ExecPath::Cam; zero / empty on Float).
-  std::uint64_t direct_samples = 0;   ///< samples served through forward_batch()
-  double energy_pj = 0.0;             ///< exact energy of the network op ledger (pJ)
-  double energy_per_inference_nj = 0.0;  ///< energy_pj / 1e3 / samples served (nJ)
-  std::vector<cam::BankStats> banks;  ///< live per-bank occupancy/searches/energy
-  // Accuracy under device variation (noise_sigma > 0; see
-  // EngineConfig::noise_shadow_every). accuracy_under_variation reads 1.0
-  // until the first shadow sample lands — check noise_shadow_samples > 0
-  // before trusting it.
-  std::uint64_t noise_shadow_samples = 0;  ///< samples argmax-compared vs the clean twin
-  std::uint64_t noise_shadow_agree = 0;    ///< of those, how many agreed
-  double accuracy_under_variation = 1.0;   ///< agree / samples (1.0 when unsampled)
+  PECAN_ENGINE_STATS_FIELDS(PECAN_STATS_MEMBER)
 };
 
 class Engine {

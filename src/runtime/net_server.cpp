@@ -318,6 +318,100 @@ void NetServer::handle_readable(const std::shared_ptr<Conn>& conn) {
   }
 }
 
+// --------------------------------------------------------------- STATS reply
+
+namespace {
+
+// JSON writers for the STATS reply: a struct walks its field list
+// (util/stats_fields.hpp), keys are field names, doubles print as %.3f.
+
+/// Length of the well-formed UTF-8 sequence at text[i], or 0 if there is none
+/// (the lead and second-byte ranges of Unicode's table of well-formed byte
+/// sequences rule out overlongs, surrogates and code points past U+10FFFF).
+std::size_t utf8_length(std::string_view text, std::size_t i) {
+  const auto at = [&](std::size_t k) { return k < text.size() ? std::uint8_t(text[k]) : 0u; };
+  const unsigned c = at(i);
+  const std::size_t n = c < 0x80 ? 1 : c < 0xC2 ? 0 : c < 0xE0 ? 2 : c < 0xF0 ? 3 : c < 0xF5 ? 4 : 0;
+  const unsigned lo = c == 0xE0 ? 0xA0 : c == 0xF0 ? 0x90 : 0x80;
+  const unsigned hi = c == 0xED ? 0x9F : c == 0xF4 ? 0x8F : 0xBF;
+  if (n > 1 && (at(i + 1) < lo || at(i + 1) > hi)) return 0;
+  for (std::size_t k = 2; k < n; ++k) {
+    if ((at(i + k) & 0xC0) != 0x80) return 0;
+  }
+  return n;
+}
+
+/// A JSON string: `"` and `\` escaped, control bytes as \u00XX, and each byte
+/// outside well-formed UTF-8 as \ufffd, so any name a DEPLOY frame carries
+/// still yields a reply that strict JSON parsers accept.
+void put(std::string& out, std::string_view text) {
+  out += '"';
+  for (std::size_t i = 0, n = 0; i < text.size(); i += n == 0 ? 1 : n) {
+    const auto ch = static_cast<unsigned char>(text[i]);
+    n = utf8_length(text, i);
+    if (n == 0 || ch < 0x20) {
+      char buf[8];
+      out.append(buf, std::snprintf(buf, sizeof(buf), "\\u%04x", n == 0 ? 0xFFFDu : ch));
+    } else {
+      if (ch == '"' || ch == '\\') out += '\\';
+      out.append(text, i, n);
+    }
+  }
+  out += '"';
+}
+void put(std::string& out, std::uint64_t v) { out += std::to_string(v); }
+void put(std::string& out, std::int64_t v) { out += std::to_string(v); }
+void put(std::string& out, double v) {
+  char buf[32];
+  out.append(buf, std::snprintf(buf, sizeof(buf), "%.3f", v));
+}
+void put(std::string& out, cam::CamPrecision p) { put(out, cam::precision_name(p)); }
+
+void key(std::string& out, const char* name) {
+  out += out.back() == '{' ? "\"" : ",\"";
+  out += name;
+  out += "\":";
+}
+
+#define PECAN_PUT_FIELD(type, name, init, unit) key(out, #name); put(out, s.name);
+#define PECAN_PUT_STRUCT(T, FIELDS)          \
+  void put(std::string& out, const T& s) { \
+    out += '{';                            \
+    FIELDS(PECAN_PUT_FIELD)                \
+    out += '}';                            \
+  }
+
+PECAN_PUT_STRUCT(EngineClassStats, PECAN_ENGINE_CLASS_STATS_FIELDS)
+PECAN_PUT_STRUCT(cam::BankStats, PECAN_BANK_STATS_FIELDS)
+template <class T>
+void put(std::string& out, const std::vector<T>& items) {
+  out += '[';
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    if (i > 0) out += ',';
+    put(out, items[i]);
+  }
+  out += ']';
+}
+PECAN_PUT_STRUCT(EngineStats, PECAN_ENGINE_STATS_FIELDS)
+PECAN_PUT_STRUCT(NetServerStats, PECAN_NET_SERVER_STATS_FIELDS)
+
+/// {"model":…, <ModelServerStats fields>, "net":{…}}.
+std::string stats_reply(std::string_view model, const ModelServerStats& s,
+                        const NetServerStats& net) {
+  std::string out = "{";
+  key(out, "model");
+  put(out, model);
+  PECAN_MODEL_SERVER_STATS_FIELDS(PECAN_PUT_FIELD)
+  key(out, "net");
+  put(out, net);
+  return out += '}';
+}
+
+#undef PECAN_PUT_STRUCT
+#undef PECAN_PUT_FIELD
+
+}  // namespace
+
 // Returns false when the connection was handed its last frame (poisoned
 // streams return through handle_readable instead; this path never closes).
 bool NetServer::handle_frame(const std::shared_ptr<Conn>& conn, const wire::FrameView& frame) {
@@ -341,60 +435,7 @@ bool NetServer::handle_frame(const std::shared_ptr<Conn>& conn, const wire::Fram
     case wire::Opcode::Stats: {
       const std::string model(frame.model);
       try {
-        const ModelServerStats s = server_.stats(model);
-        const auto ms = [](double v) {
-          char buf[32];
-          std::snprintf(buf, sizeof(buf), "%.3f", v);
-          return std::string(buf);
-        };
-        // Built as a string (not a fixed snprintf buffer): the per-class
-        // array grows with the engine's priority_classes.
-        std::string json = "{\"model\":\"" + model +
-                           "\",\"generation\":" + std::to_string(s.generation) +
-                           ",\"deploys\":" + std::to_string(s.deploys) +
-                           ",\"shed\":" + std::to_string(s.shed_total) +
-                           ",\"cam_precision\":\"" + cam::precision_name(s.cam_precision) +
-                           "\",\"kernel_isa\":\"" + cam::kernel_isa() +
-                           "\",\"requests\":" + std::to_string(s.engine.requests) +
-                           ",\"batches\":" + std::to_string(s.engine.batches) +
-                           ",\"expired\":" + std::to_string(s.engine.expired) +
-                           ",\"queue_depth\":" + std::to_string(s.engine.queue_depth) +
-                           ",\"in_flight\":" + std::to_string(s.engine.in_flight) +
-                           ",\"p50_ms\":" + ms(s.engine.p50_ms) +
-                           ",\"p99_ms\":" + ms(s.engine.p99_ms) +
-                           ",\"eff_max_batch\":" + std::to_string(s.engine.eff_max_batch) +
-                           ",\"eff_batch_wait_us\":" +
-                           std::to_string(s.engine.eff_batch_wait_us) +
-                           ",\"depth_cap\":" + std::to_string(s.engine.depth_cap) +
-                           ",\"energy_pj\":" + ms(s.engine.energy_pj) +
-                           ",\"energy_per_inference_nj\":" +
-                           ms(s.engine.energy_per_inference_nj) +
-                           ",\"noise_shadow_samples\":" +
-                           std::to_string(s.engine.noise_shadow_samples) +
-                           ",\"accuracy_under_variation\":" +
-                           ms(s.engine.accuracy_under_variation) +
-                           ",\"classes\":[";
-        for (std::size_t c = 0; c < s.engine.classes.size(); ++c) {
-          const EngineClassStats& cls = s.engine.classes[c];
-          if (c > 0) json += ',';
-          json += "{\"requests\":" + std::to_string(cls.requests) +
-                  ",\"shed\":" + std::to_string(cls.shed) +
-                  ",\"expired\":" + std::to_string(cls.expired) +
-                  ",\"depth\":" + std::to_string(cls.depth) +
-                  ",\"p50_ms\":" + ms(cls.p50_ms) + ",\"p99_ms\":" + ms(cls.p99_ms) + "}";
-        }
-        json += "],\"banks\":[";
-        for (std::size_t b = 0; b < s.engine.banks.size(); ++b) {
-          const cam::BankStats& bank = s.engine.banks[b];
-          if (b > 0) json += ',';
-          json += "{\"arrays\":" + std::to_string(bank.arrays) +
-                  ",\"words\":" + std::to_string(bank.words) +
-                  ",\"capacity_words\":" + std::to_string(bank.capacity_words) +
-                  ",\"occupancy\":" + ms(bank.occupancy) +
-                  ",\"searches\":" + std::to_string(bank.searches) +
-                  ",\"energy_pj\":" + ms(bank.energy_pj) + "}";
-        }
-        json += "]}";
+        const std::string json = stats_reply(model, server_.stats(model), stats());
         wire::encode_frame(reply, frame.opcode, wire::Status::Ok, frame.request_id, model, json);
         post_reply(conn, std::move(reply), wire::Status::Ok);
       } catch (const UnknownModelError& e) {

@@ -87,19 +87,22 @@ struct NetServerConfig {
   EngineConfig deploy_config{};
 };
 
+/// The TCP front-end's counters (NetServer::stats()), live for the process.
+#define PECAN_NET_SERVER_STATS_FIELDS(X)             \
+  X(std::uint64_t, connections_accepted, 0, "count") \
+  X(std::int64_t, connections_active, 0, "gauge")    \
+  X(std::uint64_t, frames, 0, "count")               \
+  X(std::uint64_t, replies_ok, 0, "count")           \
+  X(std::uint64_t, replies_error, 0, "count")        \
+  X(std::uint64_t, sheds, 0, "count")                \
+  X(std::uint64_t, deadline_expired, 0, "count")     \
+  X(std::uint64_t, decode_errors, 0, "count")        \
+  X(std::uint64_t, bytes_in, 0, "bytes")             \
+  X(std::uint64_t, bytes_out, 0, "bytes")            \
+  X(std::int64_t, jobs_in_flight, 0, "gauge")        \
+  X(std::string, kernel_isa, {}, "enum")
 struct NetServerStats {
-  std::uint64_t connections_accepted = 0;
-  std::int64_t connections_active = 0;
-  std::uint64_t frames = 0;          ///< well-formed frames decoded
-  std::uint64_t replies_ok = 0;      ///< replies sent with Status::Ok
-  std::uint64_t replies_error = 0;   ///< replies sent with any error status
-  std::uint64_t sheds = 0;           ///< OVERLOADED replies (admission control)
-  std::uint64_t deadline_expired = 0;  ///< DEADLINE_EXCEEDED replies
-  std::uint64_t decode_errors = 0;   ///< BAD_FRAME replies (connection closed)
-  std::uint64_t bytes_in = 0;
-  std::uint64_t bytes_out = 0;
-  std::int64_t jobs_in_flight = 0;   ///< dispatched jobs without a posted reply (gauge)
-  std::string kernel_isa;            ///< CAM scan kernel table in use (cam::kernel_isa)
+  PECAN_NET_SERVER_STATS_FIELDS(PECAN_STATS_MEMBER)
 };
 
 class NetServer {

@@ -57,16 +57,14 @@ namespace pecan::runtime {
 
 /// Per-model view returned by Server::stats(): the live engine snapshot plus
 /// the server's cumulative, swap-surviving counters.
+#define PECAN_MODEL_SERVER_STATS_FIELDS(X)                                \
+  X(std::uint64_t, generation, 0, "ordinal")                              \
+  X(std::uint64_t, deploys, 0, "count")                                   \
+  X(std::uint64_t, shed_total, 0, "count")                                \
+  X(cam::CamPrecision, cam_precision, cam::CamPrecision::Float32, "enum") \
+  X(EngineStats, engine, {}, "struct")
 struct ModelServerStats {
-  std::uint64_t generation = 0;   ///< engine generation currently serving
-  std::uint64_t deploys = 0;      ///< successful deploys of this name
-  std::uint64_t shed_total = 0;   ///< rejected submits across all generations
-  /// CAM operating point of the CURRENT generation. A hot-swap that changes
-  /// precision flips this atomically with the generation; leased engines of
-  /// the old generation keep serving at their own precision until the last
-  /// lease drops.
-  cam::CamPrecision cam_precision = cam::CamPrecision::Float32;
-  EngineStats engine;             ///< live engine snapshot (current generation)
+  PECAN_MODEL_SERVER_STATS_FIELDS(PECAN_STATS_MEMBER)
 };
 
 class Server {

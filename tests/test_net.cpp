@@ -594,6 +594,124 @@ TEST(NetServer, PriorityTaggedInfersServeBitwiseIdenticallyAndShowInStats) {
   util::set_global_threads(1);
 }
 
+/// The keys of the JSON object that opens at json[open], in order. Nested
+/// objects and arrays are skipped, so only that object's own keys count.
+std::vector<std::string> object_keys(const std::string& json, std::size_t open) {
+  std::vector<std::string> keys;
+  int depth = 0;
+  for (std::size_t i = open; i < json.size(); ++i) {
+    const char c = json[i];
+    if (c == '"') {
+      std::size_t end = i + 1;
+      while (json[end] != '"') end += json[end] == '\\' ? 2 : 1;
+      if (depth == 1 && json[end + 1] == ':') keys.push_back(json.substr(i + 1, end - i - 1));
+      i = end;
+    } else if (c == '{' || c == '[') {
+      ++depth;
+    } else if ((c == '}' || c == ']') && --depth == 0) {
+      break;
+    }
+  }
+  return keys;
+}
+
+/// Where the value of the first `"<key>":` in json starts (just past `prefix`,
+/// which is `{` for an object or `[{` for the first entry of an array).
+std::size_t value_of(const std::string& json, const std::string& key, const std::string& prefix) {
+  const std::size_t at = json.find("\"" + key + "\":" + prefix);
+  EXPECT_NE(at, std::string::npos) << key << " in " << json;
+  return at == std::string::npos ? json.size() : at + key.size() + 3 + prefix.size() - 1;
+}
+
+// Every field of the five stats lists reaches the wire as a key of its own
+// struct's object, in list order, nested the way the structs nest. A CAM
+// model with several priority classes makes `classes` and `banks` non-empty.
+TEST(NetServer, StatsReplyCarriesEveryListedField) {
+  util::set_global_threads(2);
+  runtime::Server server;
+  runtime::EngineConfig config;
+  config.path = runtime::ExecPath::Cam;
+  config.priority_classes = 2;
+  server.deploy("lenet5-cam", lenet(7), config);
+  runtime::NetServer net(server, loopback_config());
+  net.start();
+
+  runtime::NetClient client("127.0.0.1", net.port());
+  Rng data(43);
+  (void)client.infer("lenet5-cam", nth_sample(lenet_batch(data, 1), 0), /*priority=*/1);
+  const std::string json = client.stats_json("lenet5-cam");
+
+  std::vector<std::string> top = {"model"}, engine, klass, bank, netk;
+#define PECAN_TOP(type, name, init, unit) top.push_back(#name);
+#define PECAN_ENGINE(type, name, init, unit) engine.push_back(#name);
+#define PECAN_CLASS(type, name, init, unit) klass.push_back(#name);
+#define PECAN_BANK(type, name, init, unit) bank.push_back(#name);
+#define PECAN_NET(type, name, init, unit) netk.push_back(#name);
+  PECAN_MODEL_SERVER_STATS_FIELDS(PECAN_TOP)
+  PECAN_ENGINE_STATS_FIELDS(PECAN_ENGINE)
+  PECAN_ENGINE_CLASS_STATS_FIELDS(PECAN_CLASS)
+  PECAN_BANK_STATS_FIELDS(PECAN_BANK)
+  PECAN_NET_SERVER_STATS_FIELDS(PECAN_NET)
+#undef PECAN_TOP
+#undef PECAN_ENGINE
+#undef PECAN_CLASS
+#undef PECAN_BANK
+#undef PECAN_NET
+  top.push_back("net");
+
+  ASSERT_EQ(json.front(), '{') << json;
+  EXPECT_EQ(object_keys(json, 0), top) << json;
+  EXPECT_EQ(object_keys(json, value_of(json, "engine", "{")), engine) << json;
+  EXPECT_EQ(object_keys(json, value_of(json, "classes", "[{")), klass) << json;
+  EXPECT_EQ(object_keys(json, value_of(json, "banks", "[{")), bank) << json;
+  EXPECT_EQ(object_keys(json, value_of(json, "net", "{")), netk) << json;
+
+  EXPECT_EQ(json.rfind("{\"model\":\"lenet5-cam\",\"generation\":1,", 0), 0u) << json;
+  EXPECT_NE(json.find("\"engine\":{\"requests\":1,"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"classes\":[{\"requests\":0,"), std::string::npos) << json;
+  EXPECT_NE(json.find("},{\"requests\":1,"), std::string::npos) << json;  // class 1
+  EXPECT_NE(json.find(",\"net\":{\"connections_accepted\":1,"), std::string::npos) << json;
+  EXPECT_EQ(json.back(), '}');
+
+  net.stop();
+  util::set_global_threads(1);
+}
+
+// A DEPLOY frame may carry any bytes as the model name; STATS must still
+// answer with valid JSON, so string values are escaped and bytes that are
+// not well-formed UTF-8 become U+FFFD.
+TEST(NetServer, StatsEscapesTheModelName) {
+  util::set_global_threads(2);
+  const std::string path = "/tmp/pecan_net_stats_escape.bin";
+  {
+    auto model = lenet(7);
+    runtime::save_artifact(path, runtime::make_artifact("lenet5", models::Variant::PecanD, 10,
+                                                        *model));
+  }
+  runtime::Server server;
+  runtime::NetServer net(server, loopback_config());
+  net.start();
+  runtime::NetClient client("127.0.0.1", net.port());
+
+  const std::string name = "a\"b\\c";
+  EXPECT_EQ(client.deploy(name, path), 1u);
+  const std::string json = client.stats_json(name);
+  EXPECT_NE(json.find(R"("model":"a\"b\\c")"), std::string::npos) << json;
+
+  // A stray 0xFF, a valid two-byte "é", an overlong "/" (C0 AF) and a lead
+  // byte cut off by the end of the name.
+  const std::string raw = std::string("x\xff") + "y\xc3\xa9" + "\xc0\xaf" + "z\xc3";
+  EXPECT_EQ(client.deploy(raw, path), 1u);
+  const std::string raw_json = client.stats_json(raw);
+  EXPECT_NE(raw_json.find(R"("model":"x\ufffdy)" "\xc3\xa9" R"(\ufffd\ufffdz\ufffd",)"),
+            std::string::npos)
+      << raw_json;
+
+  net.stop();
+  std::remove(path.c_str());
+  util::set_global_threads(1);
+}
+
 // The acceptance guarantee, part two: a hot-swap lands mid-traffic and no
 // wire request is lost; every reply is entirely one generation's weights.
 TEST(NetServer, HotSwapMidTrafficLosesNoRequestAndNeverMixesWeights) {

@@ -255,20 +255,25 @@ Tensor nth_sample_3d(const Tensor& batch, std::int64_t s) {
 TEST(EngineSlo, PercentilesRecoverAfterLoadSpike) {
   util::set_global_threads(1);
   Rng rng(211);
-  runtime::EngineConfig config;
-  config.latency_window = 8;  // tiny window: recovery visible after 8 requests
-  runtime::Engine engine(models::make_lenet5(models::Variant::PecanD, rng), config);
+  runtime::Engine engine(models::make_lenet5(models::Variant::PecanD, rng));
 
   Rng data_rng(223);
   const Tensor spike = random_batch(data_rng, 32);  // 32x the work per request
   const Tensor fast = random_batch(data_rng, 1);
-  for (int i = 0; i < 8; ++i) engine.forward_batch(spike);
+  // 16 spikes: over the 1040 samples of the whole run, the lifetime p99
+  // (sorted index floor(0.99 * 1039) = 1028) would still be a spike, so only
+  // a window that forgets passes the check below.
+  constexpr int kSpikes = 16;
+  for (int i = 0; i < kSpikes; ++i) engine.forward_batch(spike);
   const double p99_spike = engine.stats().p99_ms;
   EXPECT_GT(p99_spike, 0.0);
 
-  for (int i = 0; i < 8; ++i) engine.forward_batch(fast);
+  // The engine's window holds the last 1024 samples: a full window of fast
+  // forwards displaces every spike sample.
+  constexpr int kWindow = 1024;
+  for (int i = 0; i < kWindow; ++i) engine.forward_batch(fast);
   const runtime::EngineStats after = engine.stats();
-  EXPECT_EQ(after.latency_samples, 16u);
+  EXPECT_EQ(after.latency_samples, std::uint64_t{kSpikes + kWindow});
   // The window has fully turned over: the spike is gone from the
   // percentiles, not averaged into lifetime history. 32x less work per
   // request leaves a wide margin.
