@@ -93,11 +93,12 @@ struct CamBench {
   Tensor cols;  ///< [d, len] query columns
   std::vector<float> out, qtile, scores;
   cam::OpCounter counter;
+  cam::CamTally tally;
 
   CamBench(Rng&& rng, cam::SearchMetric metric, std::int64_t p, std::int64_t d, std::int64_t len)
       : array(rng.randn({p, d}), metric), lut(rng.randn({1, p})), cols(rng.randn({d, len})),
         out(static_cast<std::size_t>(len)), qtile(static_cast<std::size_t>(d * cam::kCamTileMax)),
-        scores(static_cast<std::size_t>(p * cam::kCamTileMax)) {}
+        scores(static_cast<std::size_t>(p * cam::kCamTileMax)), tally(p) {}
 
   bool l1() const { return array.metric() == cam::SearchMetric::L1BestMatch; }
 
@@ -125,20 +126,22 @@ struct CamBench {
     g_sink = out[0];
   }
 
-  /// The blocked entry at `prec`, tile by tile.
+  /// The blocked entry at `prec`, tile by tile, flushed once per sweep as a
+  /// serving chunk flushes once per layer.
   void blocked(cam::CamPrecision prec) {
     const std::int64_t d = array.word_dim(), len = cols.dim(1);
     for (std::int64_t l0 = 0; l0 < len; l0 += cam::kCamTileMax) {
       const std::int64_t lb = std::min<std::int64_t>(cam::kCamTileMax, len - l0);
       nn::pack_cols_tile(cols.data(), len, d, l0, lb, qtile.data());
       if (l1()) {
-        array.search_accumulate_block(qtile.data(), lb, lut, out.data() + l0, len, counter, prec);
+        array.search_accumulate_block(qtile.data(), lb, lut, out.data() + l0, len, tally, prec);
       } else {
         array.similarity_softmax_accumulate_block(qtile.data(), lb, kTemperature, lut,
-                                                  scores.data(), out.data() + l0, len, counter,
+                                                  scores.data(), out.data() + l0, len, tally,
                                                   prec);
       }
     }
+    array.flush(tally, counter);
     g_sink = out[0];
   }
 };

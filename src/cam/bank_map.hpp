@@ -12,9 +12,9 @@
 // (least-loaded-first with a deterministic lowest-index tie-break).
 //
 // Each bank owns an OpCounter "port". Every array is wired to its bank's
-// port (CamArray::set_bank_port), and the search kernels mirror their exact
-// op aggregates into it as they scan — same relaxed-atomic amounts as the
-// network ledger, by construction (cam::count_into). stats() prices each
+// port (CamArray::set_bank_port), and each flush of a lane's tally mirrors
+// its exact amounts into it — the same relaxed-atomic amounts the network
+// ledger receives, by construction (cam::count_into). stats() prices each
 // bank's ledger through ops::EnergyModel, so per-bank searches, occupancy,
 // and energy are live serving stats, and the per-bank energies sum to the
 // network-wide total exactly.

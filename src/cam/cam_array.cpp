@@ -190,25 +190,36 @@ detail::Int8Plane CamArray::int8_plane() const {
           qparams_.inv_scale, qparams_.zero_point};
 }
 
+void CamArray::check_tally(const CamTally& tally) const {
+  if (static_cast<std::int64_t>(tally.usage.size()) != p_) {
+    throw std::invalid_argument("CamArray: tally is sized for a different word count");
+  }
+}
+
+void CamArray::check_block(std::int64_t lb, const LutMemory& lut, const CamTally& tally) const {
+  if (lb > kCamTileMax) throw std::invalid_argument("CamArray: tile larger than kCamTileMax");
+  if (lut.entries() != p_) {
+    throw std::invalid_argument("CamArray: LUT entry count does not match word count");
+  }
+  check_tally(tally);
+}
+
 void CamArray::search_accumulate_block(const float* queries, std::int64_t lb, const LutMemory& lut,
-                                       float* out, std::int64_t out_stride, OpCounter& counter,
+                                       float* out, std::int64_t out_stride, CamTally& tally,
                                        CamPrecision precision) const {
   if (lb <= 0) return;
-  if (lb > kCamTileMax) throw std::invalid_argument("CamArray: tile larger than kCamTileMax");
   if (metric_ != SearchMetric::L1BestMatch) {
     throw std::invalid_argument(
         "CamArray: best-match search is L1-only (dot arrays serve through "
         "similarity_softmax_accumulate_block)");
   }
-  if (lut.entries() != p_) {
-    throw std::invalid_argument("CamArray: LUT entry count does not match word count");
-  }
+  check_block(lb, lut, tally);
   const detail::KernelTable& k = detail::active_kernels();
+  const auto n = static_cast<std::uint64_t>(lb);
   std::int32_t hit32[kCamTileMax];
   if (precision == CamPrecision::Int8) {
     k.int8_l1_hits(int8_plane(), queries, lb, lane_scratch(p_, d_), hit32);
-    count_into(&OpCounter::adds_q, counter, bank_port_,
-               static_cast<std::uint64_t>(2 * p_ * d_ * lb));
+    tally.ops.adds_q += static_cast<std::uint64_t>(2 * p_ * d_) * n;
   } else if (precision == CamPrecision::Binary) {
     if (!binary_ready_) throw std::logic_error("CamArray: prepare_quantized(Binary) not called");
     const detail::BinaryPlane plane{bwords_.data(), wbytes_.data(), bthresh_.data(), p_, d_,
@@ -216,74 +227,67 @@ void CamArray::search_accumulate_block(const float* queries, std::int64_t lb, co
     k.binary_hits(plane, queries, lb, lane_scratch(p_, d_), hit32);
     // Same op accounting for every table: the byte-plane scan computes the
     // identical XOR+popcount totals, just spread across lanes.
-    count_into(&OpCounter::xor_popcounts, counter, bank_port_,
-               static_cast<std::uint64_t>(p_ * bword_stride_ * lb));
+    tally.ops.xor_popcounts += static_cast<std::uint64_t>(p_ * bword_stride_) * n;
   } else {
     // Match-line noise injects in the Float32 scans only (float_plane()
     // carries it), after each word's full accumulation — identically to the
     // scalar search(), so blocked == scalar holds with noise on.
     k.f32_l1_hits(float_plane(), queries, lb, hit32);
-    count_into(&OpCounter::adds, counter, bank_port_,
-               static_cast<std::uint64_t>(2 * p_ * d_ * lb));
+    tally.ops.adds += static_cast<std::uint64_t>(2 * p_ * d_) * n;
   }
-  count_into(&OpCounter::cam_searches, counter, bank_port_, static_cast<std::uint64_t>(lb));
-  record_usage_block(hit32, lb);
+  tally.ops.cam_searches += n;
+  for (std::int64_t l = 0; l < lb; ++l) ++tally.usage[static_cast<std::size_t>(hit32[l])];
   // Fused epilogue: the winners go straight into the LUT row sweep while
   // still hot. hits are < p_ by construction, so no per-element bounds
   // re-check is needed.
   k.lut_gather(lut.table().data(), lut.cout(), p_, hit32, lb, out, out_stride);
-  count_into(&OpCounter::adds, counter, bank_port_, static_cast<std::uint64_t>(lut.cout() * lb));
-  count_into(&OpCounter::lut_reads, counter, bank_port_, static_cast<std::uint64_t>(lb));
+  tally.ops.adds += static_cast<std::uint64_t>(lut.cout()) * n;
+  tally.ops.lut_reads += n;
 }
 
 void CamArray::similarity_softmax_accumulate_block(const float* queries, std::int64_t lb,
                                                    float temperature, const LutMemory& lut,
                                                    float* scores, float* out,
-                                                   std::int64_t out_stride, OpCounter& counter,
+                                                   std::int64_t out_stride, CamTally& tally,
                                                    CamPrecision precision) const {
   if (lb <= 0) return;
-  if (lb > kCamTileMax) throw std::invalid_argument("CamArray: tile larger than kCamTileMax");
-  if (lut.entries() != p_) {
-    throw std::invalid_argument("CamArray: LUT entry count does not match word count");
-  }
+  check_block(lb, lut, tally);
   if (precision == CamPrecision::Binary) {
     throw std::invalid_argument(
         "CamArray: binary sign-plane has no match-line magnitudes; use Int8 for softmax layers");
   }
+  const auto reads = static_cast<std::uint64_t>(p_ * d_ * lb);
   if (precision == CamPrecision::Int8) {
     // Integer crossbar read, dequantized to real-value scores so the softmax
     // temperature keeps its calibrated meaning.
     detail::active_kernels().int8_dot_scores(int8_plane(), queries, lb,
                                              qparams_.scale * qparams_.scale,
                                              lane_scratch(p_, d_), scores);
-    count_into(&OpCounter::adds_q, counter, bank_port_,
-               static_cast<std::uint64_t>(p_ * d_ * lb));
-    count_into(&OpCounter::muls_q, counter, bank_port_,
-               static_cast<std::uint64_t>(p_ * d_ * lb));
+    tally.ops.adds_q += reads;
+    tally.ops.muls_q += reads;
   } else {
     // Each score is bitwise-equal to similarity_scores() of its query,
     // match-line noise included.
     detail::active_kernels().f32_dot_scores(float_plane(), queries, lb, scores);
-    count_into(&OpCounter::adds, counter, bank_port_, static_cast<std::uint64_t>(p_ * d_ * lb));
-    count_into(&OpCounter::muls, counter, bank_port_, static_cast<std::uint64_t>(p_ * d_ * lb));
+    tally.ops.adds += reads;
+    tally.ops.muls += reads;
   }
-  count_into(&OpCounter::cam_searches, counter, bank_port_, static_cast<std::uint64_t>(lb));
+  tally.ops.cam_searches += static_cast<std::uint64_t>(lb);
   // Column softmax of the [p, lb] score tile, in place — same per-element
   // operations as the scalar spec (float exp, double denominator, one float
   // normalize multiply) so the Float32 path stays bitwise-identical to
   // similarity_scores + softmax + weighted_accumulate.
-  std::int32_t hit32[kCamTileMax];
   for (std::int64_t l = 0; l < lb; ++l) {
     float mx = scores[l];
-    std::int32_t best = 0;
+    std::int64_t best = 0;
     for (std::int64_t m = 1; m < p_; ++m) {
       const float v = scores[m * lb + l];
       if (v > mx) {
         mx = v;
-        best = static_cast<std::int32_t>(m);
+        best = m;
       }
     }
-    hit32[l] = best;
+    ++tally.usage[static_cast<std::size_t>(best)];
     double denom = 0;
     for (std::int64_t m = 0; m < p_; ++m) {
       float& v = scores[m * lb + l];
@@ -293,29 +297,17 @@ void CamArray::similarity_softmax_accumulate_block(const float* queries, std::in
     const float inv = static_cast<float>(1.0 / denom);
     for (std::int64_t m = 0; m < p_; ++m) scores[m * lb + l] *= inv;
   }
-  record_usage_block(hit32, lb);
-  lut.weighted_accumulate_block(scores, lb, out, out_stride, counter, bank_port_);
+  lut.weighted_accumulate_block(scores, lb, out, out_stride, tally.ops);
 }
 
-void CamArray::record_usage_block(const std::int32_t* hits, std::int64_t lb) const {
-  if (lb <= 0) return;
-  if (lb > kCamTileMax) throw std::invalid_argument("CamArray: tile larger than kCamTileMax");
-  // Aggregate before touching the shared histogram: lb hits usually land on
-  // a handful of distinct words, so this turns lb atomics into a few. The
-  // scratch vector is kept all-zero between calls (entries are reset as
-  // they are flushed), so only `touched` distinct words cost anything.
-  thread_local std::vector<std::uint32_t> counts;
-  if (counts.size() < static_cast<std::size_t>(p_)) counts.resize(static_cast<std::size_t>(p_), 0);
-  std::int32_t touched[kCamTileMax];
-  std::int64_t nt = 0;
-  for (std::int64_t l = 0; l < lb; ++l) {
-    const std::size_t m = static_cast<std::size_t>(hits[l]);
-    if (counts[m]++ == 0) touched[nt++] = hits[l];
-  }
-  for (std::int64_t t = 0; t < nt; ++t) {
-    const std::size_t m = static_cast<std::size_t>(touched[t]);
-    std::atomic_ref<std::uint64_t>(usage_[m]).fetch_add(counts[m], std::memory_order_relaxed);
-    counts[m] = 0;
+void CamArray::flush(CamTally& tally, OpCounter& counter) const {
+  check_tally(tally);
+  count_into(tally.ops, counter, bank_port_);
+  tally.ops = {};
+  for (std::size_t m = 0; m < tally.usage.size(); ++m) {
+    if (tally.usage[m] == 0) continue;
+    std::atomic_ref<std::uint64_t>(usage_[m]).fetch_add(tally.usage[m], std::memory_order_relaxed);
+    tally.usage[m] = 0;
   }
 }
 

@@ -10,7 +10,8 @@
 //                dot-metric best match: PECAN-A weighs every word.
 // Each mode has one scalar reference (search / similarity_scores, plus the
 // LutMemory scalar accumulates) and one blocked entry that serving calls
-// (search_accumulate_block / similarity_softmax_accumulate_block).
+// (search_accumulate_block / similarity_softmax_accumulate_block). The
+// blocked entries charge a caller-owned CamTally; flush() publishes it.
 // The array also keeps a per-word usage histogram (Fig. 6) and supports
 // pruning never-used words (§5 of the paper).
 #pragma once
@@ -83,6 +84,17 @@ const char* kernel_isa();
 /// scanned, and so the kernels can keep it on the stack.
 inline constexpr std::int64_t kCamTileMax = 64;
 
+/// Lane-local ledger of blocked calls on ONE array: plain op counts and
+/// per-word hit counts, charged without atomics or shared cache lines by the
+/// blocked entries and published by CamArray::flush. A serving lane keeps
+/// one per array it searches and flushes it once per layer chunk, so a
+/// tally holds far fewer than 2^32 hits on any word between flushes.
+struct CamTally {
+  explicit CamTally(std::int64_t words) : usage(static_cast<std::size_t>(words), 0) {}
+  ops::OpTotals ops;
+  std::vector<std::uint32_t> usage;  ///< [word_count()] hits per word since the last flush
+};
+
 class CamArray {
  public:
   /// words: [p, d] row-major (prototype-major, as pq::Codebook stores them).
@@ -105,30 +117,37 @@ class CamArray {
   /// tile of lb <= kCamTileMax queries packed dim-major (component i of
   /// query l at queries[i * lb + l], see nn::im2col_tile) and adds lut column
   /// hit[l] into column l of the [cout, lb] output tile while the hit
-  /// indices are still in registers. One relaxed atomic aggregate per op
-  /// kind per call, plus one usage-histogram atomic per *distinct* hit word.
-  /// At Float32 the output, the OpCounter totals and the usage histogram are
-  /// bitwise-identical to search() + LutMemory::accumulate() per query (same
-  /// scan order, same summation order, same lowest-index tie-break). Int8 and
-  /// Binary resolve the same argmin over their quantized distances (same
-  /// tie-break) and require prepare_quantized() first. lut.entries() must
-  /// equal word_count(); a DotProduct array throws std::invalid_argument.
+  /// indices are still in registers. The call's ops and hits go into
+  /// `tally` (plain adds, no atomics); flush() publishes them. At Float32 the
+  /// output, and after flush() the OpCounter totals and the usage histogram,
+  /// are bitwise-identical to search() + LutMemory::accumulate() per query
+  /// (same scan order, same summation order, same lowest-index tie-break).
+  /// Int8 and Binary resolve the same argmin over their quantized distances
+  /// (same tie-break) and require prepare_quantized() first. lut.entries()
+  /// and the tally's usage row must match word_count(); a DotProduct array
+  /// throws std::invalid_argument.
   void search_accumulate_block(const float* queries, std::int64_t lb, const LutMemory& lut,
-                               float* out, std::int64_t out_stride, OpCounter& counter,
+                               float* out, std::int64_t out_stride, CamTally& tally,
                                CamPrecision precision = CamPrecision::Float32) const;
 
   /// PECAN-A blocked entry: computes the tile's match-line scores (float
   /// dot products at Float32; dequantized int8 crossbar reads at Int8),
-  /// softmaxes each column in place in `scores` (size >= p * lb), records
-  /// the pre-softmax argmax in the usage histogram, and weighted-accumulates
-  /// into the [cout, lb] output tile. At Float32 the output and OpCounter
-  /// totals are bitwise-identical to similarity_scores() + softmax +
-  /// LutMemory::weighted_accumulate() per query. Binary has no meaningful
-  /// scores — callers map Binary to Int8 first; passing Binary here throws.
+  /// softmaxes each column in place in `scores` (size >= p * lb), tallies
+  /// the pre-softmax argmax as the usage hit, and weighted-accumulates into
+  /// the [cout, lb] output tile. At Float32 the output, and after flush()
+  /// the OpCounter totals, are bitwise-identical to similarity_scores() +
+  /// softmax + LutMemory::weighted_accumulate() per query. Binary has no
+  /// meaningful scores — callers map Binary to Int8 first; passing Binary
+  /// here throws.
   void similarity_softmax_accumulate_block(const float* queries, std::int64_t lb,
                                            float temperature, const LutMemory& lut, float* scores,
-                                           float* out, std::int64_t out_stride, OpCounter& counter,
+                                           float* out, std::int64_t out_stride, CamTally& tally,
                                            CamPrecision precision = CamPrecision::Float32) const;
+
+  /// Publishes a tally of this array's blocked calls — once into `counter`,
+  /// mirrored into the bank port, and into the usage histogram — then zeroes
+  /// it. The amounts equal what the scalar specs count per query.
+  void flush(CamTally& tally, OpCounter& counter) const;
 
   /// Builds the quantized plane(s) for `precision` from the current words:
   /// Int8 snapshots affine-quantized prototypes + per-word code sums, Binary
@@ -151,9 +170,9 @@ class CamArray {
   void similarity_scores(const float* query, std::int64_t stride, float* scores,
                          OpCounter& counter) const;
 
-  /// Usage histogram maintenance (Fig. 6). Atomic: the runtime engine
-  /// searches one array from many lanes concurrently and the histogram
-  /// feeds §5 pruning decisions, so drops are not acceptable.
+  /// Usage histogram maintenance (Fig. 6). Atomic: many lanes flush into
+  /// one array concurrently and the histogram feeds §5 pruning decisions, so
+  /// drops are not acceptable.
   void record_usage(std::int64_t word) const {
     std::atomic_ref<std::uint64_t>(usage_[static_cast<std::size_t>(word)])
         .fetch_add(1, std::memory_order_relaxed);
@@ -165,12 +184,12 @@ class CamArray {
   /// map so the owner can compact its LUT rows identically (§5 pruning).
   std::vector<std::int64_t> prune_unused();
 
-  /// Wires this array to a simulated bank's op ledger (cam::BankMap): every
-  /// search kernel mirrors its exact op aggregates into the port alongside
-  /// the caller's OpCounter — one extra relaxed atomic per aggregate site,
-  /// nothing on the per-element path. nullptr detaches. The port must
-  /// outlive every concurrent search (the engine wires it at compile time,
-  /// before serving starts).
+  /// Wires this array to a simulated bank's op ledger (cam::BankMap): the
+  /// scalar specs and flush() mirror their exact amounts into the port
+  /// alongside the caller's OpCounter — one extra relaxed atomic per field
+  /// per flush, nothing on the per-call path. nullptr detaches. The port
+  /// must outlive every concurrent search (the engine wires it at compile
+  /// time, before serving starts).
   void set_bank_port(OpCounter* port) { bank_port_ = port; }
   OpCounter* bank_port() const { return bank_port_; }
 
@@ -189,9 +208,9 @@ class CamArray {
  private:
   detail::FloatPlane float_plane() const;
   detail::Int8Plane int8_plane() const;  ///< throws unless prepare_quantized(Int8) ran
-  /// Aggregated histogram update for a tile of hits: one relaxed atomic per
-  /// distinct word instead of one per hit.
-  void record_usage_block(const std::int32_t* hits, std::int64_t lb) const;
+  /// Argument checks shared by the blocked entries and flush().
+  void check_tally(const CamTally& tally) const;
+  void check_block(std::int64_t lb, const LutMemory& lut, const CamTally& tally) const;
 
   Tensor words_;
   std::int64_t p_, d_;

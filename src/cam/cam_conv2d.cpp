@@ -3,7 +3,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "nn/im2col.hpp"
 #include "ops/complexity.hpp"
 #include "tensor/sgemm.hpp"
 #include "util/thread_pool.hpp"
@@ -63,7 +62,7 @@ Tensor CamConv2d::infer(const Tensor& input, nn::InferContext&) const {
     throw std::invalid_argument(name_ + ": expected [N," + std::to_string(cin_) + ",H,W]");
   }
   const std::int64_t n = input.dim(0), hin = input.dim(2), win = input.dim(3);
-  const nn::Conv2dGeometry g{cin_, hin, win, k_, stride_, pad_};
+  const nn::Conv2dGeometry g = geometry(hin, win);
   const std::int64_t len = g.cols();
   const std::int64_t D = groups();
 
@@ -99,19 +98,21 @@ Tensor CamConv2d::infer(const Tensor& input, nn::InferContext&) const {
   // per-tile and lane-local, so lanes never touch the caller's arena. Each
   // mode has one blocked CAM entry: winners (or softmax weights) flow
   // straight into the LUT sweep without a hits round-trip, bitwise-identical
-  // to the scalar column-at-a-time spec at Float32.
+  // to the scalar column-at-a-time spec at Float32. The entries charge the
+  // chunk's per-group tallies; no shared cache line is written per tile.
   const CamPrecision eff = effective_precision();
   const auto tile_body = [&](const float* image, float* out_s, std::int64_t l0, std::int64_t lb,
-                             float* qtile, float* scores) {
+                             float* qtile, float* scores, std::vector<CamTally>& tallies) {
     for (std::int64_t j = 0; j < D; ++j) {
       const CamArray& array = arrays_[static_cast<std::size_t>(j)];
       const LutMemory& lut = luts_[static_cast<std::size_t>(j)];
+      CamTally& tally = tallies[static_cast<std::size_t>(j)];
       nn::im2col_tile(image, g, j * d_, d_, l0, lb, qtile);
       if (mode_ == pq::MatchMode::Distance) {
-        array.search_accumulate_block(qtile, lb, lut, out_s + l0, len, *counter_, eff);
+        array.search_accumulate_block(qtile, lb, lut, out_s + l0, len, tally, eff);
       } else {
         array.similarity_softmax_accumulate_block(qtile, lb, temperature_, lut, scores, out_s + l0,
-                                                  len, *counter_, eff);
+                                                  len, tally, eff);
       }
     }
   };
@@ -122,18 +123,27 @@ Tensor CamConv2d::infer(const Tensor& input, nn::InferContext&) const {
   // LeNet FC layer (len = 1) with a batch of 64 just as much as one large
   // conv image — spreads across every pool lane, and the old batch-wide
   // im2col hoist (up to 16 MB of arena scratch per context) is gone
-  // entirely: peak scratch is the per-lane [d, 64] tile.
+  // entirely: peak scratch is the per-lane [d, 64] tile plus one tally per
+  // group. Each chunk flushes its tallies once at its end, so every count
+  // of this layer is in the shared ledger before infer() returns.
   util::parallel_for(
       0, n * ntiles,
       [&](std::int64_t w0, std::int64_t w1) {
         std::vector<float> qtile(static_cast<std::size_t>(d_ * kCamTileMax));
         std::vector<float> scores(static_cast<std::size_t>(scores_size));
+        std::vector<CamTally> tallies;
+        tallies.reserve(static_cast<std::size_t>(D));
+        for (const CamArray& array : arrays_) tallies.emplace_back(array.word_count());
         for (std::int64_t w = w0; w < w1; ++w) {
           const std::int64_t s = w / ntiles;
           const std::int64_t l0 = (w % ntiles) * kCamTileMax;
           const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
           tile_body(input.data() + s * cin_ * hin * win, output.data() + s * cout_ * len, l0, lb,
-                    qtile.data(), scores.data());
+                    qtile.data(), scores.data(), tallies);
+        }
+        for (std::int64_t j = 0; j < D; ++j) {
+          arrays_[static_cast<std::size_t>(j)].flush(tallies[static_cast<std::size_t>(j)],
+                                                     *counter_);
         }
       },
       grain);
@@ -146,7 +156,7 @@ Tensor CamConv2d::backward(const Tensor&) {
 
 ops::OpCount CamConv2d::inference_ops() const {
   if (input_shape_.empty()) return {};
-  const nn::Conv2dGeometry g{cin_, input_shape_[2], input_shape_[3], k_, stride_, pad_};
+  const nn::Conv2dGeometry g = geometry(input_shape_[2], input_shape_[3]);
   const ops::ConvDims dims{cin_, cout_, k_, g.hout(), g.wout()};
   const ops::PqDims q{p_, groups(), d_};
   return mode_ == pq::MatchMode::Angle ? ops::conv_pecan_a(dims, q) : ops::conv_pecan_d(dims, q);

@@ -18,6 +18,7 @@
 #include "cam/cam_array.hpp"
 #include "cam/lut.hpp"
 #include "core/pecan_conv2d.hpp"
+#include "nn/im2col.hpp"
 #include "nn/module.hpp"
 
 namespace pecan::cam {
@@ -29,14 +30,19 @@ class CamConv2d : public nn::Module {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;  ///< throws: inference only
-  /// Stateless CAM search + LUT accumulate; arrays/LUTs are read-only and
-  /// the usage histograms + op counter are atomic, so concurrent infer()
-  /// calls on one exported network are safe.
+  /// Stateless CAM search + LUT accumulate; arrays/LUTs are read-only, each
+  /// lane tallies its ops and hits locally, and the flush into the usage
+  /// histograms + op counter is atomic, so concurrent infer() calls on one
+  /// exported network are safe.
   Tensor infer(const Tensor& input, nn::InferContext& ctx) const override;
   std::string name() const override { return name_; }
   ops::OpCount inference_ops() const override;
 
   pq::MatchMode mode() const { return mode_; }
+  /// Convolution geometry of this layer over an [N, cin, hin, win] input.
+  nn::Conv2dGeometry geometry(std::int64_t hin, std::int64_t win) const {
+    return {cin_, hin, win, k_, stride_, pad_};
+  }
   std::int64_t groups() const { return static_cast<std::int64_t>(arrays_.size()); }
   CamArray& array(std::int64_t j) { return arrays_[static_cast<std::size_t>(j)]; }
   const CamArray& array(std::int64_t j) const { return arrays_[static_cast<std::size_t>(j)]; }

@@ -1,7 +1,7 @@
 // CAM tile-scan kernels behind a runtime-dispatched function table.
 //
-// Internal to cam/: CamArray is the public face (op accounting, usage
-// recording, argument checks); this header is what it calls through, and
+// Internal to cam/: CamArray is the public face (op tallies, usage
+// tallies, argument checks); this header is what it calls through, and
 // what tests/test_kernels.cpp reaches to pin every table against the
 // baseline one.
 //
@@ -9,8 +9,9 @@
 //   cam_kernels_baseline.cpp   — the build's default flags (portable loops);
 //   cam_kernels_x86_64_v4.cpp  — -march=x86-64-v4, only on x86-64 GCC/Clang,
 //                                so the same loops plus the AVX-512 intrinsic
-//                                paths (VPSADBW / VPMADDWD / byte-plane
-//                                Hamming scans, gathered LUT epilogue).
+//                                paths (register-resident float L1 scan,
+//                                VPSADBW / VPMADDWD / byte-plane Hamming
+//                                scans, gathered LUT epilogue).
 // Each TU defines one KernelTable; active_kernels() picks the widest table
 // the running CPU supports, once per process.
 //

@@ -37,8 +37,7 @@ void LutMemory::weighted_accumulate(const float* weights, float* out, std::int64
 }
 
 void LutMemory::weighted_accumulate_block(const float* weights, std::int64_t lb, float* out,
-                                          std::int64_t out_stride, OpCounter& counter,
-                                          OpCounter* port) const {
+                                          std::int64_t out_stride, ops::OpTotals& tally) const {
   if (lb <= 0) return;
   if (lb > kCamTileMax) throw std::invalid_argument("LutMemory: tile larger than kCamTileMax");
   // A [cout, lb] += [cout, p] x [p, lb] micro-product: the table row and the
@@ -57,9 +56,9 @@ void LutMemory::weighted_accumulate_block(const float* weights, std::int64_t lb,
     for (std::int64_t l = 0; l < lb; ++l) o[l] += acc[l];
   }
   const auto wacc = static_cast<std::uint64_t>(cout_ * p_ * lb);
-  count_into(&OpCounter::adds, counter, port, wacc);
-  count_into(&OpCounter::muls, counter, port, wacc);
-  count_into(&OpCounter::lut_reads, counter, port, static_cast<std::uint64_t>(lb));
+  tally.adds += wacc;
+  tally.muls += wacc;
+  tally.lut_reads += static_cast<std::uint64_t>(lb);
 }
 
 void LutMemory::keep_entries(const std::vector<std::int64_t>& kept) {

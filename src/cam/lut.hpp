@@ -37,12 +37,11 @@ class LutMemory {
   /// the softmax weight of prototype m for query l); adds table * weights
   /// into the [cout, lb] output tile. Per output element the m-summation
   /// order matches weighted_accumulate, so results are bitwise-equal to lb
-  /// scalar calls on the weight columns. The op aggregates are mirrored
-  /// into `port` when non-null (cam::count_into), so a calling CamArray's
-  /// bank ledger sees exactly the amounts `counter` does.
+  /// scalar calls on the weight columns. The ops go into the caller's plain
+  /// `tally` (the calling CamArray's CamTally), which the array's flush()
+  /// publishes.
   void weighted_accumulate_block(const float* weights, std::int64_t lb, float* out,
-                                 std::int64_t out_stride, OpCounter& counter,
-                                 OpCounter* port = nullptr) const;
+                                 std::int64_t out_stride, ops::OpTotals& tally) const;
 
   /// Keeps only the listed columns (paired with CamArray::prune_unused).
   void keep_entries(const std::vector<std::int64_t>& kept);

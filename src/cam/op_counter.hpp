@@ -1,16 +1,20 @@
 // Dynamic operation counter shared by all CAM layers of one network.
 //
-// Counts are incremented at the arithmetic call sites of the simulated
+// Counts are charged at the arithmetic call sites of the simulated
 // hardware (CAM search = the subtract/accumulate of the match lines;
 // LUT accumulate = the adder tree behind the memory). The paper's
 // convention is followed: only the two inference stages of Algorithm 1 are
 // counted — softmax exponentials, ReLU/pool comparisons, bias adds, and
 // residual adds are excluded, exactly as Tables 1-5 exclude them.
 //
-// Fields are relaxed atomics: the runtime engine executes CAM searches and
-// LUT accumulates from many worker lanes at once, and op counts must stay
-// exact (counters are the paper's headline metric, not a debug statistic).
-// Relaxed ordering suffices — counts are only read after joining.
+// Fields are relaxed atomics: many worker lanes publish into one counter at
+// once, and op counts must stay exact (counters are the paper's headline
+// metric, not a debug statistic). The blocked CAM entries never touch it
+// per call: each lane tallies plain counts (cam::CamTally) and publishes
+// them once per layer chunk (CamArray::flush), so every count of a layer
+// is in the counter before that layer's infer() returns and a read between
+// requests never sees a partial layer. Relaxed ordering suffices — counts
+// are only read after joining.
 #pragma once
 
 #include <atomic>
@@ -71,14 +75,28 @@ struct OpCounter {
 };
 
 /// Relaxed add to one `counter` field, mirrored into `port` when non-null.
-/// The CAM kernels route every aggregate through this so the network-wide
-/// ledger and an array's simulated bank (cam::BankMap) see IDENTICAL
-/// amounts by construction — per-bank energy sums to the network total
-/// exactly, not approximately.
+/// CamArray's scalar specs and its flush route every amount through this so
+/// the network-wide ledger and an array's simulated bank (cam::BankMap) see
+/// IDENTICAL amounts by construction — per-bank energy sums to the network
+/// total exactly, not approximately.
 inline void count_into(std::atomic<std::uint64_t> OpCounter::* field, OpCounter& counter,
                        OpCounter* port, std::uint64_t n) {
   (counter.*field).fetch_add(n, std::memory_order_relaxed);
   if (port) ((*port).*field).fetch_add(n, std::memory_order_relaxed);
+}
+
+/// Publishes a plain tally field by field (zero fields cost nothing).
+inline void count_into(const ops::OpTotals& t, OpCounter& counter, OpCounter* port) {
+  const auto add = [&](std::atomic<std::uint64_t> OpCounter::* field, std::uint64_t n) {
+    if (n) count_into(field, counter, port, n);
+  };
+  add(&OpCounter::adds, t.adds);
+  add(&OpCounter::muls, t.muls);
+  add(&OpCounter::cam_searches, t.cam_searches);
+  add(&OpCounter::lut_reads, t.lut_reads);
+  add(&OpCounter::adds_q, t.adds_q);
+  add(&OpCounter::muls_q, t.muls_q);
+  add(&OpCounter::xor_popcounts, t.xor_popcounts);
 }
 
 }  // namespace pecan::cam

@@ -36,7 +36,8 @@
 //           in f32; also serves Baseline/Adder variants);
 //   Cam   — the network exported through cam::convert_to_cam (CAM search +
 //           LUT accumulate, Algorithm 1); the shared OpCounter and usage
-//           histograms stay exact under concurrency because they are atomic.
+//           histograms stay exact under concurrency because lanes tally
+//           locally and flush into them atomically.
 //
 // Per-sample results are bitwise-identical to an unbatched forward at any
 // thread count AND any client concurrency: batching never crosses samples,
@@ -156,7 +157,7 @@ struct EngineConfig {
   /// Simulated multi-bank CAM backend (ExecPath::Cam only; ignored on the
   /// Float path). Every subspace array is placed onto one of
   /// bank_config.banks simulated banks at compile time (cam::BankMap), and
-  /// the search kernels mirror their exact op aggregates into per-bank
+  /// every flushed search tally mirrors its exact op counts into per-bank
   /// ledgers — EngineStats::banks reports live occupancy, searches, and
   /// energy per bank. Placement never changes WHAT is computed (each array
   /// still holds all its words), so outputs are bitwise-identical at any

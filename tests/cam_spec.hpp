@@ -9,7 +9,8 @@
 //                        == CamArray::similarity_softmax_accumulate_block.
 // run_spec() and run_blocked() drive one side over the same [d, len] query
 // columns and return everything the contract pins bitwise: the output
-// tile, the OpCounter totals and the usage histogram.
+// tile, the OpCounter totals and the usage histogram (the blocked side
+// charges one CamTally and flushes it once, as a serving chunk does).
 #pragma once
 
 #include <gtest/gtest.h>
@@ -18,6 +19,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -111,6 +113,7 @@ inline Outcome run_blocked(const cam::CamArray& array, const cam::LutMemory& lut
   array.reset_usage();
   const std::int64_t d = array.word_dim(), p = array.word_count(), len = cols.dim(1);
   cam::OpCounter counter;
+  cam::CamTally tally(p);
   std::vector<float> out(static_cast<std::size_t>(lut.cout() * len), 0.5f);
   std::vector<float> qtile(static_cast<std::size_t>(d * cam::kCamTileMax));
   std::vector<float> scores(static_cast<std::size_t>(p * cam::kCamTileMax));
@@ -118,14 +121,91 @@ inline Outcome run_blocked(const cam::CamArray& array, const cam::LutMemory& lut
     const std::int64_t lb = std::min<std::int64_t>(cam::kCamTileMax, len - l0);
     nn::pack_cols_tile(cols.data(), len, d, l0, lb, qtile.data());
     if (array.metric() == cam::SearchMetric::L1BestMatch) {
-      array.search_accumulate_block(qtile.data(), lb, lut, out.data() + l0, len, counter,
-                                    precision);
+      array.search_accumulate_block(qtile.data(), lb, lut, out.data() + l0, len, tally, precision);
     } else {
       array.similarity_softmax_accumulate_block(qtile.data(), lb, temperature, lut, scores.data(),
-                                                out.data() + l0, len, counter, precision);
+                                                out.data() + l0, len, tally, precision);
     }
   }
+  array.flush(tally, counter);
   return {out, CounterSnapshot(counter), array.usage()};
+}
+
+/// Independent scalar reference for the quantized L1 planes, written against
+/// the documented code grids (affine uint8 codes / sign bits), not the
+/// kernels' packed layouts: the winner of each of the [d, len] query columns,
+/// with the same lowest-index tie-break.
+inline std::vector<std::int64_t> quantized_reference_hits(const cam::CamArray& array,
+                                                          const Tensor& cols,
+                                                          cam::CamPrecision precision) {
+  const std::int64_t d = array.word_dim(), p = array.word_count(), len = cols.dim(1);
+  const float* words = array.words().data();
+  std::vector<std::int64_t> hits(static_cast<std::size_t>(len));
+  for (std::int64_t l = 0; l < len; ++l) {
+    std::int64_t best_m = 0;
+    if (precision == cam::CamPrecision::Binary) {
+      const std::vector<float>& thresh = array.binary_thresholds();
+      std::int64_t best = std::numeric_limits<std::int64_t>::max();
+      for (std::int64_t m = 0; m < p; ++m) {
+        std::int64_t ham = 0;
+        for (std::int64_t i = 0; i < d; ++i) {
+          const bool qs = cols[i * len + l] >= thresh[static_cast<std::size_t>(i)];
+          const bool ws = words[m * d + i] >= thresh[static_cast<std::size_t>(i)];
+          ham += qs != ws;
+        }
+        if (ham < best) {
+          best = ham;
+          best_m = m;
+        }
+      }
+    } else {
+      const cam::AffineQuant& qp = array.qparams();
+      std::vector<std::int32_t> q(static_cast<std::size_t>(d));
+      for (std::int64_t i = 0; i < d; ++i) {
+        q[static_cast<std::size_t>(i)] = cam::affine_quantize(cols[i * len + l], qp);
+      }
+      std::int64_t best = std::numeric_limits<std::int64_t>::max();
+      for (std::int64_t m = 0; m < p; ++m) {
+        std::int64_t dist = 0;
+        for (std::int64_t i = 0; i < d; ++i) {
+          const std::int32_t w = cam::affine_quantize(words[m * d + i], qp);
+          dist += std::abs(q[static_cast<std::size_t>(i)] - w);
+        }
+        if (dist < best) {
+          best = dist;
+          best_m = m;
+        }
+      }
+    }
+    hits[static_cast<std::size_t>(l)] = best_m;
+  }
+  return hits;
+}
+
+/// Exact-integer dequantized Int8 crossbar read of one query (d components
+/// `stride` apart): scores[m] = s^2 * (dot - zp*wsum[m] - zp*qsum + d*zp^2).
+inline void int8_reference_scores(const cam::CamArray& array, const float* query,
+                                  std::int64_t stride, float* scores) {
+  const std::int64_t d = array.word_dim(), p = array.word_count();
+  const cam::AffineQuant& qp = array.qparams();
+  const float s2 = qp.scale * qp.scale;
+  const std::int64_t zp = qp.zero_point;
+  std::vector<std::int64_t> q(static_cast<std::size_t>(d));
+  std::int64_t qsum = 0;
+  for (std::int64_t i = 0; i < d; ++i) {
+    q[static_cast<std::size_t>(i)] = cam::affine_quantize(query[i * stride], qp);
+    qsum += q[static_cast<std::size_t>(i)];
+  }
+  for (std::int64_t m = 0; m < p; ++m) {
+    std::int64_t dot = 0, wsum = 0;
+    for (std::int64_t i = 0; i < d; ++i) {
+      const std::int64_t w = cam::affine_quantize(array.words()[m * d + i], qp);
+      dot += q[static_cast<std::size_t>(i)] * w;
+      wsum += w;
+    }
+    const std::int64_t integer = dot - zp * wsum - zp * qsum + d * zp * zp;
+    scores[m] = s2 * static_cast<float>(static_cast<std::int32_t>(integer));
+  }
 }
 
 /// Raw best-match winners of an L1 array through the D entry: a [1, p] LUT
@@ -141,11 +221,13 @@ inline std::vector<std::int64_t> blocked_hits(const cam::CamArray& array, const 
   const cam::LutMemory lut(std::move(index_row));
   std::vector<float> out(static_cast<std::size_t>(len), 0.f);
   std::vector<float> qtile(static_cast<std::size_t>(d * cam::kCamTileMax));
+  cam::CamTally tally(p);
   for (std::int64_t l0 = 0; l0 < len; l0 += cam::kCamTileMax) {
     const std::int64_t lb = std::min<std::int64_t>(cam::kCamTileMax, len - l0);
     nn::pack_cols_tile(cols.data(), len, d, l0, lb, qtile.data());
-    array.search_accumulate_block(qtile.data(), lb, lut, out.data() + l0, len, counter, precision);
+    array.search_accumulate_block(qtile.data(), lb, lut, out.data() + l0, len, tally, precision);
   }
+  array.flush(tally, counter);
   return std::vector<std::int64_t>(out.begin(), out.end());
 }
 

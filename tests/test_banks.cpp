@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,9 +19,13 @@
 #include "cam/nonideal.hpp"
 #include "cam_spec.hpp"
 #include "models/lenet.hpp"
+#include "models/resnet.hpp"
+#include "nn/im2col.hpp"
+#include "nn/residual.hpp"
 #include "ops/energy_model.hpp"
 #include "runtime/engine.hpp"
 #include "tensor/rng.hpp"
+#include "tensor/tensor_ops.hpp"
 #include "util/thread_pool.hpp"
 
 namespace pecan {
@@ -195,6 +200,206 @@ TEST(BankLedger, ConcurrentForwardsKeepBankLedgersExact) {
   for (const cam::BankStats& b : stats.banks) bank_searches += b.searches;
   EXPECT_EQ(bank_searches, engine.counter()->cam_searches.load());
   EXPECT_EQ(stats.direct_samples, static_cast<std::uint64_t>(kClients * kReps * 2));
+}
+
+// ------------------------------------- ledger exactness under chunk flushes
+
+/// The column-at-a-time spec's ledger of one array: op totals and usage.
+struct ArraySpec {
+  ops::OpTotals ops;
+  std::vector<std::uint64_t> usage;
+};
+
+/// One layer's column-at-a-time spec over `x` ([N, C, H, W]), one query at
+/// a time per group. Float32 charges the library's scalar specs (search or
+/// similarity_scores, then the scalar LUT accumulate); Int8/Binary take the
+/// winners from the independent quantized references and charge the op mix
+/// each quantized match line is defined to cost per query.
+std::vector<ArraySpec> column_spec(cam::CamConv2d& layer, const Tensor& x) {
+  const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const nn::Conv2dGeometry g = layer.geometry(h, w);
+  const std::int64_t len = g.cols();
+  const cam::CamPrecision precision = layer.effective_precision();
+  const bool angle = layer.mode() == pq::MatchMode::Angle;
+  std::vector<ArraySpec> specs(static_cast<std::size_t>(layer.groups()));
+  for (std::int64_t s = 0; s < n; ++s) {
+    const Tensor image({c, h, w}, std::vector<float>(x.data() + s * c * h * w,
+                                                     x.data() + (s + 1) * c * h * w));
+    const Tensor cols = nn::im2col(image, g);
+    for (std::int64_t j = 0; j < layer.groups(); ++j) {
+      const cam::CamArray& array = layer.array(j);
+      const cam::LutMemory& lut = layer.lut(j);
+      const std::int64_t d = array.word_dim(), p = array.word_count();
+      ArraySpec& spec = specs[static_cast<std::size_t>(j)];
+      spec.usage.resize(static_cast<std::size_t>(p), 0);
+      cam::OpCounter counter;
+      std::vector<std::int64_t> qhits;
+      if (!angle && precision != cam::CamPrecision::Float32) {
+        const Tensor rows({d, len}, std::vector<float>(cols.data() + j * d * len,
+                                                       cols.data() + (j + 1) * d * len));
+        qhits = camspec::quantized_reference_hits(array, rows, precision);
+      }
+      std::vector<float> out(static_cast<std::size_t>(lut.cout()), 0.f);
+      std::vector<float> scores(static_cast<std::size_t>(p));
+      for (std::int64_t l = 0; l < len; ++l) {
+        const float* query = cols.data() + j * d * len + l;
+        std::int64_t hit = 0;
+        if (!angle) {
+          if (precision == cam::CamPrecision::Float32) {
+            hit = array.search(query, len, counter);
+          } else {
+            hit = qhits[static_cast<std::size_t>(l)];
+            ++spec.ops.cam_searches;
+            if (precision == cam::CamPrecision::Int8) {
+              spec.ops.adds_q += static_cast<std::uint64_t>(2 * p * d);
+            } else {
+              spec.ops.xor_popcounts += static_cast<std::uint64_t>(p * ((d + 63) / 64));
+            }
+          }
+          lut.accumulate(hit, out.data(), 1, counter);
+        } else {
+          if (precision == cam::CamPrecision::Float32) {
+            array.similarity_scores(query, len, scores.data(), counter);
+          } else {
+            camspec::int8_reference_scores(array, query, len, scores.data());
+            ++spec.ops.cam_searches;
+            spec.ops.adds_q += static_cast<std::uint64_t>(p * d);
+            spec.ops.muls_q += static_cast<std::uint64_t>(p * d);
+          }
+          // The usage hit is the pre-softmax argmax, whatever the temperature.
+          hit = camspec::softmax_column(scores.data(), p, 1, 0, 1.f);
+          lut.weighted_accumulate(scores.data(), out.data(), 1, counter);
+        }
+        ++spec.usage[static_cast<std::size_t>(hit)];
+      }
+      spec.ops += counter.totals();
+    }
+  }
+  return specs;
+}
+
+/// Walks an exported network in execution order, appending each CAM layer's
+/// column spec over the input that layer sees. Activations propagate with
+/// the ordinary infer() of each step.
+Tensor spec_walk(nn::Module& module, const Tensor& x, nn::InferContext& ctx,
+                 std::vector<std::vector<ArraySpec>>& specs) {
+  if (auto* seq = dynamic_cast<nn::Sequential*>(&module)) {
+    Tensor y = x;
+    for (std::size_t i = 0; i < seq->size(); ++i) y = spec_walk(seq->layer(i), y, ctx, specs);
+    return y;
+  }
+  if (auto* res = dynamic_cast<nn::Residual*>(&module)) {
+    // Same arithmetic as nn::Residual::infer.
+    Tensor main_out = spec_walk(res->main(), x, ctx, specs);
+    add_(main_out, spec_walk(res->shortcut(), x, ctx, specs));
+    if (res->relu_after()) {
+      for (std::int64_t i = 0; i < main_out.numel(); ++i) {
+        if (main_out[i] < 0.f) main_out[i] = 0.f;
+      }
+    }
+    return main_out;
+  }
+  if (auto* conv = dynamic_cast<cam::CamConv2d*>(&module)) {
+    specs.push_back(column_spec(*conv, x));
+  } else if (auto* fc = dynamic_cast<cam::CamLinear*>(&module)) {
+    specs.push_back(column_spec(fc->conv(), x.reshaped({x.dim(0), x.dim(1), 1, 1})));
+  }
+  return module.infer(x, ctx);
+}
+
+struct LedgerModel {
+  std::string name;
+  models::Variant variant;
+  Tensor batch;
+};
+
+std::unique_ptr<nn::Sequential> ledger_net(const LedgerModel& m) {
+  Rng rng(41);
+  auto net = m.name == "lenet5" ? models::make_lenet5(m.variant, rng)
+                                : models::make_resnet20(m.variant, 10, rng);
+  net->set_training(false);
+  return net;
+}
+
+TEST(BankLedger, FlushedTalliesMatchColumnSpecEverywhere) {
+  // Serving charges lane-local tallies and flushes them once per layer
+  // chunk. Whatever the lane count and sharding, the network counter, every
+  // bank port and every usage histogram must end up exactly where the
+  // column-at-a-time spec puts them. ResNet20 runs on 8x8 images to keep the
+  // scalar spec cheap; the layers do not care about the spatial size.
+  const LedgerModel models_under_test[] = {
+      {"lenet5", models::Variant::PecanD, mnist_batch(51, 4)},
+      {"lenet5", models::Variant::PecanA, mnist_batch(52, 4)},
+      {"resnet20", models::Variant::PecanD, Rng(53).randn({4, 3, 8, 8})},
+      {"resnet20", models::Variant::PecanA, Rng(54).randn({4, 3, 8, 8})},
+  };
+  for (const LedgerModel& m : models_under_test) {
+    std::vector<cam::CamPrecision> precisions = {cam::CamPrecision::Float32,
+                                                 cam::CamPrecision::Int8};
+    if (m.variant == models::Variant::PecanD) precisions.push_back(cam::CamPrecision::Binary);
+    for (const cam::CamPrecision precision : precisions) {
+      auto spec_net = ledger_net(m);
+      cam::CamNetworkExport spec_export = cam::convert_to_cam(*spec_net);
+      spec_export.set_precision(precision);
+      std::vector<std::vector<ArraySpec>> specs;
+      nn::InferContext spec_ctx;
+      spec_walk(*spec_export.net, m.batch, spec_ctx, specs);
+      ops::OpTotals spec_total;
+      for (const std::vector<ArraySpec>& layer : specs) {
+        for (const ArraySpec& a : layer) spec_total += a.ops;
+      }
+
+      for (const int lanes : {1, 4}) {
+        for (const bool sharded : {false, true}) {
+          SCOPED_TRACE(m.name + " " + models::variant_name(m.variant) + " " +
+                       cam::precision_name(precision) + " lanes=" + std::to_string(lanes) +
+                       (sharded ? " sharded" : " unsharded"));
+          util::set_global_threads(lanes);
+          runtime::EngineConfig config;
+          config.path = runtime::ExecPath::Cam;
+          config.cam_precision = precision;
+          config.bank_config.banks = 3;
+          config.shard_samples = sharded ? 1 : m.batch.dim(0);
+          runtime::Engine engine(ledger_net(m), config);
+          const std::vector<cam::CamConv2d*>& layers = engine.cam_export().cam_layers;
+          ASSERT_EQ(layers.size(), specs.size());
+
+          // Deltas over the one forward: whatever compile-time work touched
+          // the ledgers is excluded on both sides.
+          std::map<const cam::OpCounter*, ops::OpTotals> port_before, port_want;
+          std::vector<std::vector<std::vector<std::uint64_t>>> usage_before(layers.size());
+          for (std::size_t li = 0; li < layers.size(); ++li) {
+            for (std::int64_t j = 0; j < layers[li]->groups(); ++j) {
+              const cam::CamArray& array = layers[li]->array(j);
+              ASSERT_NE(array.bank_port(), nullptr);
+              port_before[array.bank_port()] = array.bank_port()->totals();
+              port_want[array.bank_port()] += specs[li][static_cast<std::size_t>(j)].ops;
+              usage_before[li].push_back(array.usage());
+            }
+          }
+          const ops::OpTotals net_before = engine.counter()->totals();
+          engine.forward_batch(m.batch);
+          util::set_global_threads(1);
+
+          EXPECT_TRUE(engine.counter()->totals() == net_before + spec_total);
+          for (const auto& [port, want] : port_want) {
+            EXPECT_TRUE(port->totals() == port_before[port] + want);
+          }
+          for (std::size_t li = 0; li < layers.size(); ++li) {
+            for (std::int64_t j = 0; j < layers[li]->groups(); ++j) {
+              const auto g = static_cast<std::size_t>(j);
+              const std::vector<std::uint64_t>& before = usage_before[li][g];
+              const std::vector<std::uint64_t>& after = layers[li]->array(j).usage();
+              ASSERT_EQ(after.size(), before.size());
+              std::vector<std::uint64_t> got(after.size());
+              for (std::size_t w = 0; w < after.size(); ++w) got[w] = after[w] - before[w];
+              EXPECT_EQ(got, specs[li][g].usage) << layers[li]->name() << " group " << j;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------- noise-off bitwise identity

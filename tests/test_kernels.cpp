@@ -10,6 +10,7 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <thread>
@@ -163,16 +164,16 @@ TEST(FusedEpilogue, RejectsOversizedTile) {
   CamArray l1(rng.randn({4, 3}), SearchMetric::L1BestMatch);
   CamArray dot(rng.randn({4, 3}), SearchMetric::DotProduct);
   const LutMemory lut(rng.randn({2, 4}));
-  OpCounter counter;
+  cam::CamTally tally(4);
   std::vector<float> queries(static_cast<std::size_t>(3 * (kCamTileMax + 1)));
   std::vector<float> scores(static_cast<std::size_t>(4 * (kCamTileMax + 1)));
   std::vector<float> out(static_cast<std::size_t>(2 * (kCamTileMax + 1)));
   EXPECT_THROW(l1.search_accumulate_block(queries.data(), kCamTileMax + 1, lut, out.data(),
-                                          kCamTileMax + 1, counter),
+                                          kCamTileMax + 1, tally),
                std::invalid_argument);
   EXPECT_THROW(dot.similarity_softmax_accumulate_block(queries.data(), kCamTileMax + 1, 1.f, lut,
                                                        scores.data(), out.data(), kCamTileMax + 1,
-                                                       counter),
+                                                       tally),
                std::invalid_argument);
 }
 
@@ -184,7 +185,8 @@ TEST(LutBlock, WeightedBlockMatchesScalar) {
 
   Tensor scalar_out = rng.randn({cout, len});
   Tensor blocked_out = scalar_out;
-  OpCounter scalar_counter, blocked_counter;
+  OpCounter scalar_counter;
+  ops::OpTotals blocked_tally;
   std::vector<float> wcol(static_cast<std::size_t>(p));
   for (std::int64_t l = 0; l < len; ++l) {
     for (std::int64_t m = 0; m < p; ++m) wcol[static_cast<std::size_t>(m)] = weights[m * len + l];
@@ -194,12 +196,12 @@ TEST(LutBlock, WeightedBlockMatchesScalar) {
   for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
     const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
     nn::pack_cols_tile(weights.data(), len, p, l0, lb, wtile.data());
-    lut.weighted_accumulate_block(wtile.data(), lb, blocked_out.data() + l0, len, blocked_counter);
+    lut.weighted_accumulate_block(wtile.data(), lb, blocked_out.data() + l0, len, blocked_tally);
   }
   for (std::int64_t i = 0; i < scalar_out.numel(); ++i) {
     ASSERT_EQ(scalar_out[i], blocked_out[i]) << i;
   }
-  EXPECT_TRUE(CounterSnapshot(scalar_counter) == CounterSnapshot(blocked_counter));
+  EXPECT_TRUE(scalar_counter.totals() == blocked_tally);
 }
 
 TEST(SgemmBlocked, BitwiseMatchesReferenceAcrossTails) {
@@ -366,60 +368,9 @@ TEST(CamConv2dTiled, LargeGeometryBatchedMatchesPerSampleInfer) {
 
 // ------------------------------------------------- quantized search planes
 
-using cam::affine_quantize;
-using cam::AffineQuant;
 using cam::CamPrecision;
-
-// Independent scalar reference for the quantized planes, written against the
-// documented code grids (affine uint8 codes / sign bits), not the kernels'
-// packed layouts. Hits resolve with the same lowest-index tie-break.
-std::vector<std::int64_t> quantized_reference_hits(const CamArray& array, const Tensor& cols,
-                                                   CamPrecision precision) {
-  const std::int64_t d = array.word_dim(), p = array.word_count(), len = cols.dim(1);
-  const float* words = array.words().data();
-  std::vector<std::int64_t> hits(static_cast<std::size_t>(len));
-  for (std::int64_t l = 0; l < len; ++l) {
-    std::int64_t best_m = 0;
-    if (precision == CamPrecision::Binary) {
-      const std::vector<float>& thresh = array.binary_thresholds();
-      std::int64_t best = std::numeric_limits<std::int64_t>::max();
-      for (std::int64_t m = 0; m < p; ++m) {
-        std::int64_t ham = 0;
-        for (std::int64_t i = 0; i < d; ++i) {
-          const bool qs = cols[i * len + l] >= thresh[static_cast<std::size_t>(i)];
-          const bool ws = words[m * d + i] >= thresh[static_cast<std::size_t>(i)];
-          ham += qs != ws;
-        }
-        if (ham < best) {
-          best = ham;
-          best_m = m;
-        }
-      }
-    } else {
-      const AffineQuant& qp = array.qparams();
-      std::vector<std::int32_t> q(static_cast<std::size_t>(d));
-      for (std::int64_t i = 0; i < d; ++i) {
-        q[static_cast<std::size_t>(i)] = affine_quantize(cols[i * len + l], qp);
-      }
-      std::int64_t best = std::numeric_limits<std::int64_t>::max();
-      for (std::int64_t m = 0; m < p; ++m) {
-        std::int64_t dist = 0;
-        for (std::int64_t i = 0; i < d; ++i) {
-          const std::int32_t w = affine_quantize(words[m * d + i], qp);
-          dist += std::abs(q[static_cast<std::size_t>(i)] - w);
-        }
-        if (dist < best) {
-          best = dist;
-          best_m = m;
-        }
-      }
-    }
-    hits[static_cast<std::size_t>(l)] = best_m;
-  }
-  return hits;
-}
-
 using camspec::blocked_hits;
+using camspec::quantized_reference_hits;
 
 std::vector<std::uint64_t> usage_of(const std::vector<std::int64_t>& hits, std::int64_t p) {
   std::vector<std::uint64_t> usage(static_cast<std::size_t>(p), 0);
@@ -492,6 +443,7 @@ TEST(QuantizedSearch, BinaryHammingMatchesSignReference) {
 TEST(QuantizedSearch, RequiresPreparedPlaneAndL1ForBinary) {
   Rng rng(71);
   OpCounter counter;
+  cam::CamTally tally(4);
   std::vector<float> queries(static_cast<std::size_t>(9), 0.f);
   const LutMemory lut(rng.randn({3, 4}));
   std::vector<float> scores(static_cast<std::size_t>(4 * kCamTileMax));
@@ -499,7 +451,7 @@ TEST(QuantizedSearch, RequiresPreparedPlaneAndL1ForBinary) {
 
   CamArray l1(rng.randn({4, 9}), SearchMetric::L1BestMatch);
   const auto search_l1 = [&](cam::CamPrecision precision) {
-    l1.search_accumulate_block(queries.data(), 1, lut, out.data(), 1, counter, precision);
+    l1.search_accumulate_block(queries.data(), 1, lut, out.data(), 1, tally, precision);
   };
   EXPECT_THROW(search_l1(CamPrecision::Int8), std::logic_error);
   EXPECT_THROW(search_l1(CamPrecision::Binary), std::logic_error);
@@ -511,7 +463,7 @@ TEST(QuantizedSearch, RequiresPreparedPlaneAndL1ForBinary) {
   CamArray dot(rng.randn({4, 9}), SearchMetric::DotProduct);
   const auto softmax_dot = [&](cam::CamPrecision precision) {
     dot.similarity_softmax_accumulate_block(queries.data(), 1, 1.f, lut, scores.data(), out.data(),
-                                            1, counter, precision);
+                                            1, tally, precision);
   };
   EXPECT_THROW(softmax_dot(CamPrecision::Int8), std::logic_error);
   dot.prepare_quantized(CamPrecision::Int8);
@@ -525,7 +477,7 @@ TEST(QuantizedSearch, RequiresPreparedPlaneAndL1ForBinary) {
   EXPECT_THROW(dot.search(queries.data(), 1, counter), std::invalid_argument);
   for (const CamPrecision precision :
        {CamPrecision::Float32, CamPrecision::Int8, CamPrecision::Binary}) {
-    EXPECT_THROW(dot.search_accumulate_block(queries.data(), 1, lut, out.data(), 1, counter,
+    EXPECT_THROW(dot.search_accumulate_block(queries.data(), 1, lut, out.data(), 1, tally,
                                              precision),
                  std::invalid_argument)
         << cam::precision_name(precision);
@@ -577,11 +529,19 @@ TEST(FusedEpilogue, RejectsMismatchedLut) {
   Rng rng(81);
   CamArray array(rng.randn({8, 4}), SearchMetric::L1BestMatch);
   LutMemory wrong(rng.randn({3, 7}));  // 7 entries vs 8 words
-  OpCounter counter;
+  cam::CamTally tally(8);
   std::vector<float> queries(static_cast<std::size_t>(4), 0.f);
   std::vector<float> out(3, 0.f);
-  EXPECT_THROW(array.search_accumulate_block(queries.data(), 1, wrong, out.data(), 1, counter),
+  EXPECT_THROW(array.search_accumulate_block(queries.data(), 1, wrong, out.data(), 1, tally),
                std::invalid_argument);
+  // A tally sized for another array is refused as well, at the entry and at
+  // the flush.
+  const LutMemory lut(rng.randn({3, 8}));
+  cam::CamTally other(7);
+  OpCounter counter;
+  EXPECT_THROW(array.search_accumulate_block(queries.data(), 1, lut, out.data(), 1, other),
+               std::invalid_argument);
+  EXPECT_THROW(array.flush(other, counter), std::invalid_argument);
 }
 
 TEST(FusedWeighted, Int8MatchesExactIntegerReference) {
@@ -598,54 +558,39 @@ TEST(FusedWeighted, Int8MatchesExactIntegerReference) {
       std::vector<float> scores(static_cast<std::size_t>(kP * kCamTileMax));
       std::vector<std::uint64_t> expected_usage(static_cast<std::size_t>(kP), 0);
 
-      // Exact-integer dequantized score reference:
-      //   s^2 * (dot - zp*wsum[m] - zp*qsum[l] + d*zp^2)
-      // followed by the replica softmax and the blocked weighted accumulate.
-      const AffineQuant& qp = array.qparams();
-      const float s2 = qp.scale * qp.scale;
-      const std::int64_t zp = qp.zero_point;
-      OpCounter ref_counter;
+      // Exact-integer dequantized score reference, followed by the replica
+      // softmax and the blocked weighted accumulate.
+      ops::OpTotals ref;
       Tensor expected({kCout, len},
                       std::vector<float>(static_cast<std::size_t>(kCout * len), 0.f));
+      std::vector<float> column(static_cast<std::size_t>(kP));
       for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
         const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
         for (std::int64_t l = 0; l < lb; ++l) {
-          std::vector<std::int64_t> q(static_cast<std::size_t>(d));
-          std::int64_t qsum = 0;
-          for (std::int64_t i = 0; i < d; ++i) {
-            q[static_cast<std::size_t>(i)] = affine_quantize(cols[i * len + l0 + l], qp);
-            qsum += q[static_cast<std::size_t>(i)];
-          }
+          camspec::int8_reference_scores(array, cols.data() + l0 + l, len, column.data());
           for (std::int64_t m = 0; m < kP; ++m) {
-            std::int64_t dot = 0, wsum = 0;
-            for (std::int64_t i = 0; i < d; ++i) {
-              const std::int64_t w =
-                  affine_quantize(array.words()[m * d + i], qp);
-              dot += q[static_cast<std::size_t>(i)] * w;
-              wsum += w;
-            }
-            const std::int64_t integer = dot - zp * wsum - zp * qsum + d * zp * zp;
-            scores[static_cast<std::size_t>(m * lb + l)] =
-                s2 * static_cast<float>(static_cast<std::int32_t>(integer));
+            scores[static_cast<std::size_t>(m * lb + l)] = column[static_cast<std::size_t>(m)];
           }
         }
         for (std::int64_t l = 0; l < lb; ++l) {
           ++expected_usage[static_cast<std::size_t>(
               camspec::softmax_column(scores.data(), kP, lb, l, kTemp))];
         }
-        lut.weighted_accumulate_block(scores.data(), lb, expected.data() + l0, len, ref_counter);
+        lut.weighted_accumulate_block(scores.data(), lb, expected.data() + l0, len, ref);
       }
 
       OpCounter fused_counter;
+      cam::CamTally tally(kP);
       Tensor actual({kCout, len},
                     std::vector<float>(static_cast<std::size_t>(kCout * len), 0.f));
       for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
         const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
         nn::pack_cols_tile(cols.data(), len, d, l0, lb, qtile.data());
         array.similarity_softmax_accumulate_block(qtile.data(), lb, kTemp, lut, scores.data(),
-                                                  actual.data() + l0, len, fused_counter,
+                                                  actual.data() + l0, len, tally,
                                                   CamPrecision::Int8);
       }
+      array.flush(tally, fused_counter);
 
       EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
                             static_cast<std::size_t>(kCout * len) * sizeof(float)),
@@ -654,8 +599,8 @@ TEST(FusedWeighted, Int8MatchesExactIntegerReference) {
       EXPECT_EQ(array.usage(), expected_usage);
       // The integer crossbar read lands in the int8-lane ledger; the LUT's
       // weighted accumulate charges the same float ops as the reference.
-      const CounterSnapshot fused(fused_counter), ref(ref_counter);
-      EXPECT_EQ(fused.searches, ref.searches + static_cast<std::uint64_t>(len));
+      const CounterSnapshot fused(fused_counter);
+      EXPECT_EQ(fused.searches, ref.cam_searches + static_cast<std::uint64_t>(len));
       EXPECT_EQ(fused.adds_q, static_cast<std::uint64_t>(kP * d * len));
       EXPECT_EQ(fused.muls_q, static_cast<std::uint64_t>(kP * d * len));
       EXPECT_EQ(fused.adds, ref.adds);
@@ -704,6 +649,46 @@ TEST(CrossIsaKernels, TablesResolveOnceWidestLastAndPinPerThread) {
   EXPECT_EQ(&cam::detail::active_kernels(), &resolved);
 }
 
+// Word/query shapes the Float32 L1 sweep adds on top of random data.
+enum class ScanInput {
+  Random,
+  DuplicateWords,  ///< every upper-half word copies a lower one: exact ties
+  NonFinite,       ///< +-inf / NaN query components, a NaN word and an inf word
+};
+
+const char* scan_input_name(ScanInput in) {
+  switch (in) {
+    case ScanInput::Random: return "random";
+    case ScanInput::DuplicateWords: return "duplicate-words";
+    case ScanInput::NonFinite: return "non-finite";
+  }
+  return "?";
+}
+
+/// Rewrites random words [p, d] and query columns [d, len] into `in`'s shape.
+void shape_scan_input(ScanInput in, Tensor& words, Tensor& cols) {
+  const std::int64_t p = words.dim(0), d = words.dim(1), len = cols.dim(1);
+  if (in == ScanInput::DuplicateWords) {
+    // Word m and word m - half score the same distance bit for bit, so the
+    // winner must be the lower index.
+    const std::int64_t half = (p + 1) / 2;
+    for (std::int64_t m = half; m < p; ++m) {
+      for (std::int64_t i = 0; i < d; ++i) words[m * d + i] = words[(m - half) * d + i];
+    }
+  } else if (in == ScanInput::NonFinite) {
+    constexpr float kInf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    for (std::int64_t l = 0; l < len; ++l) {
+      if (l % 5 == 1) cols[l] = kInf;                   // every distance +inf
+      if (l % 5 == 2) cols[(d - 1) * len + l] = -kInf;  // every distance +inf
+      if (l % 5 == 3) cols[(d / 2) * len + l] = nan;    // every distance NaN
+    }
+    // A NaN word never wins; an inf word only ties other inf distances.
+    if (p > 1) words[1 * d] = nan;
+    if (p > 2) words[2 * d + d - 1] = kInf;
+  }
+}
+
 TEST(CrossIsaKernels, EveryHostTableBitwiseMatchesBaseline) {
   const cam::detail::SupportedKernels supported = cam::detail::supported_kernels();
   if (supported.count < 2) GTEST_SKIP() << "host runs the baseline kernel table only";
@@ -723,32 +708,51 @@ TEST(CrossIsaKernels, EveryHostTableBitwiseMatchesBaseline) {
   // p = 300 exceeds the byte-lane Hamming scan's 256-word bound, so the
   // wide tables' in-kernel fallback is pinned too.
   const std::int64_t kTableWords[] = {1, 32, 300};
+  // The Float32 L1 scan gets the widest sweep: the register-resident v4
+  // scan masks its last 16-lane chunk (lb 15/16/17), runs at the ResNet20-D
+  // preset d = 3 and at d = 16, must keep the lowest index on exact ties and
+  // must never let a NaN distance win.
+  const std::vector<std::int64_t> lens(std::begin(kLens), std::end(kLens));
+  const std::vector<std::int64_t> dims(std::begin(kDims), std::end(kDims));
+  const std::vector<std::int64_t> l1_lens = {1, 5, 15, 16, 17, 63, 64, 65, 130};
+  const std::vector<std::int64_t> l1_dims = {1, 2, 3, 9, 16};
   for (int t = 1; t < supported.count; ++t) {
     const KernelTable& table = *supported.tables[t];
     for (const Config& cfg : configs) {
-      for (const std::int64_t len : kLens) {
-        for (const std::int64_t d : kDims) {
+      const bool f32_l1 =
+          cfg.precision == CamPrecision::Float32 && cfg.metric == SearchMetric::L1BestMatch;
+      std::vector<ScanInput> inputs = {ScanInput::Random};
+      if (f32_l1) inputs = {ScanInput::Random, ScanInput::DuplicateWords, ScanInput::NonFinite};
+      for (const std::int64_t len : f32_l1 ? l1_lens : lens) {
+        for (const std::int64_t d : f32_l1 ? l1_dims : dims) {
           for (const std::int64_t p : kTableWords) {
-            for (const bool noise : {false, true}) {
-              Rng rng(static_cast<std::uint64_t>(12000 + len * 1000 + d * 100 + p +
-                                                 static_cast<int>(cfg.precision) * 7 +
-                                                 static_cast<int>(cfg.metric) * 3 + noise));
-              CamArray array(rng.randn({p, d}), cfg.metric);
-              if (noise) {
-                const Tensor offsets = rng.randn({p});
-                array.set_matchline_noise(
-                    std::vector<float>(offsets.data(), offsets.data() + p));
+            for (const ScanInput in : inputs) {
+              for (const bool noise : {false, true}) {
+                Rng rng(static_cast<std::uint64_t>(12000 + len * 1000 + d * 100 + p +
+                                                   static_cast<int>(cfg.precision) * 7 +
+                                                   static_cast<int>(cfg.metric) * 3 + noise));
+                Tensor words = rng.randn({p, d});
+                Tensor cols = rng.randn({d, len});
+                shape_scan_input(in, words, cols);
+                CamArray array(std::move(words), cfg.metric);
+                if (noise) {
+                  const Tensor offsets = rng.randn({p});
+                  array.set_matchline_noise(
+                      std::vector<float>(offsets.data(), offsets.data() + p));
+                }
+                if (cfg.precision != CamPrecision::Float32) {
+                  array.prepare_quantized(cfg.precision);
+                }
+                const LutMemory lut(rng.randn({kCout, p}));
+                const std::string what =
+                    std::string(table.isa) + " precision=" + cam::precision_name(cfg.precision) +
+                    " metric=" + std::to_string(static_cast<int>(cfg.metric)) +
+                    " len=" + std::to_string(len) + " d=" + std::to_string(d) +
+                    " p=" + std::to_string(p) + " input=" + scan_input_name(in) +
+                    " noise=" + std::to_string(noise);
+                camspec::expect_same(sweep(baseline, array, lut, cols, cfg.precision),
+                                     sweep(table, array, lut, cols, cfg.precision), what);
               }
-              if (cfg.precision != CamPrecision::Float32) array.prepare_quantized(cfg.precision);
-              const LutMemory lut(rng.randn({kCout, p}));
-              const Tensor cols = rng.randn({d, len});
-              const std::string what =
-                  std::string(table.isa) + " precision=" + cam::precision_name(cfg.precision) +
-                  " metric=" + std::to_string(static_cast<int>(cfg.metric)) +
-                  " len=" + std::to_string(len) + " d=" + std::to_string(d) +
-                  " p=" + std::to_string(p) + " noise=" + std::to_string(noise);
-              camspec::expect_same(sweep(baseline, array, lut, cols, cfg.precision),
-                                   sweep(table, array, lut, cols, cfg.precision), what);
             }
           }
         }
@@ -761,7 +765,7 @@ TEST(CrossIsaKernels, ConcurrentLanesOnMixedTablesShareOneLedger) {
   // Lanes pinned to different tables search one array at once: each lane's
   // output tile matches the baseline sweep, and the shared histogram and
   // counter see exactly the sum of the lanes (thread_local scratch and pins,
-  // atomic ledgers).
+  // lane-local tallies flushed into the atomic ledgers).
   const cam::detail::SupportedKernels supported = cam::detail::supported_kernels();
   constexpr std::int64_t kP = 32, kD = 9, kLen = 130, kLanes = 4;
   Rng rng(12345);
@@ -780,12 +784,14 @@ TEST(CrossIsaKernels, ConcurrentLanesOnMixedTablesShareOneLedger) {
       const ScopedKernelTable pin(*supported.tables[i % supported.count]);
       std::vector<float> out(static_cast<std::size_t>(kCout * kLen), 0.5f);
       std::vector<float> qtile(static_cast<std::size_t>(kD * kCamTileMax));
+      cam::CamTally tally(kP);
       for (std::int64_t l0 = 0; l0 < kLen; l0 += kCamTileMax) {
         const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, kLen - l0);
         nn::pack_cols_tile(cols.data(), kLen, kD, l0, lb, qtile.data());
-        array.search_accumulate_block(qtile.data(), lb, lut, out.data() + l0, kLen, shared,
+        array.search_accumulate_block(qtile.data(), lb, lut, out.data() + l0, kLen, tally,
                                       CamPrecision::Int8);
       }
+      array.flush(tally, shared);
       outs[static_cast<std::size_t>(i)] = std::move(out);
     });
   }
