@@ -71,31 +71,29 @@ struct ModelTraffic {
 
 void print_stats(runtime::Server& server, const char* when) {
   std::printf("\n[%s]\n", when);
-  std::printf("%-14s %4s %8s %8s %6s %9s %9s %7s %6s\n", "model", "gen", "requests", "batches",
-              "depth", "p50 ms", "p99 ms", "deploys", "shed");
+  std::printf("%-14s %4s %8s %8s %6s %9s %9s %6s\n", "model", "gen", "requests", "batches",
+              "depth", "p50 ms", "p99 ms", "shed");
   for (const std::string& name : server.models()) {
     const runtime::ModelServerStats s = server.stats(name);
-    std::printf("%-14s %4llu %8llu %8llu %6lld %9.2f %9.2f %7llu %6llu\n", name.c_str(),
+    std::printf("%-14s %4llu %8llu %8llu %6lld %9.2f %9.2f %6llu\n", name.c_str(),
                 static_cast<unsigned long long>(s.generation),
                 static_cast<unsigned long long>(s.engine.requests),
                 static_cast<unsigned long long>(s.engine.batches),
                 static_cast<long long>(s.engine.queue_depth), s.engine.p50_ms, s.engine.p99_ms,
-                static_cast<unsigned long long>(s.deploys),
                 static_cast<unsigned long long>(s.shed_total));
   }
 }
 
 /// The drain-time report both modes end with: swap-surviving per-model
-/// deploy/shed counters next to the live engine totals.
+/// generation and shed counters next to the live engine totals.
 void print_final_counters(runtime::Server& server) {
   std::printf("\nfinal per-model counters:\n");
-  std::printf("%-14s %4s %8s %7s %6s\n", "model", "gen", "requests", "deploys", "shed");
+  std::printf("%-14s %4s %8s %6s\n", "model", "gen", "requests", "shed");
   for (const std::string& name : server.models()) {
     const runtime::ModelServerStats s = server.stats(name);
-    std::printf("%-14s %4llu %8llu %7llu %6llu\n", name.c_str(),
+    std::printf("%-14s %4llu %8llu %6llu\n", name.c_str(),
                 static_cast<unsigned long long>(s.generation),
                 static_cast<unsigned long long>(s.engine.requests),
-                static_cast<unsigned long long>(s.deploys),
                 static_cast<unsigned long long>(s.shed_total));
   }
 }

@@ -108,7 +108,7 @@ void save_artifact(const std::string& path, const ModelArtifact& artifact) {
 
 ModelArtifact load_artifact(const std::string& path) {
   // Fault site: simulates an artifact whose integrity check failed, without
-  // needing a damaged file on disk. Deploy paths must leave the registry
+  // needing a damaged file on disk. Deploy paths must leave the model table
   // untouched either way.
   if (PECAN_FAULT_POINT("artifact.corrupt")) {
     throw ArtifactCorruptError("load_artifact: " + path +

@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "runtime/engine.hpp"          // OverloadedError, EngineStoppedError, DeadlineExceededError
-#include "runtime/model_registry.hpp"  // UnknownModelError
+#include "runtime/server.hpp"          // UnknownModelError
 
 namespace pecan::runtime {
 

@@ -1,6 +1,7 @@
 #include "runtime/net_server.hpp"
 
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <deque>
@@ -9,7 +10,7 @@
 #include <unistd.h>
 #include <utility>
 
-#include "runtime/model_registry.hpp"
+#include "runtime/server.hpp"  // UnknownModelError
 #include "tensor/serialize.hpp"
 #include "util/fault_injector.hpp"
 #include "util/timer.hpp"
@@ -20,13 +21,24 @@
 
 namespace pecan::runtime {
 
+namespace {
+
+/// Largest frame a connection accepts; a longer length prefix poisons it.
+constexpr std::size_t kMaxFrameBytes = wire::kDefaultMaxFrameBytes;
+/// Upper bound on stop(): a wedged peer cannot hold shutdown hostage.
+constexpr std::chrono::milliseconds kDrainTimeout{5000};
+/// Classes of the executor job queue; a wire priority byte clamps into it.
+constexpr std::size_t kPriorityClasses = 4;
+
+}  // namespace
+
 // ------------------------------------------------------------------ plumbing
 
 /// One live client connection. The reactor owns the fd, the decoder, and the
 /// poller-interest mirrors (reactor-thread only); executors touch only the
 /// mutex-guarded write queue and the atomic closed flag.
 struct NetServer::Conn {
-  Conn(int raw_fd, std::size_t max_frame) : fd(raw_fd), decoder(max_frame) {}
+  explicit Conn(int raw_fd) : fd(raw_fd), decoder(kMaxFrameBytes) {}
 
   util::Fd fd;
   wire::Decoder decoder;
@@ -85,7 +97,7 @@ void NetServer::Poller::wait(std::vector<Event>& out, int timeout_ms) {
 NetServer::NetServer(Server& server, NetServerConfig config)
     : server_(server),
       config_(std::move(config)),
-      jobs_(config_.priority_classes > 0 ? config_.priority_classes : 1) {
+      jobs_(kPriorityClasses) {
   if (config_.executors < 1) {
     throw std::invalid_argument("NetServer: executors must be >= 1");
   }
@@ -197,7 +209,7 @@ void NetServer::reactor_loop() {
       }
       const bool drained = in_flight_.load(std::memory_order_acquire) == 0 && flushed;
       const bool expired =
-          drain_timer.elapsed_ms() >= static_cast<double>(config_.drain_timeout.count());
+          drain_timer.elapsed_ms() >= static_cast<double>(kDrainTimeout.count());
       if (drained || expired) break;
     }
 
@@ -246,7 +258,7 @@ void NetServer::accept_ready() {
       ::close(cfd);
       continue;
     }
-    auto conn = std::make_shared<Conn>(cfd, config_.max_frame_bytes);
+    auto conn = std::make_shared<Conn>(cfd);
     conns_[cfd] = conn;
     poller_.set(cfd, /*rd=*/true, /*wr=*/false);
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -576,7 +588,7 @@ void NetServer::execute(Job& job) {
     message = e.what();
   } catch (const ArtifactCorruptError& e) {
     // A corrupt artifact is the deployer's bad input, not a server fault;
-    // the registry is untouched (deploy_file throws before install).
+    // the model table is untouched (deploy_file throws before install).
     status = wire::Status::BadRequest;
     message = e.what();
   } catch (const EngineStoppedError& e) {

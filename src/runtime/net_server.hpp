@@ -1,10 +1,8 @@
 // runtime::NetServer — the TCP wire-protocol front door over runtime::Server.
 //
-// After PRs 1–5 the serving stack (engine micro-batching, registry hot-swap,
-// admission control, sharded batches) was only reachable in-process; every
-// throughput number was a thread-pool simulation. NetServer puts a real
-// socket boundary in front of it, speaking the length-prefixed binary
-// protocol of runtime/wire.hpp.
+// NetServer puts a real socket boundary in front of the serving stack
+// (engine micro-batching, hot-swap, admission control, sharded batches),
+// speaking the length-prefixed binary protocol of runtime/wire.hpp.
 //
 // Architecture — one reactor, W executors, replies multiplexed:
 //
@@ -19,7 +17,10 @@
 //     LIST_MODELS, STATS) are answered inline; work-bearing ones (INFER,
 //     INFER_BATCH, DEPLOY) are handed to the executor pool through a
 //     util::PriorityBucketQueue (highest wire priority class first) so a
-//     slow forward never stalls the event loop.
+//     slow forward never stalls the event loop. A frame's optional priority
+//     byte picks the job's class (4 classes; higher bytes clamp to the top)
+//     and is forwarded to Server::submit for INFER, where the engine's own
+//     priority-bucketed admission applies. Frames without it run at class 0.
 //
 //   * Executor threads. Each pops a request, drives the Server (submit +
 //     future wait — so the engines' micro-batching coalesces requests
@@ -44,16 +45,15 @@
 //
 //   * Graceful drain. stop() closes the listen socket, stops reading from
 //     every connection, lets in-flight requests finish and their replies
-//     flush, then closes connections and joins threads — bounded by
-//     NetServerConfig::drain_timeout so a wedged peer cannot hold shutdown
-//     hostage. Engine hot-swap needs nothing from this layer: the registry's
-//     lease semantics already drain the retired engine under live traffic.
+//     flush, then closes connections and joins threads — bounded by a fixed
+//     5 s drain timeout so a wedged peer cannot hold shutdown hostage.
+//     Engine hot-swap needs nothing from this layer: the Server's lease
+//     semantics already drain the retired engine under live traffic.
 //
 // The NetServer borrows the Server (not owned); the Server must outlive it.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -74,14 +74,6 @@ struct NetServerConfig {
   std::string host = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral — read the bound port via port()
   int executors = 2;       ///< request-execution threads (>= 1)
-  std::size_t max_frame_bytes = wire::kDefaultMaxFrameBytes;
-  std::chrono::milliseconds drain_timeout{5000};  ///< stop() upper bound
-  /// Priority classes of the executor job queue: a frame's optional priority
-  /// byte (clamped to [0, priority_classes-1]) orders execution — executors
-  /// always pop the highest class first — and is forwarded to
-  /// Server::submit for INFER, where the engine's own priority-bucketed
-  /// admission applies. Frames without the byte run at class 0.
-  std::size_t priority_classes = 4;
   /// Engine config applied to wire DEPLOY requests (execution path, batching,
   /// admission control for models deployed over the network).
   EngineConfig deploy_config{};
@@ -118,7 +110,7 @@ class NetServer {
   void start();
 
   /// Graceful drain: stop accepting, finish in-flight requests, flush their
-  /// replies, close connections, join threads. Bounded by drain_timeout.
+  /// replies, close connections, join threads. Bounded by the drain timeout.
   /// Idempotent; also invoked by the destructor.
   void stop();
 

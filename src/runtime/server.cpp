@@ -4,21 +4,36 @@
 
 namespace pecan::runtime {
 
-Server::Counters& Server::counters(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(counters_mutex_);
-  std::unique_ptr<Counters>& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counters>();
-  return *slot;
+// Locking rule for the whole table: no Engine method runs and no Engine is
+// destroyed while mutex_ is held. Engine calls can block (a Block-mode
+// submit waits for queue space) and destroying a retired engine drains its
+// queue and joins its batcher, so either one under the lock would stall
+// every other name's routing behind one model. Each method therefore copies
+// or moves the shared_ptr out under the lock and uses or drops it after.
+
+Server::Slot Server::slot(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = slots_.find(name);
+  if (it == slots_.end() || !it->second.engine) {
+    throw UnknownModelError("Server: no model '" + name + "' is deployed");
+  }
+  return it->second;
 }
 
 std::uint64_t Server::install(const std::string& name, std::shared_ptr<Engine> engine) {
-  ModelRegistry::InstallResult result = registry_.install(name, std::move(engine));
-  counters(name).deploys.fetch_add(1, std::memory_order_relaxed);
-  // `result.retired` goes out of scope here: if this was the last lease the
-  // old engine drains its pending queue and joins its batcher now, on the
-  // deployer's thread; otherwise teardown happens when the last in-flight
-  // request drops its lease.
-  return result.generation;
+  std::uint64_t generation = 0;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    Slot& slot = slots_[name];
+    std::swap(slot.engine, engine);
+    generation = ++slot.generation;
+  }
+  // `engine` now holds the retired engine (null on a first deploy) and drops
+  // here, outside the lock: if this was the last lease the old engine drains
+  // its pending queue and joins its batcher now, on the deployer's thread;
+  // otherwise teardown happens when the last in-flight request drops its
+  // lease.
+  return generation;
 }
 
 std::uint64_t Server::deploy(const std::string& name, std::unique_ptr<nn::Sequential> net,
@@ -40,55 +55,89 @@ std::uint64_t Server::deploy(const std::string& name, const ModelArtifact& artif
 std::uint64_t Server::deploy_file(const std::string& name, const std::string& path,
                                   EngineConfig config) {
   // load_artifact throws before any engine exists, and deploy() compiles
-  // before touching the registry — so every failure mode leaves the
-  // currently serving generation in place.
+  // before touching the table — so every failure mode leaves the currently
+  // serving generation in place.
   const ModelArtifact artifact = load_artifact(path);
   return deploy(name, artifact, std::move(config));
 }
 
 void Server::undeploy(const std::string& name) {
-  std::shared_ptr<Engine> retired = registry_.erase(name);
+  std::shared_ptr<Engine> retired;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = slots_.find(name);
+    if (it != slots_.end()) retired = std::move(it->second.engine);
+  }
   if (!retired) throw UnknownModelError("Server::undeploy: no model '" + name + "' is deployed");
-  // Drops here — same deferred-teardown contract as a hot-swap.
+  // Drops here, outside the lock — same deferred-teardown contract as a
+  // hot-swap.
 }
 
 std::future<Tensor> Server::submit(const std::string& name, Tensor sample,
                                    std::int64_t priority,
                                    std::chrono::steady_clock::time_point deadline) {
-  std::shared_ptr<Engine> engine = registry_.acquire(name);
+  std::shared_ptr<Engine> engine = slot(name).engine;
   try {
     return engine->submit(std::move(sample), priority, deadline);
   } catch (const OverloadedError&) {
-    counters(name).shed.fetch_add(1, std::memory_order_relaxed);
+    // The slot outlives undeploy, so the shed lands on this name even when
+    // the engine was retired between the lease and the throw.
+    std::lock_guard<std::mutex> lock(mutex_);
+    ++slots_[name].shed;
     throw;
   }
 }
 
 Tensor Server::forward_batch(const std::string& name, const Tensor& batch) {
-  std::shared_ptr<Engine> engine = registry_.acquire(name);
-  return engine->forward_batch(batch);
+  return slot(name).engine->forward_batch(batch);
+}
+
+bool Server::has_model(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = slots_.find(name);
+  return it != slots_.end() && it->second.engine;
+}
+
+std::vector<std::string> Server::models() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::vector<std::string> out;
+  for (const auto& [name, s] : slots_) {
+    if (s.engine) out.push_back(name);
+  }
+  return out;
+}
+
+std::uint64_t Server::generation(const std::string& name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  auto it = slots_.find(name);
+  return it == slots_.end() ? 0 : it->second.generation;
 }
 
 ModelServerStats Server::stats(const std::string& name) const {
-  // One locked registry read: the generation always describes the engine
-  // we snapshot, even if a hot-swap lands between here and stats().
-  const ModelRegistry::Lease lease = registry_.acquire_with_generation(name);
+  // One slot copy: generation, engine and shed come from the same lock
+  // acquisition, so the generation always describes the engine we snapshot
+  // even if a hot-swap lands between here and Engine::stats().
+  const Slot s = slot(name);
   ModelServerStats out;
-  out.generation = lease.generation;
-  out.cam_precision = lease.engine->cam_precision();
-  out.engine = lease.engine->stats();
-  const Counters& c = counters(name);
-  out.deploys = c.deploys.load(std::memory_order_relaxed);
+  out.generation = s.generation;
+  out.cam_precision = s.engine->cam_precision();
+  out.engine = s.engine->stats();
   // Server-routed sheds across every generation of this name; the live
   // engine's stats().shed only covers the current generation.
-  out.shed_total = c.shed.load(std::memory_order_relaxed);
+  out.shed_total = s.shed;
   return out;
 }
 
 void Server::shutdown() {
-  std::vector<std::shared_ptr<Engine>> retired = registry_.clear();
-  // Engines drain and join as each shared_ptr drops (ours may be the last).
-  retired.clear();
+  std::vector<std::shared_ptr<Engine>> retired;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (auto& [name, s] : slots_) {
+      if (s.engine) retired.push_back(std::move(s.engine));
+    }
+  }
+  // Engines drain and join as each shared_ptr drops (ours may be the last),
+  // outside the lock.
 }
 
 }  // namespace pecan::runtime

@@ -1,32 +1,34 @@
 // runtime::Server — the multi-model serving front door.
 //
-// One Server owns a ModelRegistry of named engines and routes requests to
-// them: submit(model, sample) for micro-batched single samples and
+// One Server owns a table of named engines and routes requests to them:
+// submit(model, sample) for micro-batched single samples and
 // forward_batch(model, batch) for synchronous batches. On top of the
 // per-engine guarantees (bitwise-deterministic stateless forwards, bounded
 // pending queue) it adds the three things a production process needs:
 //
 //   * Deployment. deploy(name, ...) compiles a network or artifact into an
-//     Engine off the serving path — no registry lock is held while weights
+//     Engine off the serving path — no table lock is held while weights
 //     load, CAM exports build, or plans flatten — and only then swaps it in.
 //     A deploy that throws (corrupt artifact, PQ drift, bad config) leaves
-//     the registry untouched: the old engine keeps serving and the error
+//     the table untouched: the old engine keeps serving and the error
 //     surfaces to the deployer alone.
 //
-//   * Atomic hot-swap. The registry slot holds a shared_ptr<Engine>; every
-//     request leases it for exactly one forward. After a swap, new requests
-//     route to the new engine while in-flight requests drain on the old one,
-//     which is destroyed (pending queue drained, batcher joined) only when
-//     the last lease drops. A single reply therefore never mixes weights
-//     from two generations, and no accepted request is lost across a swap.
+//   * Atomic hot-swap. Each name's slot holds a shared_ptr<Engine>, which
+//     is the lease: every request copies it for exactly one forward. After a
+//     swap, new requests route to the new engine while in-flight requests
+//     drain on the old one, which is destroyed (pending queue drained,
+//     batcher joined) only when the last lease drops. A single reply
+//     therefore never mixes weights from two generations, and no accepted
+//     request is lost across a swap.
 //
 //   * Admission control. Each engine bounds its pending queue
 //     (EngineConfig::max_pending); Backpressure::Block propagates the wait
 //     to the submitting client, Backpressure::Reject sheds with
-//     OverloadedError. The Server keeps per-model-name cumulative counters
-//     (sheds, deploys) that survive hot-swaps, and stats(name) merges them
-//     with the live engine's snapshot (queue depth, in-flight, latency
-//     percentiles, shard counters).
+//     OverloadedError. The slot also keeps the name's generation and its
+//     shed count, which survive hot-swaps and undeploys (undeploy nulls the
+//     engine but keeps the slot, so a name's generation is never reused),
+//     and stats(name) merges them with the live engine's snapshot (queue
+//     depth, in-flight, latency percentiles, shard counters).
 //
 //   * Sharded big batches, for free. forward_batch(model, batch) routes to
 //     Engine::forward_batch, which splits large batches into sample shards
@@ -39,27 +41,30 @@
 //     first-request latency after a hot-swap free of arena growth.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <future>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "runtime/engine.hpp"
 #include "runtime/model_artifact.hpp"
-#include "runtime/model_registry.hpp"
 
 namespace pecan::runtime {
 
+/// Thrown when routing to a model name that is not (or no longer) deployed.
+struct UnknownModelError : std::invalid_argument {
+  using std::invalid_argument::invalid_argument;
+};
+
 /// Per-model view returned by Server::stats(): the live engine snapshot plus
-/// the server's cumulative, swap-surviving counters.
+/// the name's swap-surviving generation and shed count.
 #define PECAN_MODEL_SERVER_STATS_FIELDS(X)                                \
   X(std::uint64_t, generation, 0, "ordinal")                              \
-  X(std::uint64_t, deploys, 0, "count")                                   \
   X(std::uint64_t, shed_total, 0, "count")                                \
   X(cam::CamPrecision, cam_precision, cam::CamPrecision::Float32, "enum") \
   X(EngineStats, engine, {}, "struct")
@@ -76,8 +81,8 @@ class Server {
 
   /// Compiles `net` into an Engine and installs it under `name` (first
   /// deploy or hot-swap). Returns the new generation. If compilation
-  /// throws, the registry is untouched. Unload of the replaced engine is
-  /// deferred until its last lease drops: usually that is the registry's
+  /// throws, the table is untouched. Unload of the replaced engine is
+  /// deferred until its last lease drops: usually that is the table's
   /// own reference, so the old engine drains on THIS thread before deploy
   /// returns; with requests still in flight, the drain runs on whichever
   /// thread releases the final lease.
@@ -94,12 +99,13 @@ class Server {
   /// for the wire DEPLOY opcode and pull-based rollouts. Load, rebuild, and
   /// compile all happen off the serving path; a failure at any stage
   /// (missing file, corrupt artifact, PQ drift) throws and leaves the
-  /// registry untouched — the old generation keeps serving.
+  /// table untouched — the old generation keeps serving.
   std::uint64_t deploy_file(const std::string& name, const std::string& path,
                             EngineConfig config = {});
 
-  /// Removes `name` from the registry. Outstanding leases drain on their
-  /// owners' threads; subsequent requests throw UnknownModelError.
+  /// Stops routing to `name`. Outstanding leases drain on their owners'
+  /// threads; subsequent requests throw UnknownModelError. The name keeps
+  /// its generation and shed count: a later deploy continues from them.
   void undeploy(const std::string& name);
 
   /// Routes one sample to the engine serving `name` at the given priority
@@ -122,11 +128,13 @@ class Server {
   /// Leases the engine currently serving `name` (advanced use: pinning one
   /// generation across several calls, reading cam_export(), ...). The lease
   /// keeps that generation alive even across hot-swaps — drop it promptly.
-  std::shared_ptr<Engine> lease(const std::string& name) const { return registry_.acquire(name); }
+  std::shared_ptr<Engine> lease(const std::string& name) const { return slot(name).engine; }
 
-  bool has_model(const std::string& name) const { return registry_.contains(name); }
-  std::vector<std::string> models() const { return registry_.names(); }
-  std::uint64_t generation(const std::string& name) const { return registry_.generation(name); }
+  bool has_model(const std::string& name) const;
+  std::vector<std::string> models() const;  ///< deployed names, sorted
+  /// Generation last deployed under `name`: 0 before its first deploy, and
+  /// kept (not reset) by undeploy.
+  std::uint64_t generation(const std::string& name) const;
 
   /// Cumulative + live stats for one model. Throws UnknownModelError.
   ModelServerStats stats(const std::string& name) const;
@@ -136,19 +144,21 @@ class Server {
   void shutdown();
 
  private:
-  /// Swap-surviving per-name counters. Values are pointers so the map can
-  /// grow under its mutex while counters tick lock-free outside it.
-  struct Counters {
-    std::atomic<std::uint64_t> deploys{0};
-    std::atomic<std::uint64_t> shed{0};
+  /// One model name's state. Only deploy and undeploy create or change a
+  /// slot's engine; undeploy and shutdown null it but keep the slot.
+  struct Slot {
+    std::shared_ptr<Engine> engine;  ///< null while the name is not deployed
+    std::uint64_t generation = 0;    ///< successful deploys of this name
+    std::uint64_t shed = 0;          ///< submit-time sheds, every generation
   };
 
-  Counters& counters(const std::string& name) const;
+  /// Copy of `name`'s slot, taken in one lock acquisition. Throws
+  /// UnknownModelError when the name is not deployed.
+  Slot slot(const std::string& name) const;
   std::uint64_t install(const std::string& name, std::shared_ptr<Engine> engine);
 
-  ModelRegistry registry_;
-  mutable std::mutex counters_mutex_;
-  mutable std::map<std::string, std::unique_ptr<Counters>> counters_;
+  mutable std::mutex mutex_;
+  std::map<std::string, Slot> slots_;
 };
 
 }  // namespace pecan::runtime

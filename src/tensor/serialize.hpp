@@ -33,7 +33,7 @@ namespace pecan {
 
 /// A tensor/artifact file whose integrity trailer failed verification: the
 /// bytes parsed, but they are not the bytes that were written. Deploy paths
-/// catch this type to reject the artifact while leaving the registry as-is.
+/// catch this type to reject the artifact while leaving the model table as-is.
 struct ArtifactCorruptError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };

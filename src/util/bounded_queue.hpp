@@ -32,8 +32,9 @@
 // this is a queue-level guarantee: Engine::submit takes its sample by
 // value, so at THAT boundary a shed request's tensor is gone either way.)
 //
-// Per-class depth and shed counters are kept here, where every admission
-// decision lands, so EngineStats can report them without a second ledger.
+// The queue reports per-class depth only; sheds are counted by the caller
+// that fails the shed item (Engine's EngineStats::classes[c].shed counts
+// rejections and evictions alike), so there is one shed ledger.
 //
 // A `soft_capacity` below the hard bound lets a controller shrink the
 // admission window at runtime (deadline-derived queue caps): pushes respect
@@ -44,7 +45,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -66,8 +66,7 @@ class PriorityBucketQueue {
   explicit PriorityBucketQueue(std::size_t classes, std::size_t capacity = 0)
       : capacity_(capacity),
         soft_capacity_(capacity),
-        buckets_(classes == 0 ? 1 : classes),
-        shed_(buckets_.size(), 0) {}
+        buckets_(classes == 0 ? 1 : classes) {}
 
   PriorityBucketQueue(const PriorityBucketQueue&) = delete;
   PriorityBucketQueue& operator=(const PriorityBucketQueue&) = delete;
@@ -75,16 +74,13 @@ class PriorityBucketQueue {
   std::size_t classes() const { return buckets_.size(); }
 
   /// Non-blocking push into class `cls` (clamped to the top class): sheds the
-  /// INCOMING item when full. Counts the shed against `cls`.
+  /// INCOMING item when full.
   PushResult try_push(T& item, std::size_t cls) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
       cls = clamp_class(cls);
       if (closed_) return PushResult::Closed;
-      if (at_capacity()) {
-        ++shed_[cls];
-        return PushResult::Full;
-      }
+      if (at_capacity()) return PushResult::Full;
       enqueue(std::move(item), cls);
     }
     cv_.notify_all();
@@ -95,8 +91,7 @@ class PriorityBucketQueue {
   /// newest item of the lowest occupied class STRICTLY below `cls` is evicted
   /// into `evicted` (the caller owns failing it) and `item` is accepted. If
   /// `cls` is itself (tied for) the lowest, the incoming item sheds instead
-  /// (Full, item untouched). Sheds are counted against the evicted/rejected
-  /// item's class.
+  /// (Full, item untouched).
   PushResult try_push_evict(T& item, std::size_t cls, std::optional<T>& evicted) {
     evicted.reset();
     {
@@ -111,14 +106,10 @@ class PriorityBucketQueue {
             break;
           }
         }
-        if (victim >= buckets_.size()) {
-          ++shed_[cls];
-          return PushResult::Full;
-        }
+        if (victim >= buckets_.size()) return PushResult::Full;
         evicted = std::move(buckets_[victim].back());
         buckets_[victim].pop_back();
         --total_;
-        ++shed_[victim];
       }
       enqueue(std::move(item), cls);
     }
@@ -204,11 +195,6 @@ class PriorityBucketQueue {
     cv_.notify_all();
   }
 
-  bool closed() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return closed_;
-  }
-
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return total_;
@@ -219,14 +205,6 @@ class PriorityBucketQueue {
     return buckets_[clamp_class(cls)].size();
   }
 
-  /// Items shed from class `cls` (try_push rejections + evictions), lifetime.
-  std::uint64_t shed(std::size_t cls) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return shed_[clamp_class(cls)];
-  }
-
-  std::size_t capacity() const { return capacity_; }
-
   /// Controller knob: tighten admission to min(capacity, n) without touching
   /// already-queued items. 0 restores the hard bound. Wakes blocked pushers
   /// when the window widens.
@@ -236,11 +214,6 @@ class PriorityBucketQueue {
       soft_capacity_ = n;
     }
     cv_.notify_all();
-  }
-
-  std::size_t soft_capacity() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return soft_capacity_;
   }
 
  private:
@@ -283,7 +256,6 @@ class PriorityBucketQueue {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::vector<std::deque<T>> buckets_;
-  std::vector<std::uint64_t> shed_;
   std::size_t total_ = 0;
   bool closed_ = false;
 };

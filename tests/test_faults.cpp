@@ -6,7 +6,7 @@
 //     limits, disarm semantics, and the zero-cost unarmed fast path.
 //   * CRC-32 artifact trailer — round trip, legacy (trailer-less) files
 //     still load, bit flips and truncated trailers throw the typed
-//     ArtifactCorruptError, and a corrupt deploy leaves the registry
+//     ArtifactCorruptError, and a corrupt deploy leaves the model table
 //     serving the previous generation bit for bit.
 //   * EINTR hardening — send_all/recv_exact complete under a timer-signal
 //     storm that interrupts every few milliseconds.
@@ -265,7 +265,7 @@ TEST(CrcTrailer, CorruptArtifactDeployLeavesRegistryUntouched) {
   EXPECT_TRUE(matches(server.submit("m", sample).get(), ref));
 
   // The artifact.corrupt fault site simulates the same failure without a
-  // damaged file — identical registry guarantee.
+  // damaged file — identical model-table guarantee.
   FaultInjector::instance().arm_spec("artifact.corrupt:count=1");
   EXPECT_THROW(server.deploy_file("m", path), ArtifactCorruptError);
   EXPECT_EQ(server.generation("m"), 1u);

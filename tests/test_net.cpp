@@ -417,7 +417,7 @@ TEST(DeployFile, DeploysArtifactAndFailureLeavesRegistryUntouched) {
   }
   EXPECT_THROW(server.deploy_file("m", junk_path), std::exception);
   EXPECT_EQ(server.generation("m"), 1u);
-  EXPECT_EQ(server.stats("m").deploys, 1u);
+  EXPECT_EQ(server.stats("m").generation, 1u);
   {
     const std::vector<Tensor> rows = split_rows(server.forward_batch("m", batch));
     for (std::size_t s = 0; s < rows.size(); ++s) {
@@ -982,7 +982,7 @@ TEST(NetServer, DeployOverTheWireAndFailedDeployKeepsServing) {
   net.start();
   runtime::NetClient client("127.0.0.1", net.port());
 
-  // First DEPLOY brings the model up from an empty registry.
+  // First DEPLOY brings the model up from an empty model table.
   EXPECT_EQ(client.deploy("m", path_a), 1u);
   EXPECT_EQ(client.list_models(), (std::vector<std::string>{"m"}));
   EXPECT_TRUE(matches(client.infer("m", nth_sample(batch, 0)), ref_a[0]));

@@ -1,6 +1,7 @@
 // Tests for the multi-model serving front-end: single-class
-// util::PriorityBucketQueue semantics (the plain bounded FIFO),
-// ModelRegistry hot-swap ownership, and the Server's three acceptance
+// util::PriorityBucketQueue semantics (the plain bounded FIFO), the Server's
+// model table (lease ownership across hot-swaps, generations that survive
+// undeploy and are never reused, races on one name), and its three acceptance
 // guarantees — (a) per-sample results through the Server are bitwise-
 // identical to a direct Engine forward for every registered model under >=4
 // concurrent client threads, (b) hot-swap during sustained traffic loses no
@@ -10,6 +11,7 @@
 // magic, v1 files, failed deploy).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -17,6 +19,7 @@
 #include <cstring>
 #include <fstream>
 #include <future>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -25,7 +28,6 @@
 #include "models/lenet.hpp"
 #include "models/resnet.hpp"
 #include "runtime/model_artifact.hpp"
-#include "runtime/model_registry.hpp"
 #include "runtime/server.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/serialize.hpp"
@@ -273,35 +275,153 @@ bool matches(const Tensor& actual, const Tensor& expected) {
                      static_cast<std::size_t>(actual.numel()) * sizeof(float)) == 0;
 }
 
-// ---------------------------------------------------------------- ModelRegistry
+// --------------------------------------------------------------- model table
 
-TEST(ModelRegistry, InstallSwapEraseLifecycle) {
-  runtime::ModelRegistry registry;
-  EXPECT_THROW(registry.acquire("m"), runtime::UnknownModelError);
-  EXPECT_EQ(registry.try_acquire("m"), nullptr);
-  EXPECT_EQ(registry.generation("m"), 0u);
+TEST(Server, DeploySwapUndeployLifecycle) {
+  runtime::Server server;
+  EXPECT_EQ(server.generation("m"), 0u);  // never deployed
+  EXPECT_FALSE(server.has_model("m"));
+  EXPECT_THROW(server.lease("m"), runtime::UnknownModelError);
+  EXPECT_THROW(server.stats("m"), runtime::UnknownModelError);
 
-  Rng rng(7);
-  auto first = std::make_shared<runtime::Engine>(models::make_lenet5(models::Variant::PecanD, rng));
-  auto second = std::make_shared<runtime::Engine>(models::make_lenet5(models::Variant::PecanD, rng));
+  Rng rng(7), data(229);
+  const Tensor batch = lenet_batch(data, 2);
+  EXPECT_EQ(server.deploy("m", models::make_lenet5(models::Variant::PecanD, rng)), 1u);
+  std::shared_ptr<runtime::Engine> first = server.lease("m");
+  EXPECT_TRUE(server.has_model("m"));
+  EXPECT_EQ(server.models(), std::vector<std::string>{"m"});
 
-  runtime::ModelRegistry::InstallResult r1 = registry.install("m", first);
-  EXPECT_EQ(r1.generation, 1u);
-  EXPECT_EQ(r1.retired, nullptr);
-  EXPECT_EQ(registry.acquire("m"), first);
-  EXPECT_TRUE(registry.contains("m"));
-  EXPECT_EQ(registry.size(), 1u);
+  EXPECT_EQ(server.deploy("m", models::make_lenet5(models::Variant::PecanD, rng)), 2u);
+  EXPECT_EQ(server.generation("m"), 2u);
+  std::shared_ptr<runtime::Engine> second = server.lease("m");
+  EXPECT_NE(second, first);
+  // The held lease is the retired engine's only owner, and it still serves.
+  EXPECT_EQ(first.use_count(), 1);
+  EXPECT_EQ(first->forward_batch(batch).dim(0), 2);
 
-  runtime::ModelRegistry::InstallResult r2 = registry.install("m", second);
-  EXPECT_EQ(r2.generation, 2u);
-  EXPECT_EQ(r2.retired, first);  // retired engine handed back for out-of-lock teardown
-  EXPECT_EQ(registry.acquire("m"), second);
-  EXPECT_EQ(registry.generation("m"), 2u);
+  server.undeploy("m");
+  EXPECT_EQ(second.use_count(), 1);
+  EXPECT_FALSE(server.has_model("m"));
+  EXPECT_TRUE(server.models().empty());
+  EXPECT_THROW(server.lease("m"), runtime::UnknownModelError);
+  EXPECT_THROW(server.undeploy("m"), runtime::UnknownModelError);
+}
 
-  EXPECT_EQ(registry.erase("m"), second);
-  EXPECT_EQ(registry.erase("m"), nullptr);
-  EXPECT_THROW(registry.acquire("m"), runtime::UnknownModelError);
-  EXPECT_THROW(registry.install("m", nullptr), std::invalid_argument);
+TEST(Server, RedeployAfterUndeployContinuesGeneration) {
+  util::set_global_threads(1);
+  Rng rng(7), data(233);
+  const Tensor batch = lenet_batch(data, 2);
+  runtime::EngineConfig config;
+  config.max_batch = 1;
+  config.max_pending = 1;  // a single-thread burst overruns it
+  config.backpressure = runtime::Backpressure::Reject;
+
+  runtime::Server server;
+  ASSERT_EQ(server.deploy("m", models::make_lenet5(models::Variant::PecanD, rng), config), 1u);
+  std::vector<std::future<Tensor>> accepted;
+  std::uint64_t shed = 0;
+  for (int i = 0; i < 1000 && shed == 0; ++i) {
+    try {
+      accepted.push_back(server.submit("m", nth_sample(batch, i % 2)));
+    } catch (const runtime::OverloadedError&) {
+      ++shed;
+    }
+  }
+  ASSERT_EQ(shed, 1u);
+  for (auto& future : accepted) EXPECT_EQ(future.get().numel(), 10);
+  EXPECT_EQ(server.stats("m").shed_total, 1u);
+
+  server.undeploy("m");
+  EXPECT_EQ(server.generation("m"), 1u);  // kept, not reset
+
+  EXPECT_EQ(server.deploy("m", models::make_lenet5(models::Variant::PecanD, rng), config), 2u);
+  const runtime::ModelServerStats stats = server.stats("m");
+  EXPECT_EQ(stats.generation, 2u);
+  EXPECT_EQ(stats.shed_total, 1u);    // carried over from generation 1
+  EXPECT_EQ(stats.engine.shed, 0u);   // the new engine has shed nothing
+  EXPECT_EQ(server.generation("m"), 2u);
+}
+
+// Two writers hot-swap, undeploy and redeploy one name while three readers
+// route through it. Run under TSan: the table's one mutex must order every
+// access, each call must either succeed or throw UnknownModelError, and no
+// generation may repeat or go backwards.
+TEST(Server, ConcurrentSwapUndeployAndReadsOnOneName) {
+  util::set_global_threads(1);
+  constexpr int kWriters = 2;
+  constexpr int kRounds = 6;
+  Rng data(239);
+  const Tensor batch = lenet_batch(data, 2);
+
+  runtime::Server server;
+  std::vector<std::uint64_t> deployed;  // every generation deploy() returned
+  std::mutex deployed_mutex;
+  const auto deploy = [&](std::uint64_t seed) {
+    Rng rng(seed);
+    const std::uint64_t g = server.deploy("m", models::make_lenet5(models::Variant::PecanD, rng));
+    std::lock_guard<std::mutex> lock(deployed_mutex);
+    deployed.push_back(g);
+  };
+  deploy(7);
+
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> ok{0}, unknown{0}, other{0};
+  const auto guarded = [&](auto&& call) {
+    try {
+      call();
+      ok.fetch_add(1);
+    } catch (const runtime::UnknownModelError&) {
+      unknown.fetch_add(1);
+    } catch (...) {
+      other.fetch_add(1);
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int r = 0; r < kRounds; ++r) {
+        guarded([&] { deploy(static_cast<std::uint64_t>(8 + w)); });  // hot-swap
+        guarded([&] { server.undeploy("m"); });
+        guarded([&] { deploy(static_cast<std::uint64_t>(10 + w)); });  // redeploy
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (!done.load()) {
+      guarded([&] { EXPECT_EQ(server.submit("m", nth_sample(batch, 0)).get().numel(), 10); });
+    }
+  });
+  threads.emplace_back([&] {
+    std::uint64_t last = 0;
+    while (!done.load()) {
+      guarded([&] {
+        const std::uint64_t g = server.stats("m").generation;
+        EXPECT_GE(g, last) << "a reader saw the generation go backwards";
+        last = g;
+      });
+    }
+  });
+  threads.emplace_back([&] {
+    while (!done.load()) {
+      guarded([&] {
+        const std::vector<std::string> names = server.models();
+        EXPECT_TRUE(names.empty() || names == std::vector<std::string>{"m"});
+      });
+    }
+  });
+  for (int w = 0; w < kWriters; ++w) threads[static_cast<std::size_t>(w)].join();
+  done.store(true);
+  for (std::size_t t = kWriters; t < threads.size(); ++t) threads[t].join();
+
+  EXPECT_EQ(other.load(), 0u);
+  EXPECT_GT(ok.load(), 0u);
+  // Generations 1..N were each handed out exactly once, and the table kept
+  // counting across every undeploy.
+  std::sort(deployed.begin(), deployed.end());
+  ASSERT_EQ(deployed.size(), static_cast<std::size_t>(1 + 2 * kWriters * kRounds));
+  for (std::size_t i = 0; i < deployed.size(); ++i) EXPECT_EQ(deployed[i], i + 1);
+  EXPECT_EQ(server.generation("m"), deployed.back());
 }
 
 // ------------------------------------------- (a) multi-model bitwise identity
@@ -379,7 +499,6 @@ TEST(Server, ConcurrentClientsBitwiseIdenticalForEveryModel) {
   for (const RefModel& ref : refs) {
     const runtime::ModelServerStats stats = server.stats(ref.name);
     EXPECT_EQ(stats.generation, 1u);
-    EXPECT_EQ(stats.deploys, 1u);
     EXPECT_EQ(stats.shed_total, 0u);
     EXPECT_EQ(stats.engine.shed, 0u);
     EXPECT_EQ(stats.engine.requests,
@@ -470,7 +589,7 @@ TEST(Server, HotSwapLosesNoRequestAndNeverMixesWeights) {
   EXPECT_EQ(matched_old.load() + matched_new.load(), served.load());
 
   const runtime::ModelServerStats stats = server.stats("m");
-  EXPECT_EQ(stats.deploys, 4u);
+  EXPECT_EQ(stats.generation, 4u);
   EXPECT_EQ(stats.shed_total, 0u);
   // The final generation (seed 8) is the one serving now.
   const std::vector<Tensor> final_rows = split_rows(server.forward_batch("m", batch));
@@ -723,10 +842,10 @@ TEST(Server, FailedDeployKeepsOldModelServingAndRegistryUnchanged) {
   alien.model = "alexnet";
   EXPECT_THROW(server.deploy("m", alien), std::invalid_argument);
 
-  // The registry is untouched: same generation, same weights, still serving.
+  // The model table is untouched: same generation, same weights, still serving.
   EXPECT_EQ(server.generation("m"), 1u);
   EXPECT_EQ(server.models(), std::vector<std::string>{"m"});
-  EXPECT_EQ(server.stats("m").deploys, 1u);
+  EXPECT_EQ(server.stats("m").generation, 1u);
   const std::vector<Tensor> after = split_rows(server.forward_batch("m", batch));
   for (std::size_t s = 0; s < ref.size(); ++s) {
     ASSERT_TRUE(matches(after[s], ref[s])) << "old model must keep serving, sample " << s;
