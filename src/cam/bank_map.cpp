@@ -1,25 +1,12 @@
 #include "cam/bank_map.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace pecan::cam {
 
-const char* placement_name(BankPlacement p) {
-  switch (p) {
-    case BankPlacement::RoundRobin: return "round_robin";
-    case BankPlacement::CapacityAware: return "capacity_aware";
-  }
-  return "round_robin";
-}
-
-BankMap::BankMap(CamNetworkExport& network, BankConfig config)
-    : config_(config), network_(&network) {
-  if (config_.banks < 1) throw std::invalid_argument("BankMap: banks must be >= 1");
-  if (config_.capacity_words < 0) {
-    throw std::invalid_argument("BankMap: capacity_words must be >= 0");
-  }
-  const std::size_t nbanks = static_cast<std::size_t>(config_.banks);
+BankMap::BankMap(CamNetworkExport& network, std::int64_t banks) : network_(&network) {
+  if (banks < 1) throw std::invalid_argument("BankMap: banks must be >= 1");
+  const std::size_t nbanks = static_cast<std::size_t>(banks);
   ports_.reserve(nbanks);
   for (std::size_t b = 0; b < nbanks; ++b) ports_.push_back(std::make_unique<OpCounter>());
   bank_words_.assign(nbanks, 0);
@@ -27,33 +14,13 @@ BankMap::BankMap(CamNetworkExport& network, BankConfig config)
 
   // Deterministic placement: arrays visited in network order (cam_layers is
   // built in network order by convert_to_cam, groups ascend within a
-  // layer), banks chosen by a pure function of the loads so far.
+  // layer), array k landing on bank k mod banks.
   std::int64_t ordinal = 0;
   for (std::size_t li = 0; li < network.cam_layers.size(); ++li) {
     CamConv2d* layer = network.cam_layers[li];
     for (std::int64_t j = 0; j < layer->groups(); ++j, ++ordinal) {
       const std::int64_t words = layer->array(j).word_count();
-      std::int64_t bank;
-      if (config_.placement == BankPlacement::RoundRobin) {
-        bank = ordinal % config_.banks;
-      } else {
-        // Least-loaded bank with room for the whole subspace (a codebook
-        // never splits across banks); lowest index breaks ties so the
-        // choice is deterministic.
-        bank = -1;
-        for (std::int64_t b = 0; b < config_.banks; ++b) {
-          const std::int64_t load = bank_words_[static_cast<std::size_t>(b)];
-          if (config_.capacity_words > 0 && load + words > config_.capacity_words) continue;
-          if (bank < 0 || load < bank_words_[static_cast<std::size_t>(bank)]) bank = b;
-        }
-        if (bank < 0) {
-          throw std::invalid_argument(
-              "BankMap: no bank has capacity for " + std::to_string(words) + " words of " +
-              layer->name() + " group " + std::to_string(j) + " (capacity_words=" +
-              std::to_string(config_.capacity_words) + ", banks=" +
-              std::to_string(config_.banks) + ")");
-        }
-      }
+      const std::int64_t bank = ordinal % banks;
       bank_words_[static_cast<std::size_t>(bank)] += words;
       ++bank_arrays_[static_cast<std::size_t>(bank)];
       assignments_.push_back({bank, static_cast<std::int64_t>(li), j, words});
@@ -71,15 +38,11 @@ BankMap::~BankMap() {
 }
 
 std::vector<BankStats> BankMap::stats(const ops::EnergyModel& model) const {
-  std::vector<BankStats> out(static_cast<std::size_t>(config_.banks));
+  std::vector<BankStats> out(ports_.size());
   for (std::size_t b = 0; b < out.size(); ++b) {
     BankStats& s = out[b];
     s.arrays = bank_arrays_[b];
     s.words = bank_words_[b];
-    s.capacity_words = config_.capacity_words;
-    if (config_.capacity_words > 0) {
-      s.occupancy = static_cast<double>(s.words) / static_cast<double>(config_.capacity_words);
-    }
     const ops::OpTotals t = ports_[b]->totals();
     s.searches = t.cam_searches;
     s.energy_pj = model.energy(t).total_pj();

@@ -2,31 +2,28 @@
 // simulated multi-bank hardware, with live per-bank accounting.
 //
 // The paper's deployment story is CAM banks doing in-memory search: a real
-// part has a fixed number of banks of fixed word capacity, and which
-// subspace lands on which bank decides per-bank utilization, energy, and —
-// under device variation — accuracy. BankMap models exactly that boundary:
-// it walks a CamNetworkExport in network order and assigns each group's
-// CamArray (all of its prototype words — a subspace is never split across
-// banks, matching how a codebook maps onto one physical array) to one of
-// `banks` simulated banks, either round-robin or capacity-aware
-// (least-loaded-first with a deterministic lowest-index tie-break).
+// part has a fixed number of banks, and which subspace lands on which bank
+// decides per-bank utilization and energy. BankMap models exactly that
+// boundary: it walks a CamNetworkExport in network order and assigns each
+// group's CamArray (all of its prototype words — a subspace is never split
+// across banks, matching how a codebook maps onto one physical array) to
+// one of `banks` simulated banks round-robin (array k -> bank k mod banks).
 //
 // Each bank owns an OpCounter "port". Every array is wired to its bank's
 // port (CamArray::set_bank_port), and each flush of a lane's tally mirrors
 // its exact amounts into it — the same relaxed-atomic amounts the network
 // ledger receives, by construction (cam::count_into). stats() prices each
-// bank's ledger through ops::EnergyModel, so per-bank searches, occupancy,
-// and energy are live serving stats, and the per-bank energies sum to the
-// network-wide total exactly.
+// bank's ledger through ops::EnergyModel, so per-bank searches and energy
+// are live serving stats, and the per-bank energies sum to the network-wide
+// total exactly.
 //
-// Placement is a pure deterministic function of (network, config): same
-// export + same config => same assignment, asserted by tests — required,
+// Placement is a pure deterministic function of (network, banks): same
+// export + same bank count => same assignment, asserted by tests — required,
 // because per-bank noise (cam/nonideal) seeds off the assignment.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "cam/convert.hpp"
@@ -36,39 +33,20 @@
 
 namespace pecan::cam {
 
-enum class BankPlacement {
-  RoundRobin,    ///< array k -> bank k mod banks (capacity is report-only)
-  CapacityAware  ///< least-loaded bank with room; lowest index breaks ties
-};
-
-const char* placement_name(BankPlacement p);
-
-struct BankConfig {
-  std::int64_t banks = 4;           ///< simulated bank count (>= 1)
-  /// Words per bank. 0 = unbounded: RoundRobin reports occupancy relative
-  /// to nothing (0.0) and CapacityAware degenerates to least-loaded.
-  /// CapacityAware with a capacity the network cannot fit throws at
-  /// placement time — a part that small cannot hold the model.
-  std::int64_t capacity_words = 0;
-  BankPlacement placement = BankPlacement::RoundRobin;
-};
-
 /// One array's placement: which bank holds the prototype words of
 /// cam_layers[layer]'s group `group`.
 struct BankAssignment {
   std::int64_t bank = 0;
   std::int64_t layer = 0;  ///< index into CamNetworkExport::cam_layers
   std::int64_t group = 0;  ///< subspace j within that layer
-  std::int64_t words = 0;  ///< prototypes stored (occupancy contribution)
+  std::int64_t words = 0;  ///< prototypes stored
 };
 
 /// Live per-bank snapshot (EngineStats::banks / the STATS wire verb).
-#define PECAN_BANK_STATS_FIELDS(X)            \
-  X(std::int64_t, arrays, 0, "count")         \
-  X(std::int64_t, words, 0, "count")          \
-  X(std::int64_t, capacity_words, 0, "count") \
-  X(double, occupancy, 0.0, "ratio")          \
-  X(std::uint64_t, searches, 0, "count")      \
+#define PECAN_BANK_STATS_FIELDS(X)       \
+  X(std::int64_t, arrays, 0, "count")    \
+  X(std::int64_t, words, 0, "count")     \
+  X(std::uint64_t, searches, 0, "count") \
   X(double, energy_pj, 0.0, "pJ")
 struct BankStats {
   PECAN_BANK_STATS_FIELDS(PECAN_STATS_MEMBER)
@@ -76,16 +54,15 @@ struct BankStats {
 
 class BankMap {
  public:
-  /// Places every array of `network` and wires it to its bank's port. The
-  /// map must not outlive the export (it borrows the arrays); on
-  /// destruction it detaches its ports.
-  BankMap(CamNetworkExport& network, BankConfig config);
+  /// Places every array of `network` round-robin onto `banks` banks (>= 1)
+  /// and wires it to its bank's port. The map must not outlive the export
+  /// (it borrows the arrays); on destruction it detaches its ports.
+  BankMap(CamNetworkExport& network, std::int64_t banks);
   ~BankMap();
   BankMap(const BankMap&) = delete;
   BankMap& operator=(const BankMap&) = delete;
 
-  std::int64_t bank_count() const { return config_.banks; }
-  const BankConfig& config() const { return config_; }
+  std::int64_t bank_count() const { return static_cast<std::int64_t>(ports_.size()); }
   const std::vector<BankAssignment>& assignments() const { return assignments_; }
 
   /// Snapshot: static placement facts + live search counts + exact energy
@@ -97,7 +74,6 @@ class BankMap {
   void reset();
 
  private:
-  BankConfig config_;
   CamNetworkExport* network_;
   std::vector<BankAssignment> assignments_;
   std::vector<std::unique_ptr<OpCounter>> ports_;  ///< one ledger per bank

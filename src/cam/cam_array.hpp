@@ -200,7 +200,7 @@ class CamArray {
   /// bitwise-untouched (the offsets are applied after each word's full
   /// accumulation, so scalar and blocked searches stay identical to each
   /// other with noise on, too). Quantized (Int8/Binary) scans never inject:
-  /// noise is a Float32-only study (the engine enforces this).
+  /// noise is a Float32-only study (cam::apply_matchline_noise enforces this).
   void set_matchline_noise(std::vector<float> offsets);
   void clear_matchline_noise() { mlnoise_.clear(); }
   const std::vector<float>& matchline_noise() const { return mlnoise_; }

@@ -53,6 +53,13 @@ MatchlineNoiseReport apply_matchline_noise(CamNetworkExport& network, const Bank
   if (config.sigma < 0) {
     throw std::invalid_argument("apply_matchline_noise: sigma must be >= 0");
   }
+  for (const CamConv2d* layer : network.cam_layers) {
+    if (layer->effective_precision() != CamPrecision::Float32) {
+      throw std::invalid_argument("apply_matchline_noise: " + layer->name() + " runs at " +
+                                  precision_name(layer->effective_precision()) +
+                                  "; match-line noise requires CamPrecision::Float32");
+    }
+  }
   // One independent stream per bank: variation is a property of the
   // physical bank the words landed on, so re-placing the same model onto a
   // different bank layout yields a different (but still deterministic)
@@ -70,14 +77,12 @@ MatchlineNoiseReport apply_matchline_noise(CamNetworkExport& network, const Bank
     CamArray& array = network.cam_layers[static_cast<std::size_t>(a.layer)]->array(a.group);
     const Tensor& words = array.words();
     const std::int64_t p = array.word_count();
-    const std::int64_t d = array.word_dim();
 
     // Scale reference: the mean l1 norm of this array's stored words — the
     // "full discharge" of a typical match line in this subspace.
     double norm_sum = 0;
     for (std::int64_t i = 0; i < words.numel(); ++i) norm_sum += std::fabs(words[i]);
     const double mean_norm = p > 0 ? norm_sum / static_cast<double>(p) : 0.0;
-    (void)d;
 
     Rng& rng = streams[static_cast<std::size_t>(a.bank)];
     std::vector<float> offsets(static_cast<std::size_t>(p));

@@ -20,6 +20,10 @@
 //     die-location-dependent. Injection happens inside the Float32 CamArray
 //     scan paths (see CamArray::set_matchline_noise); with no offsets set
 //     the search path is bitwise-untouched.
+//
+// Both are offline studies over a CamNetworkExport: the serving engine runs
+// one fixed, noise-free CAM part. bench_ablation_bitwidth reports accuracy
+// and argmax agreement with the clean export per bit width and per sigma.
 #pragma once
 
 #include <cstdint>
@@ -67,9 +71,12 @@ struct MatchlineNoiseReport {
 /// Draws and installs static per-word match-line offsets for every array of
 /// `network`, seeded PER BANK from `banks`' placement: each bank gets an
 /// independent stream derived from (config.seed, bank id), and arrays are
-/// visited in the deterministic assignment order, so the same export +
-/// BankConfig + noise config always yields the same device. Offsets are
-/// offset[m] = sigma * mean_word_l1_norm(array) * N(0, 1).
+/// visited in the deterministic assignment order, so the same export + bank
+/// count + noise config always yields the same device. Offsets are
+/// offset[m] = sigma * mean_word_l1_norm(array) * N(0, 1). Throws
+/// std::invalid_argument on an export whose layers do not all run at
+/// Float32: quantized scans never inject, so the study would silently
+/// measure a noise-free part.
 MatchlineNoiseReport apply_matchline_noise(CamNetworkExport& network, const BankMap& banks,
                                            const MatchlineNoiseConfig& config);
 

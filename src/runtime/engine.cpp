@@ -14,6 +14,10 @@ namespace pecan::runtime {
 namespace {
 /// Samples in the sliding latency windows behind p50/p99 and the SLO controller.
 constexpr std::size_t kLatencyWindow = 1024;
+/// Banks of the simulated CAM part every Cam-path engine serves on: arrays
+/// are placed round-robin (cam::BankMap), and EngineStats::banks reports
+/// one entry per bank.
+constexpr std::int64_t kBanks = 4;
 
 /// Flattens nested Sequentials into a linear step list. Residual blocks
 /// stay single steps: their two branches are an internal fork/join, not a
@@ -55,35 +59,12 @@ Engine::Engine(std::unique_ptr<nn::Sequential> net, EngineConfig config)
   if (config_.cam_precision != cam::CamPrecision::Float32 && config_.path != ExecPath::Cam) {
     throw std::invalid_argument("Engine: cam_precision requires ExecPath::Cam");
   }
-  if (config_.noise_sigma < 0.0) {
-    throw std::invalid_argument("Engine: noise_sigma must be >= 0");
-  }
-  if (config_.noise_shadow_every < 1) {
-    throw std::invalid_argument("Engine: noise_shadow_every must be >= 1");
-  }
-  if (config_.noise_sigma > 0.0) {
-    if (config_.path != ExecPath::Cam) {
-      throw std::invalid_argument("Engine: noise_sigma requires ExecPath::Cam");
-    }
-    if (config_.cam_precision != cam::CamPrecision::Float32) {
-      // Quantized scans never inject (the offsets live on the float match
-      // lines); silently serving noise-free would misreport the study.
-      throw std::invalid_argument("Engine: noise_sigma requires CamPrecision::Float32");
-    }
-  }
   if (config_.path == ExecPath::Cam) {
     export_ = cam::convert_to_cam(*net_);
     if (config_.cam_precision != cam::CamPrecision::Float32) {
       export_.set_precision(config_.cam_precision);
     }
-    // Placement before noise: the per-bank noise streams seed off the
-    // assignment, so the same export + bank config + seed is the same device.
-    banks_ = std::make_unique<cam::BankMap>(export_, config_.bank_config);
-    if (config_.noise_sigma > 0.0) {
-      shadow_ = cam::convert_to_cam(*net_);
-      noise_report_ = cam::apply_matchline_noise(
-          export_, *banks_, {config_.noise_sigma, config_.noise_seed});
-    }
+    banks_ = std::make_unique<cam::BankMap>(export_, kBanks);
   }
   compile();
 }
@@ -112,11 +93,6 @@ void Engine::compile() {
   plan_names_.clear();
   flatten(active(), plan_, plan_names_);
   if (plan_.empty()) throw std::invalid_argument("Engine: empty network");
-  if (shadow_.net) {
-    shadow_plan_.clear();
-    std::vector<std::string> names;  // twin of plan_names_, not exposed
-    flatten(*shadow_.net, shadow_plan_, names);
-  }
   if (config_.shard_samples < 0) {
     throw std::invalid_argument("Engine: shard_samples must be >= 0");
   }
@@ -308,41 +284,7 @@ Tensor Engine::run_request(const Tensor& batch, bool record) {
     ++stats_.sharded_batches;
     stats_.shard_executions += static_cast<std::uint64_t>(shards);
   }
-  maybe_shadow(batch, out);
   return out;
-}
-
-void Engine::maybe_shadow(const Tensor& batch, const Tensor& out) {
-  if (!shadow_.net) return;
-  // Every Nth parent request (the fetch_add makes concurrent requests take
-  // distinct sequence numbers, so the cadence holds under concurrency and
-  // the FIRST request is always sampled).
-  const std::uint64_t seq = parent_seq_.fetch_add(1, std::memory_order_relaxed);
-  if (seq % static_cast<std::uint64_t>(config_.noise_shadow_every) != 0) return;
-  if (out.ndim() != 2 || batch.ndim() < 2) return;  // non-logit outputs: nothing to grade
-
-  ContextLease lease(*this);
-  nn::InferContext& ctx = lease.ctx();
-  ctx.reset();
-  Tensor golden = batch;
-  for (const nn::Module* step : shadow_plan_) golden = step->infer(golden, ctx);
-  if (golden.shape() != out.shape()) return;
-
-  const std::int64_t n = out.dim(0);
-  const std::int64_t classes = out.dim(1);
-  std::uint64_t agree = 0;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float* noisy = out.data() + i * classes;
-    const float* clean = golden.data() + i * classes;
-    std::int64_t noisy_arg = 0, clean_arg = 0;
-    for (std::int64_t c = 1; c < classes; ++c) {
-      if (noisy[c] > noisy[noisy_arg]) noisy_arg = c;
-      if (clean[c] > clean[clean_arg]) clean_arg = c;
-    }
-    if (noisy_arg == clean_arg) ++agree;
-  }
-  shadow_samples_.fetch_add(static_cast<std::uint64_t>(n), std::memory_order_relaxed);
-  shadow_agree_.fetch_add(agree, std::memory_order_relaxed);
 }
 
 // ------------------------------------------------------------ micro-batching
@@ -696,12 +638,6 @@ EngineStats Engine::stats() const {
     }
   }
   if (banks_) snapshot.banks = banks_->stats(energy_model_);
-  snapshot.noise_shadow_samples = shadow_samples_.load(std::memory_order_relaxed);
-  snapshot.noise_shadow_agree = shadow_agree_.load(std::memory_order_relaxed);
-  if (snapshot.noise_shadow_samples > 0) {
-    snapshot.accuracy_under_variation = static_cast<double>(snapshot.noise_shadow_agree) /
-                                        static_cast<double>(snapshot.noise_shadow_samples);
-  }
   return snapshot;
 }
 

@@ -35,9 +35,13 @@
 //   Float — the trained pq::PecanConv2d network as-is (prototype matching
 //           in f32; also serves Baseline/Adder variants);
 //   Cam   — the network exported through cam::convert_to_cam (CAM search +
-//           LUT accumulate, Algorithm 1); the shared OpCounter and usage
-//           histograms stay exact under concurrency because lanes tally
-//           locally and flush into them atomically.
+//           LUT accumulate, Algorithm 1) and placed round-robin onto one
+//           fixed simulated part of 4 banks (cam::BankMap); the shared
+//           OpCounter, the per-bank ledgers and the usage histograms stay
+//           exact under concurrency because lanes tally locally and flush
+//           into them atomically. The part is ideal: match-line noise
+//           (cam/nonideal) is an offline study over an export, not a
+//           serving mode.
 //
 // Per-sample results are bitwise-identical to an unbatched forward at any
 // thread count AND any client concurrency: batching never crosses samples,
@@ -58,7 +62,6 @@
 
 #include "cam/bank_map.hpp"
 #include "cam/convert.hpp"
-#include "cam/nonideal.hpp"
 #include "nn/module.hpp"
 #include "ops/energy_model.hpp"
 #include "runtime/model_artifact.hpp"
@@ -154,30 +157,6 @@ struct EngineConfig {
   /// batch size moves within [1, max_batch] and the effective straggler
   /// wait within [0, batch_wait].
   double slo_target_ms = 0.0;
-  /// Simulated multi-bank CAM backend (ExecPath::Cam only; ignored on the
-  /// Float path). Every subspace array is placed onto one of
-  /// bank_config.banks simulated banks at compile time (cam::BankMap), and
-  /// every flushed search tally mirrors its exact op counts into per-bank
-  /// ledgers — EngineStats::banks reports live occupancy, searches, and
-  /// energy per bank. Placement never changes WHAT is computed (each array
-  /// still holds all its words), so outputs are bitwise-identical at any
-  /// bank count (asserted by test_banks under TSan).
-  cam::BankConfig bank_config{};
-  /// Match-line device variation (cam/nonideal): > 0 draws static per-word
-  /// Gaussian offsets, seeded per bank from `noise_seed` and the BankMap
-  /// placement, and injects them into the Float32 search paths. Requires
-  /// ExecPath::Cam at CamPrecision::Float32 (quantized scans never inject —
-  /// throws otherwise). 0 = off: the search path is bitwise-untouched.
-  double noise_sigma = 0.0;
-  std::uint64_t noise_seed = 0x5EEDCA15ull;
-  /// Accuracy-under-variation sampling cadence: with noise on, every Nth
-  /// PARENT request (a forward_batch call or one coalesced micro-batch) is
-  /// re-run through a clean no-noise golden twin of the export and the
-  /// per-sample argmax agreement feeds EngineStats::accuracy_under_variation.
-  /// The shadow has its own OpCounter, so the energy ledger and usage
-  /// histograms only ever see served traffic. Must be >= 1; the first
-  /// parent request is always sampled (deterministic smoke coverage).
-  std::int64_t noise_shadow_every = 32;
 };
 
 /// Per-priority-class serving counters (EngineStats::classes, index =
@@ -220,10 +199,7 @@ struct EngineClassStats {
   X(std::uint64_t, direct_samples, 0, "count")           \
   X(double, energy_pj, 0.0, "pJ")                        \
   X(double, energy_per_inference_nj, 0.0, "nJ")          \
-  X(std::vector<cam::BankStats>, banks, {}, "array")     \
-  X(std::uint64_t, noise_shadow_samples, 0, "count")     \
-  X(std::uint64_t, noise_shadow_agree, 0, "count")       \
-  X(double, accuracy_under_variation, 1.0, "ratio")
+  X(std::vector<cam::BankStats>, banks, {}, "array")
 struct EngineStats {
   PECAN_ENGINE_STATS_FIELDS(PECAN_STATS_MEMBER)
 };
@@ -293,12 +269,8 @@ class Engine {
   cam::OpCounter* counter() { return export_.counter.get(); }
   /// The CAM export (empty .net on the Float path) — for pruning etc.
   cam::CamNetworkExport& cam_export() { return export_; }
-  /// Simulated bank placement (null on the Float path).
-  const cam::BankMap* bank_map() const { return banks_.get(); }
   /// Per-op energy table the engine prices ledgers with.
   const ops::EnergyModel& energy_model() const { return energy_model_; }
-  /// Offsets drawn at compile time (all-zero report when noise is off).
-  const cam::MatchlineNoiseReport& noise_report() const { return noise_report_; }
 
  private:
   struct Pending {
@@ -351,13 +323,6 @@ class Engine {
   void batcher_loop();
   void execute_pending(std::vector<Pending>& batch);
   void ensure_batcher();
-  /// Accuracy-under-variation sampling: every config_.noise_shadow_every-th
-  /// parent request re-runs `batch` through the clean golden twin and
-  /// argmax-compares each sample's logits row against `out`. Runs on the
-  /// requesting thread (it already owns the request's latency budget) with
-  /// its own ContextLease; counters are relaxed atomics, so concurrent
-  /// parent requests sample independently.
-  void maybe_shadow(const Tensor& batch, const Tensor& out);
   void record_latency(double ms);
   /// Records one submit()ed sample's end-to-end latency into the global and
   /// its class's sliding windows.
@@ -373,24 +338,11 @@ class Engine {
   /// Bank placement over export_'s arrays. Declared AFTER export_ so it
   /// destructs FIRST and detaches its ports while the arrays still exist.
   std::unique_ptr<cam::BankMap> banks_;
-  /// Clean no-noise golden twin of the export (noise_sigma > 0 only): a
-  /// second convert_to_cam of the same trained net with its own OpCounter,
-  /// serving the accuracy-under-variation shadow without polluting the
-  /// energy ledger or usage histograms.
-  cam::CamNetworkExport shadow_;
   EngineConfig config_;
   ops::EnergyModel energy_model_;
-  cam::MatchlineNoiseReport noise_report_;
 
   std::vector<const nn::Module*> plan_;  ///< flattened execution steps, in order
   std::vector<std::string> plan_names_;
-  std::vector<const nn::Module*> shadow_plan_;  ///< golden twin steps (noise on only)
-
-  // Shadow sampling state: parent_seq_ picks every Nth parent request;
-  // agreement counters are read by stats() concurrently with serving.
-  std::atomic<std::uint64_t> parent_seq_{0};
-  std::atomic<std::uint64_t> shadow_samples_{0};
-  std::atomic<std::uint64_t> shadow_agree_{0};
 
   // Per-worker inference contexts: leased per in-flight execution, grown on
   // demand, owned for the engine's lifetime. Released contexts merge their
