@@ -9,6 +9,20 @@
 
 namespace pecan::cam {
 
+namespace {
+/// The FC reshape around either conv path: [N, in] -> [N, in, 1, 1] ->
+/// `conv` -> [N, out].
+template <typename Conv>
+Tensor as_fc(const Tensor& input, std::int64_t in, std::int64_t out, const std::string& name,
+             Conv&& conv) {
+  if (input.ndim() != 2 || input.dim(1) != in) {
+    throw std::invalid_argument(name + ": expected [N," + std::to_string(in) + "]");
+  }
+  const std::int64_t n = input.dim(0);
+  return conv(input.reshaped({n, in, 1, 1})).reshaped({n, out});
+}
+}  // namespace
+
 CamConv2d::CamConv2d(const pq::PecanConv2d& trained, std::shared_ptr<OpCounter> counter)
     : name_(trained.name() + ".cam"), cin_(trained.cin()), cout_(trained.cout()),
       k_(trained.kernel()), stride_(trained.stride()), pad_(trained.pad()),
@@ -49,8 +63,8 @@ CamConv2d::CamConv2d(const pq::PecanConv2d& trained, std::shared_ptr<OpCounter> 
 }
 
 Tensor CamConv2d::forward(const Tensor& input) {
-  // CAM layers are inference-only (backward() throws), so the stateful path
-  // is just the stateless one plus the shape capture for inference_ops().
+  // CAM layers are inference-only (backward() throws), so forward() keeps
+  // no cache: it is infer() plus the shape capture for inference_ops().
   nn::InferContext ctx;
   Tensor out = infer(input, ctx);
   input_shape_ = input.shape();
@@ -210,21 +224,11 @@ CamLinear::CamLinear(const pq::PecanConv2d& trained_fc_conv, std::shared_ptr<OpC
 }
 
 Tensor CamLinear::forward(const Tensor& input) {
-  if (input.ndim() != 2 || input.dim(1) != in_) {
-    throw std::invalid_argument(name() + ": expected [N," + std::to_string(in_) + "]");
-  }
-  const std::int64_t n = input.dim(0);
-  Tensor out = conv_.forward(input.reshaped({n, in_, 1, 1}));
-  return std::move(out).reshaped({n, out_});
+  return as_fc(input, in_, out_, name(), [&](const Tensor& x) { return conv_.forward(x); });
 }
 
 Tensor CamLinear::infer(const Tensor& input, nn::InferContext& ctx) const {
-  if (input.ndim() != 2 || input.dim(1) != in_) {
-    throw std::invalid_argument(name() + ": expected [N," + std::to_string(in_) + "]");
-  }
-  const std::int64_t n = input.dim(0);
-  Tensor out = conv_.infer(input.reshaped({n, in_, 1, 1}), ctx);
-  return std::move(out).reshaped({n, out_});
+  return as_fc(input, in_, out_, name(), [&](const Tensor& x) { return conv_.infer(x, ctx); });
 }
 
 Tensor CamLinear::backward(const Tensor&) {

@@ -47,12 +47,8 @@ Tensor calibrate_forward(nn::Module& module, Tensor x, std::int64_t iterations, 
   }
   if (auto* residual = dynamic_cast<nn::Residual*>(&module)) {
     Tensor main_out = calibrate_forward(residual->main(), x, iterations, rng);
-    Tensor short_out = calibrate_forward(residual->shortcut(), x, iterations, rng);
-    for (std::int64_t i = 0; i < main_out.numel(); ++i) {
-      main_out[i] += short_out[i];
-      if (residual->relu_after() && main_out[i] < 0.f) main_out[i] = 0.f;
-    }
-    return main_out;
+    return residual->join(std::move(main_out),
+                          calibrate_forward(residual->shortcut(), x, iterations, rng));
   }
   return module.forward(x);
 }

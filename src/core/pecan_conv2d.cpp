@@ -132,102 +132,73 @@ void PecanConv2d::match_group(std::int64_t j, const float* cols, std::int64_t le
   }
 }
 
-Tensor PecanConv2d::forward(const Tensor& input) {
+nn::Conv2dGeometry PecanConv2d::input_geometry(const Tensor& input) const {
   if (input.ndim() != 4 || input.dim(1) != cin_) {
     throw std::invalid_argument(name_ + ": expected [N," + std::to_string(cin_) + ",H,W], got " +
                                 shape_str(input.shape()));
   }
-  const std::int64_t n = input.dim(0), hin = input.dim(2), win = input.dim(3);
-  const nn::Conv2dGeometry g = geometry(hin, win);
-  const std::int64_t rows = g.rows(), len = g.cols();
+  return geometry(input.dim(2), input.dim(3));
+}
 
-  input_shape_ = input.shape();
-  const bool cache = training_;
-  if (cache) {
-    cached_input_ = input;
+void PecanConv2d::rebuild_xq(std::int64_t j, std::int64_t len, const float* k_buf,
+                             const std::int64_t* hard_buf, float* xq_group) const {
+  if (config_.mode == MatchMode::Angle) {
+    // Xq(j) = C(j) K = storage^T [d, p] * K [p, L].
+    sgemm(true, false, d_, len, p_, 1.f, codebook_.prototype(j, 0), d_, k_buf, len, 0.f, xq_group,
+          len);
+  } else {
+    // Hard one-hot lookup (Eq. 5 forward): Xq(j)_l = prototype[k_l].
+    for (std::int64_t l = 0; l < len; ++l) {
+      const float* proto = codebook_.prototype(j, hard_buf[l]);
+      for (std::int64_t i = 0; i < d_; ++i) xq_group[i * len + l] = proto[i];
+    }
+  }
+}
+
+Tensor PecanConv2d::forward(const Tensor& input) {
+  const nn::Conv2dGeometry g = input_geometry(input);
+  input_shape_ = input.shape();  // inference_ops() reads it in either mode
+  float* k_cache = nullptr;
+  std::int64_t* hard_cache = nullptr;
+  if (training_) {
+    const std::int64_t n = input.dim(0), len = g.cols();
     // Reuse the (large) matching-weight cache across steps: match_group
     // overwrites every element, so only reallocate on a shape change.
     const Shape k_shape{n, D_, p_, len};
     if (cached_k_.shape() != k_shape) cached_k_ = Tensor(k_shape);
     cached_hard_.resize(static_cast<std::size_t>(n * D_ * len));
-    cached_n_ = n;
+    cached_input_ = input;
+    k_cache = cached_k_.data();
+    hard_cache = cached_hard_.data();
   }
-
-  Tensor output({n, cout_, g.hout(), g.wout()});
-  Tensor cols({rows, len});
-  Tensor xq({rows, len});
-
-  // Groups are fully independent, so the group loop is the parallel axis
-  // (nested parallel_for calls in match_group degrade to inline); layers
-  // with few groups fall back to the inner-loop parallelism instead.
-  const std::int64_t group_grain = D_ >= 8 ? 1 : D_;
-  for (std::int64_t s = 0; s < n; ++s) {
-    nn::im2col(input.data() + s * cin_ * hin * win, g, cols.data());
-    util::parallel_for(
-        0, D_,
-        [&](std::int64_t j0, std::int64_t j1) {
-          for (std::int64_t j = j0; j < j1; ++j) {
-            std::vector<float> k_local;
-            std::vector<std::int64_t> hard_local;
-            float* k_buf;
-            std::int64_t* hard_buf;
-            if (cache) {
-              k_buf = cached_k_.data() + ((s * D_ + j) * p_) * len;
-              hard_buf = cached_hard_.data() + (s * D_ + j) * len;
-            } else {
-              k_local.resize(static_cast<std::size_t>(p_ * len));
-              hard_local.resize(static_cast<std::size_t>(len));
-              k_buf = k_local.data();
-              hard_buf = hard_local.data();
-            }
-            match_group(j, cols.data() + j * d_ * len, len, k_buf, hard_buf,
-                        /*training_path=*/cache);
-
-            float* xq_group = xq.data() + j * d_ * len;
-            if (config_.mode == MatchMode::Angle) {
-              // Xq(j) = C(j) K = storage^T [d, p] * K [p, L].
-              sgemm(true, false, d_, len, p_, 1.f, codebook_.prototype(j, 0), d_, k_buf, len, 0.f,
-                    xq_group, len);
-            } else {
-              // Hard one-hot lookup (Eq. 5 forward): Xq(j)_l = prototype[k_l].
-              for (std::int64_t l = 0; l < len; ++l) {
-                const float* proto = codebook_.prototype(j, hard_buf[l]);
-                for (std::int64_t i = 0; i < d_; ++i) xq_group[i * len + l] = proto[i];
-              }
-            }
-          }
-        },
-        group_grain);
-    matmul(weight_.value.data(), xq.data(), output.data() + s * cout_ * len, cout_, len, rows);
-  }
-  if (has_bias_) {
-    for (std::int64_t s = 0; s < n; ++s) {
-      for (std::int64_t c = 0; c < cout_; ++c) {
-        float* out = output.data() + (s * cout_ + c) * len;
-        for (std::int64_t l = 0; l < len; ++l) out[l] += bias_.value[c];
-      }
-    }
-  }
-  return output;
+  nn::InferContext ctx;
+  return match_and_project(input, ctx, k_cache, hard_cache);
 }
 
 Tensor PecanConv2d::infer(const Tensor& input, nn::InferContext& ctx) const {
-  if (input.ndim() != 4 || input.dim(1) != cin_) {
-    throw std::invalid_argument(name_ + ": expected [N," + std::to_string(cin_) + ",H,W], got " +
-                                shape_str(input.shape()));
-  }
-  const std::int64_t n = input.dim(0), hin = input.dim(2), win = input.dim(3);
-  const nn::Conv2dGeometry g = geometry(hin, win);
+  return match_and_project(input, ctx, nullptr, nullptr);
+}
+
+Tensor PecanConv2d::match_and_project(const Tensor& input, nn::InferContext& ctx, float* k_cache,
+                                      std::int64_t* hard_cache) const {
+  const nn::Conv2dGeometry g = input_geometry(input);
+  const std::int64_t n = input.dim(0), hin = g.hin, win = g.win;
   const std::int64_t rows = g.rows(), len = g.cols();
 
   Tensor output({n, cout_, g.hout(), g.wout()});
   // All scratch is arena-backed and claimed before the parallel group loop:
-  // lanes only ever write their group's disjoint slices.
+  // lanes only ever write their group's disjoint slices. Serving reuses one
+  // sample's K/hard-index slice; training keeps every sample's for backward.
   float* cols = ctx.arena.floats(rows * len);
   float* xq = ctx.arena.floats(rows * len);
-  float* k_all = ctx.arena.floats(D_ * p_ * len);
-  std::int64_t* hard_all = ctx.arena.ints(D_ * len);
+  const bool training_path = k_cache != nullptr;
+  float* k_all = training_path ? k_cache : ctx.arena.floats(D_ * p_ * len);
+  std::int64_t* hard_all = training_path ? hard_cache : ctx.arena.ints(D_ * len);
+  const std::int64_t sample_step = training_path ? D_ : 0;
 
+  // Groups are fully independent, so the group loop is the parallel axis
+  // (nested parallel_for calls in match_group degrade to inline); layers
+  // with few groups fall back to the inner-loop parallelism instead.
   const std::int64_t group_grain = D_ >= 8 ? 1 : D_;
   for (std::int64_t s = 0; s < n; ++s) {
     nn::im2col(input.data() + s * cin_ * hin * win, g, cols);
@@ -235,20 +206,10 @@ Tensor PecanConv2d::infer(const Tensor& input, nn::InferContext& ctx) const {
         0, D_,
         [&](std::int64_t j0, std::int64_t j1) {
           for (std::int64_t j = j0; j < j1; ++j) {
-            float* k_buf = k_all + j * p_ * len;
-            std::int64_t* hard_buf = hard_all + j * len;
-            match_group(j, cols + j * d_ * len, len, k_buf, hard_buf, /*training_path=*/false);
-
-            float* xq_group = xq + j * d_ * len;
-            if (config_.mode == MatchMode::Angle) {
-              sgemm(true, false, d_, len, p_, 1.f, codebook_.prototype(j, 0), d_, k_buf, len, 0.f,
-                    xq_group, len);
-            } else {
-              for (std::int64_t l = 0; l < len; ++l) {
-                const float* proto = codebook_.prototype(j, hard_buf[l]);
-                for (std::int64_t i = 0; i < d_; ++i) xq_group[i * len + l] = proto[i];
-              }
-            }
+            float* k_buf = k_all + (s * sample_step + j) * p_ * len;
+            std::int64_t* hard_buf = hard_all + (s * sample_step + j) * len;
+            match_group(j, cols + j * d_ * len, len, k_buf, hard_buf, training_path);
+            rebuild_xq(j, len, k_buf, hard_buf, xq + j * d_ * len);
           }
         },
         group_grain);
@@ -266,15 +227,15 @@ Tensor PecanConv2d::infer(const Tensor& input, nn::InferContext& ctx) const {
 }
 
 Tensor PecanConv2d::backward(const Tensor& grad_output) {
-  if (cached_n_ == 0) throw std::logic_error(name_ + ": backward before forward");
-  const std::int64_t n = cached_n_;
-  const std::int64_t hin = input_shape_[2], win = input_shape_[3];
+  if (cached_input_.empty()) throw std::logic_error(name_ + ": backward before forward");
+  const std::int64_t n = cached_input_.dim(0);
+  const std::int64_t hin = cached_input_.dim(2), win = cached_input_.dim(3);
   const nn::Conv2dGeometry g = geometry(hin, win);
   const std::int64_t rows = g.rows(), len = g.cols();
   const float tau = config_.temperature;
   const float a = static_cast<float>(std::exp(4.0 * epoch_progress_));  // Eq. (6)
 
-  Tensor grad_input(input_shape_);
+  Tensor grad_input(cached_input_.shape());
   Tensor cols({rows, len});
   Tensor xq({rows, len});
   Tensor dxq({rows, len});
@@ -289,18 +250,8 @@ Tensor PecanConv2d::backward(const Tensor& grad_output) {
         0, D_,
         [&](std::int64_t j0, std::int64_t j1) {
           for (std::int64_t j = j0; j < j1; ++j) {
-            const float* k_buf = cached_k_.data() + ((s * D_ + j) * p_) * len;
-            const std::int64_t* hard_buf = cached_hard_.data() + (s * D_ + j) * len;
-            float* xq_group = xq.data() + j * d_ * len;
-            if (config_.mode == MatchMode::Angle) {
-              sgemm(true, false, d_, len, p_, 1.f, codebook_.prototype(j, 0), d_, k_buf, len, 0.f,
-                    xq_group, len);
-            } else {
-              for (std::int64_t l = 0; l < len; ++l) {
-                const float* proto = codebook_.prototype(j, hard_buf[l]);
-                for (std::int64_t i = 0; i < d_; ++i) xq_group[i * len + l] = proto[i];
-              }
-            }
+            rebuild_xq(j, len, cached_k_.data() + ((s * D_ + j) * p_) * len,
+                       cached_hard_.data() + (s * D_ + j) * len, xq.data() + j * d_ * len);
           }
         },
         group_grain);
@@ -451,16 +402,7 @@ Tensor PecanConv2d::quantize_cols(const Tensor& cols) const {
   for (std::int64_t j = 0; j < D_; ++j) {
     match_group(j, cols.data() + j * d_ * len, len, k_buf.data(), hard.data(),
                 /*training_path=*/false);
-    float* xq_group = xq.data() + j * d_ * len;
-    if (config_.mode == MatchMode::Angle) {
-      sgemm(true, false, d_, len, p_, 1.f, codebook_.prototype(j, 0), d_, k_buf.data(), len, 0.f,
-            xq_group, len);
-    } else {
-      for (std::int64_t l = 0; l < len; ++l) {
-        const float* proto = codebook_.prototype(j, hard[static_cast<std::size_t>(l)]);
-        for (std::int64_t i = 0; i < d_; ++i) xq_group[i * len + l] = proto[i];
-      }
-    }
+    rebuild_xq(j, len, k_buf.data(), hard.data(), xq.data() + j * d_ * len);
   }
   return xq;
 }

@@ -33,9 +33,9 @@ class PecanConv2d : public nn::Module {
 
   Tensor forward(const Tensor& input) override;
   Tensor backward(const Tensor& grad_output) override;
-  /// Stateless prototype matching: the per-call K/hard-index scratch that
-  /// forward() keeps in members lives in `ctx` here, so concurrent calls
-  /// share the (frozen) codebook and filter safely.
+  /// Stateless prototype matching: the per-call K/hard-index scratch lives
+  /// in `ctx`, so concurrent calls share the (frozen) codebook and filter
+  /// safely. A training forward() runs the same loop into its cache.
   Tensor infer(const Tensor& input, nn::InferContext& ctx) const override;
   std::vector<nn::Parameter*> parameters() override;
   std::string name() const override { return name_; }
@@ -83,6 +83,21 @@ class PecanConv2d : public nn::Module {
 
  private:
   nn::Conv2dGeometry geometry(std::int64_t hin, std::int64_t win) const;
+  /// Geometry of an [N, cin, H, W] input; throws on any other shape.
+  nn::Conv2dGeometry input_geometry(const Tensor& input) const;
+
+  /// The layer's one output path: im2col, per-group matching, Xq, then
+  /// Y = F Xq (+ bias). With null caches, K and the hard indices are
+  /// per-sample arena scratch (serving); otherwise every sample's land in
+  /// `k_cache` [N, D, p, L] and `hard_cache` [N, D, L] with the softmax
+  /// relaxation that backward() needs.
+  Tensor match_and_project(const Tensor& input, nn::InferContext& ctx, float* k_cache,
+                           std::int64_t* hard_cache) const;
+
+  /// Xq(j) [d, L] from the group's matching weights (Angle) or hard
+  /// indices (Distance).
+  void rebuild_xq(std::int64_t j, std::int64_t len, const float* k_buf,
+                  const std::int64_t* hard_buf, float* xq_group) const;
 
   /// Group matching: fills K [p, L] (soft or attention weights) and, for
   /// Distance mode, hard indices [L]. `training_path` controls whether the
@@ -100,12 +115,12 @@ class PecanConv2d : public nn::Module {
   Codebook codebook_;
   double epoch_progress_ = 0.0;
 
+  Shape input_shape_;  ///< last forward's input, for inference_ops()
+
   // Backward context.
   Tensor cached_input_;
   Tensor cached_k_;                       ///< [N, D, p, L] soft/attention weights
   std::vector<std::int64_t> cached_hard_; ///< [N, D, L] argmax indices (Distance)
-  Shape input_shape_;
-  std::int64_t cached_n_ = 0;
 };
 
 }  // namespace pecan::pq

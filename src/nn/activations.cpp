@@ -5,17 +5,9 @@
 namespace pecan::nn {
 
 Tensor ReLU::forward(const Tensor& input) {
-  Tensor output(input.shape());
-  if (training_) {
-    mask_ = Tensor(input.shape());
-    for (std::int64_t i = 0; i < input.numel(); ++i) {
-      const bool on = input[i] > 0.f;
-      mask_[i] = on ? 1.f : 0.f;
-      output[i] = on ? input[i] : 0.f;
-    }
-  } else {
-    for (std::int64_t i = 0; i < input.numel(); ++i) output[i] = input[i] > 0.f ? input[i] : 0.f;
-  }
+  InferContext ctx;
+  Tensor output = infer(input, ctx);
+  if (training_) output_ = output;
   return output;
 }
 
@@ -26,17 +18,20 @@ Tensor ReLU::infer(const Tensor& input, InferContext&) const {
 }
 
 Tensor ReLU::backward(const Tensor& grad_output) {
-  if (mask_.empty()) throw std::logic_error(name_ + ": backward before forward");
+  if (output_.empty()) throw std::logic_error(name_ + ": backward before forward");
   Tensor grad_input(grad_output.shape());
-  for (std::int64_t i = 0; i < grad_output.numel(); ++i) grad_input[i] = grad_output[i] * mask_[i];
+  // out > 0 exactly where in > 0, so the output is the mask.
+  for (std::int64_t i = 0; i < grad_output.numel(); ++i) {
+    grad_input[i] = grad_output[i] * (output_[i] > 0.f ? 1.f : 0.f);
+  }
   return grad_input;
 }
 
 Tensor Flatten::forward(const Tensor& input) {
-  if (input.ndim() < 2) throw std::invalid_argument(name_ + ": need rank >= 2");
+  InferContext ctx;
+  Tensor output = infer(input, ctx);
   input_shape_ = input.shape();
-  const std::int64_t n = input.dim(0);
-  return input.reshaped({n, input.numel() / n});
+  return output;
 }
 
 Tensor Flatten::infer(const Tensor& input, InferContext&) const {

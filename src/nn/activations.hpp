@@ -15,7 +15,7 @@ class ReLU : public Module {
 
  private:
   std::string name_;
-  Tensor mask_;  ///< 1 where input > 0
+  Tensor output_;  ///< training output: its positive entries are the backward mask
 };
 
 /// [N, C, H, W] (or any rank >= 2) -> [N, prod(rest)].

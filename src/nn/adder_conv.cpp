@@ -21,6 +21,14 @@ Conv2dGeometry AdderConv2d::geometry(std::int64_t hin, std::int64_t win) const {
 }
 
 Tensor AdderConv2d::forward(const Tensor& input) {
+  InferContext ctx;
+  Tensor output = infer(input, ctx);
+  input_shape_ = input.shape();
+  if (training_) cached_input_ = input;
+  return output;
+}
+
+Tensor AdderConv2d::infer(const Tensor& input, InferContext& ctx) const {
   if (input.ndim() != 4 || input.dim(1) != cin_) {
     throw std::invalid_argument(name_ + ": expected [N," + std::to_string(cin_) + ",H,W]");
   }
@@ -28,10 +36,9 @@ Tensor AdderConv2d::forward(const Tensor& input) {
   const Conv2dGeometry g = geometry(hin, win);
   const std::int64_t rows = g.rows(), cols = g.cols();
 
-  Tensor cols_all({n, rows, cols});
   Tensor output({n, cout_, g.hout(), g.wout()});
+  float* col_s = ctx.arena.floats(rows * cols);
   for (std::int64_t s = 0; s < n; ++s) {
-    float* col_s = cols_all.data() + s * rows * cols;
     im2col(input.data() + s * cin_ * hin * win, g, col_s);
     float* out_s = output.data() + s * cout_ * cols;
     // Each lane writes a disjoint block of output channels (same
@@ -53,60 +60,22 @@ Tensor AdderConv2d::forward(const Tensor& input) {
         },
         grain);
   }
-  input_shape_ = input.shape();
-  if (training_) {
-    cached_cols_ = std::move(cols_all);
-    cached_n_ = n;
-  }
-  return output;
-}
-
-Tensor AdderConv2d::infer(const Tensor& input, InferContext& ctx) const {
-  if (input.ndim() != 4 || input.dim(1) != cin_) {
-    throw std::invalid_argument(name_ + ": expected [N," + std::to_string(cin_) + ",H,W]");
-  }
-  const std::int64_t n = input.dim(0), hin = input.dim(2), win = input.dim(3);
-  const Conv2dGeometry g = geometry(hin, win);
-  const std::int64_t rows = g.rows(), cols = g.cols();
-
-  Tensor output({n, cout_, g.hout(), g.wout()});
-  float* col_s = ctx.arena.floats(rows * cols);
-  for (std::int64_t s = 0; s < n; ++s) {
-    im2col(input.data() + s * cin_ * hin * win, g, col_s);
-    float* out_s = output.data() + s * cout_ * cols;
-    // Same disjoint-channel parallel split as forward(): bitwise identical
-    // per-output accumulation order at any thread count.
-    const std::int64_t grain =
-        std::max<std::int64_t>(1, (1 << 16) / std::max<std::int64_t>(cols * rows, 1));
-    util::parallel_for(
-        0, cout_,
-        [&](std::int64_t c0, std::int64_t c1) {
-          for (std::int64_t c = c0; c < c1; ++c) {
-            const float* w = weight_.value.data() + c * rows;
-            float* orow = out_s + c * cols;
-            for (std::int64_t i = 0; i < cols; ++i) {
-              float acc = 0.f;
-              for (std::int64_t r = 0; r < rows; ++r) acc += std::fabs(col_s[r * cols + i] - w[r]);
-              orow[i] = -acc;
-            }
-          }
-        },
-        grain);
-  }
   return output;
 }
 
 Tensor AdderConv2d::backward(const Tensor& grad_output) {
-  if (cached_n_ == 0) throw std::logic_error(name_ + ": backward before forward");
-  const std::int64_t n = cached_n_;
-  const std::int64_t hin = input_shape_[2], win = input_shape_[3];
+  if (cached_input_.empty()) throw std::logic_error(name_ + ": backward before forward");
+  const std::int64_t n = cached_input_.dim(0);
+  const std::int64_t hin = cached_input_.dim(2), win = cached_input_.dim(3);
   const Conv2dGeometry g = geometry(hin, win);
   const std::int64_t rows = g.rows(), cols = g.cols();
 
-  Tensor grad_input(input_shape_);
+  Tensor grad_input(cached_input_.shape());
+  Tensor cols_s({rows, cols});
   Tensor grad_cols({rows, cols});
   for (std::int64_t s = 0; s < n; ++s) {
-    const float* col_s = cached_cols_.data() + s * rows * cols;
+    im2col(cached_input_.data() + s * cin_ * hin * win, g, cols_s.data());
+    const float* col_s = cols_s.data();
     const float* gout = grad_output.data() + s * cout_ * cols;
     grad_cols.fill(0.f);
     for (std::int64_t c = 0; c < cout_; ++c) {

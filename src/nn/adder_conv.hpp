@@ -36,9 +36,8 @@ class AdderConv2d : public Module {
   std::string name_;
   std::int64_t cin_, cout_, k_, stride_, pad_;
   Parameter weight_;
-  Tensor cached_cols_;
-  Shape input_shape_;
-  std::int64_t cached_n_ = 0;
+  Shape input_shape_;    ///< last forward's input, for inference_ops()
+  Tensor cached_input_;  ///< backward context; backward() re-unfolds it
 };
 
 }  // namespace pecan::nn

@@ -14,6 +14,12 @@ BatchNorm2d::BatchNorm2d(std::string name, std::int64_t channels, float momentum
 }
 
 Tensor BatchNorm2d::forward(const Tensor& input) {
+  // Only the training branch is different math (batch statistics); eval
+  // mode normalizes with the frozen running statistics, as infer() does.
+  if (!training_) {
+    InferContext ctx;
+    return infer(input, ctx);
+  }
   if (input.ndim() != 4 || input.dim(1) != channels_) {
     throw std::invalid_argument(name_ + ": expected [N," + std::to_string(channels_) + ",H,W]");
   }
@@ -21,47 +27,34 @@ Tensor BatchNorm2d::forward(const Tensor& input) {
   const std::int64_t count = n * hw;
   Tensor output(input.shape());
 
-  if (training_) {
-    input_shape_ = input.shape();
-    cached_xhat_ = Tensor(input.shape());
-    batch_inv_std_ = Tensor({channels_});
-    for (std::int64_t c = 0; c < channels_; ++c) {
-      double sum = 0, sq = 0;
-      for (std::int64_t s = 0; s < n; ++s) {
-        const float* plane = input.data() + (s * channels_ + c) * hw;
-        for (std::int64_t i = 0; i < hw; ++i) {
-          sum += plane[i];
-          sq += static_cast<double>(plane[i]) * plane[i];
-        }
-      }
-      const float m = static_cast<float>(sum / count);
-      const float v = static_cast<float>(sq / count - static_cast<double>(m) * m);
-      const float inv_std = 1.f / std::sqrt(v + eps_);
-      batch_inv_std_[c] = inv_std;
-      running_mean_[c] = (1.f - momentum_) * running_mean_[c] + momentum_ * m;
-      // Unbiased variance in the running estimate, as torch does.
-      const float unbiased = count > 1 ? v * static_cast<float>(count) / (count - 1) : v;
-      running_var_[c] = (1.f - momentum_) * running_var_[c] + momentum_ * unbiased;
-      const float g = gamma_.value[c], b = beta_.value[c];
-      for (std::int64_t s = 0; s < n; ++s) {
-        const float* in = input.data() + (s * channels_ + c) * hw;
-        float* xh = cached_xhat_.data() + (s * channels_ + c) * hw;
-        float* out = output.data() + (s * channels_ + c) * hw;
-        for (std::int64_t i = 0; i < hw; ++i) {
-          xh[i] = (in[i] - m) * inv_std;
-          out[i] = g * xh[i] + b;
-        }
+  input_shape_ = input.shape();
+  cached_xhat_ = Tensor(input.shape());
+  batch_inv_std_ = Tensor({channels_});
+  for (std::int64_t c = 0; c < channels_; ++c) {
+    double sum = 0, sq = 0;
+    for (std::int64_t s = 0; s < n; ++s) {
+      const float* plane = input.data() + (s * channels_ + c) * hw;
+      for (std::int64_t i = 0; i < hw; ++i) {
+        sum += plane[i];
+        sq += static_cast<double>(plane[i]) * plane[i];
       }
     }
-  } else {
-    for (std::int64_t c = 0; c < channels_; ++c) {
-      const float inv_std = 1.f / std::sqrt(running_var_[c] + eps_);
-      const float scale = gamma_.value[c] * inv_std;
-      const float shift = beta_.value[c] - running_mean_[c] * scale;
-      for (std::int64_t s = 0; s < n; ++s) {
-        const float* in = input.data() + (s * channels_ + c) * hw;
-        float* out = output.data() + (s * channels_ + c) * hw;
-        for (std::int64_t i = 0; i < hw; ++i) out[i] = scale * in[i] + shift;
+    const float m = static_cast<float>(sum / count);
+    const float v = static_cast<float>(sq / count - static_cast<double>(m) * m);
+    const float inv_std = 1.f / std::sqrt(v + eps_);
+    batch_inv_std_[c] = inv_std;
+    running_mean_[c] = (1.f - momentum_) * running_mean_[c] + momentum_ * m;
+    // Unbiased variance in the running estimate, as torch does.
+    const float unbiased = count > 1 ? v * static_cast<float>(count) / (count - 1) : v;
+    running_var_[c] = (1.f - momentum_) * running_var_[c] + momentum_ * unbiased;
+    const float g = gamma_.value[c], b = beta_.value[c];
+    for (std::int64_t s = 0; s < n; ++s) {
+      const float* in = input.data() + (s * channels_ + c) * hw;
+      float* xh = cached_xhat_.data() + (s * channels_ + c) * hw;
+      float* out = output.data() + (s * channels_ + c) * hw;
+      for (std::int64_t i = 0; i < hw; ++i) {
+        xh[i] = (in[i] - m) * inv_std;
+        out[i] = g * xh[i] + b;
       }
     }
   }

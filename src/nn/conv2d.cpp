@@ -21,37 +21,10 @@ Conv2dGeometry Conv2d::geometry(std::int64_t hin, std::int64_t win) const {
 }
 
 Tensor Conv2d::forward(const Tensor& input) {
-  if (input.ndim() != 4 || input.dim(1) != cin_) {
-    throw std::invalid_argument(name_ + ": expected [N," + std::to_string(cin_) +
-                                ",H,W], got " + shape_str(input.shape()));
-  }
-  const std::int64_t n = input.dim(0), hin = input.dim(2), win = input.dim(3);
-  const Conv2dGeometry g = geometry(hin, win);
-  const std::int64_t rows = g.rows(), cols = g.cols();
-  const std::int64_t ho = g.hout(), wo = g.wout();
-
-  Tensor cols_all({n, rows, cols});
-  Tensor output({n, cout_, ho, wo});
-  for (std::int64_t s = 0; s < n; ++s) {
-    float* col_s = cols_all.data() + s * rows * cols;
-    im2col(input.data() + s * cin_ * hin * win, g, col_s);
-    // Y = W[cout, rows] * cols[rows, cols]
-    matmul(weight_.value.data(), col_s, output.data() + s * cout_ * cols, cout_, cols, rows);
-  }
-  if (has_bias_) {
-    for (std::int64_t s = 0; s < n; ++s) {
-      for (std::int64_t c = 0; c < cout_; ++c) {
-        float* out = output.data() + (s * cout_ + c) * cols;
-        const float b = bias_.value[c];
-        for (std::int64_t i = 0; i < cols; ++i) out[i] += b;
-      }
-    }
-  }
+  InferContext ctx;
+  Tensor output = infer(input, ctx);
   input_shape_ = input.shape();  // kept for inference_ops() even in eval mode
-  if (training_) {
-    cached_cols_ = std::move(cols_all);
-    cached_n_ = n;
-  }
+  if (training_) cached_input_ = input;
   return output;
 }
 
@@ -65,10 +38,11 @@ Tensor Conv2d::infer(const Tensor& input, InferContext& ctx) const {
   const std::int64_t rows = g.rows(), cols = g.cols();
 
   Tensor output({n, cout_, g.hout(), g.wout()});
-  // One im2col panel, reused per sample (nothing is kept for backward).
+  // One im2col panel, reused per sample (backward re-unfolds its input).
   float* col_s = ctx.arena.floats(rows * cols);
   for (std::int64_t s = 0; s < n; ++s) {
     im2col(input.data() + s * cin_ * hin * win, g, col_s);
+    // Y = W[cout, rows] * cols[rows, cols]
     matmul(weight_.value.data(), col_s, output.data() + s * cout_ * cols, cout_, cols, rows);
   }
   if (has_bias_) {
@@ -84,19 +58,20 @@ Tensor Conv2d::infer(const Tensor& input, InferContext& ctx) const {
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
-  if (cached_n_ == 0) throw std::logic_error(name_ + ": backward before forward");
-  const std::int64_t n = cached_n_;
-  const std::int64_t hin = input_shape_[2], win = input_shape_[3];
+  if (cached_input_.empty()) throw std::logic_error(name_ + ": backward before forward");
+  const std::int64_t n = cached_input_.dim(0);
+  const std::int64_t hin = cached_input_.dim(2), win = cached_input_.dim(3);
   const Conv2dGeometry g = geometry(hin, win);
   const std::int64_t rows = g.rows(), cols = g.cols();
 
-  Tensor grad_input(input_shape_);
+  Tensor grad_input(cached_input_.shape());
+  Tensor col_s({rows, cols});
   Tensor grad_cols({rows, cols});
   for (std::int64_t s = 0; s < n; ++s) {
     const float* gout = grad_output.data() + s * cout_ * cols;
-    const float* col_s = cached_cols_.data() + s * rows * cols;
+    im2col(cached_input_.data() + s * cin_ * hin * win, g, col_s.data());
     // dW += gout[cout, cols] * cols^T[cols, rows]
-    sgemm(false, true, cout_, rows, cols, 1.f, gout, cols, col_s, cols, 1.f,
+    sgemm(false, true, cout_, rows, cols, 1.f, gout, cols, col_s.data(), cols, 1.f,
           weight_.grad.data(), rows);
     // dcols = W^T[rows, cout] * gout[cout, cols]
     sgemm(true, false, rows, cols, cout_, 1.f, weight_.value.data(), rows, gout, cols, 0.f,

@@ -44,10 +44,8 @@ class Conv2d : public Module {
   Parameter weight_;
   Parameter bias_;
 
-  // Backward context.
-  Tensor cached_cols_;   ///< [N * rows, cols] stacked per-sample im2col
-  Shape input_shape_;
-  std::int64_t cached_n_ = 0;
+  Shape input_shape_;    ///< last forward's input, for inference_ops()
+  Tensor cached_input_;  ///< backward context; backward() re-unfolds it
 };
 
 }  // namespace pecan::nn

@@ -16,21 +16,8 @@ Linear::Linear(std::string name, std::int64_t in_features, std::int64_t out_feat
 }
 
 Tensor Linear::forward(const Tensor& input) {
-  if (input.ndim() != 2 || input.dim(1) != in_) {
-    throw std::invalid_argument(name_ + ": expected [N," + std::to_string(in_) + "], got " +
-                                shape_str(input.shape()));
-  }
-  const std::int64_t n = input.dim(0);
-  Tensor output({n, out_});
-  // Y[n, out] = X[n, in] * W^T[in, out]
-  sgemm(false, true, n, out_, in_, 1.f, input.data(), in_, weight_.value.data(), in_, 0.f,
-        output.data(), out_);
-  if (has_bias_) {
-    for (std::int64_t s = 0; s < n; ++s) {
-      float* row = output.data() + s * out_;
-      for (std::int64_t o = 0; o < out_; ++o) row[o] += bias_.value[o];
-    }
-  }
+  InferContext ctx;
+  Tensor output = infer(input, ctx);
   if (training_) cached_input_ = input;
   return output;
 }
@@ -42,6 +29,7 @@ Tensor Linear::infer(const Tensor& input, InferContext&) const {
   }
   const std::int64_t n = input.dim(0);
   Tensor output({n, out_});
+  // Y[n, out] = X[n, in] * W^T[in, out]
   sgemm(false, true, n, out_, in_, 1.f, input.data(), in_, weight_.value.data(), in_, 0.f,
         output.data(), out_);
   if (has_bias_) {

@@ -8,15 +8,16 @@
 // epoch-aware tanh sign approximation) exactly where Eq. (5)/(6) of the
 // paper prescribe it.
 //
-// Two execution paths share each layer's math:
-//   * forward()/backward() — the stateful training path: forward caches the
-//     backward context inside the module, so one module supports one
-//     in-flight pass at a time;
-//   * infer(input, ctx) — the stateless serving path: const on the module,
-//     bitwise-identical to an eval-mode forward(), with every per-call
-//     buffer drawn from the caller's InferContext arena. Any number of
-//     in-flight infer() calls may share one network (the runtime Engine
-//     keeps one context per concurrent worker).
+// Each layer computes its output in exactly one place:
+//   * infer(input, ctx) — the stateless output path: const on the module,
+//     with every per-call buffer drawn from the caller's InferContext
+//     arena. Any number of in-flight infer() calls may share one network
+//     (the runtime Engine keeps one context per concurrent worker);
+//   * forward()/backward() — the stateful training path: forward computes
+//     through infer() (or the same private kernel) and keeps only what
+//     backward needs inside the module, so one module supports one
+//     in-flight pass at a time. BatchNorm2d's batch statistics are the one
+//     training output that is different math.
 //
 // Data layout convention: activations are NCHW ([N, C, H, W]) for conv
 // stacks and [N, F] for fully-connected stacks.
@@ -52,16 +53,17 @@ class Module {
  public:
   virtual ~Module() = default;
 
-  /// Forward pass; caches context for backward() when training() is true.
+  /// The infer() output; caches context for backward() when training() is
+  /// true, and latches the input geometry inference_ops() reads.
   virtual Tensor forward(const Tensor& input) = 0;
 
   /// Given dL/d(output), accumulates parameter grads and returns dL/d(input).
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
-  /// Stateless inference: bitwise-identical to an eval-mode forward() but
-  /// const — all per-call scratch comes from `ctx`, so concurrent calls on
-  /// one module are safe. Layers that can be served must override this;
-  /// the default throws (training-only modules like losses never serve).
+  /// Stateless inference, the layer's one output computation: const — all
+  /// per-call scratch comes from `ctx`, so concurrent calls on one module
+  /// are safe. Layers that can be served must override this; the default
+  /// throws (training-only modules like losses never serve).
   virtual Tensor infer(const Tensor& input, InferContext& ctx) const;
 
   /// All trainable parameters (recursively for containers).

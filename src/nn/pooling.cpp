@@ -11,18 +11,24 @@ MaxPool2d::MaxPool2d(std::string name, std::int64_t k, std::int64_t stride)
 }
 
 Tensor MaxPool2d::forward(const Tensor& input) {
+  Tensor output = pool(input, training_ ? &argmax_ : nullptr);
+  if (training_) input_shape_ = input.shape();
+  return output;
+}
+
+Tensor MaxPool2d::infer(const Tensor& input, InferContext&) const { return pool(input, nullptr); }
+
+Tensor MaxPool2d::pool(const Tensor& input, std::vector<std::int64_t>* argmax) const {
   if (input.ndim() != 4) throw std::invalid_argument(name_ + ": need NCHW");
   const std::int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2), w = input.dim(3);
   const std::int64_t ho = (h - k_) / stride_ + 1, wo = (w - k_) / stride_ + 1;
   if (ho <= 0 || wo <= 0) throw std::invalid_argument(name_ + ": window larger than input");
 
   Tensor output({n, c, ho, wo});
-  input_shape_ = input.shape();
-  argmax_.assign(static_cast<std::size_t>(n * c * ho * wo), 0);
+  if (argmax) argmax->assign(static_cast<std::size_t>(n * c * ho * wo), 0);
   for (std::int64_t s = 0; s < n * c; ++s) {
     const float* plane = input.data() + s * h * w;
     float* out = output.data() + s * ho * wo;
-    std::int64_t* amax = argmax_.data() + s * ho * wo;
     for (std::int64_t oi = 0; oi < ho; ++oi) {
       for (std::int64_t oj = 0; oj < wo; ++oj) {
         float best = -std::numeric_limits<float>::infinity();
@@ -37,33 +43,7 @@ Tensor MaxPool2d::forward(const Tensor& input) {
           }
         }
         out[oi * wo + oj] = best;
-        amax[oi * wo + oj] = s * h * w + best_idx;
-      }
-    }
-  }
-  return output;
-}
-
-Tensor MaxPool2d::infer(const Tensor& input, InferContext&) const {
-  if (input.ndim() != 4) throw std::invalid_argument(name_ + ": need NCHW");
-  const std::int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2), w = input.dim(3);
-  const std::int64_t ho = (h - k_) / stride_ + 1, wo = (w - k_) / stride_ + 1;
-  if (ho <= 0 || wo <= 0) throw std::invalid_argument(name_ + ": window larger than input");
-
-  Tensor output({n, c, ho, wo});
-  for (std::int64_t s = 0; s < n * c; ++s) {
-    const float* plane = input.data() + s * h * w;
-    float* out = output.data() + s * ho * wo;
-    for (std::int64_t oi = 0; oi < ho; ++oi) {
-      for (std::int64_t oj = 0; oj < wo; ++oj) {
-        float best = -std::numeric_limits<float>::infinity();
-        for (std::int64_t ki = 0; ki < k_; ++ki) {
-          for (std::int64_t kj = 0; kj < k_; ++kj) {
-            const float v = plane[(oi * stride_ + ki) * w + oj * stride_ + kj];
-            if (v > best) best = v;
-          }
-        }
-        out[oi * wo + oj] = best;
+        if (argmax) (*argmax)[static_cast<std::size_t>(s * ho * wo + oi * wo + oj)] = s * h * w + best_idx;
       }
     }
   }
@@ -71,7 +51,7 @@ Tensor MaxPool2d::infer(const Tensor& input, InferContext&) const {
 }
 
 Tensor MaxPool2d::backward(const Tensor& grad_output) {
-  if (input_shape_.empty()) throw std::logic_error(name_ + ": backward before forward");
+  if (argmax_.empty()) throw std::logic_error(name_ + ": backward before forward");
   Tensor grad_input(input_shape_);
   for (std::int64_t i = 0; i < grad_output.numel(); ++i) {
     grad_input[argmax_[static_cast<std::size_t>(i)]] += grad_output[i];
@@ -80,16 +60,9 @@ Tensor MaxPool2d::backward(const Tensor& grad_output) {
 }
 
 Tensor GlobalAvgPool::forward(const Tensor& input) {
-  if (input.ndim() != 4) throw std::invalid_argument(name_ + ": need NCHW");
-  const std::int64_t n = input.dim(0), c = input.dim(1), hw = input.dim(2) * input.dim(3);
+  InferContext ctx;
+  Tensor output = infer(input, ctx);
   input_shape_ = input.shape();
-  Tensor output({n, c});
-  for (std::int64_t s = 0; s < n * c; ++s) {
-    const float* plane = input.data() + s * hw;
-    double acc = 0;
-    for (std::int64_t i = 0; i < hw; ++i) acc += plane[i];
-    output[s] = static_cast<float>(acc / static_cast<double>(hw));
-  }
   return output;
 }
 

@@ -18,6 +18,10 @@ class MaxPool2d : public Module {
   std::int64_t stride() const { return stride_; }
 
  private:
+  /// The one pooling kernel; records the flat input index of each output's
+  /// winner into `argmax` when given (the backward cache).
+  Tensor pool(const Tensor& input, std::vector<std::int64_t>* argmax) const;
+
   std::string name_;
   std::int64_t k_, stride_;
   Shape input_shape_;

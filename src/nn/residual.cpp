@@ -14,24 +14,9 @@ OptionAShortcut::OptionAShortcut(std::string name, std::int64_t cin, std::int64_
 }
 
 Tensor OptionAShortcut::forward(const Tensor& input) {
-  if (input.ndim() != 4 || input.dim(1) != cin_) {
-    throw std::invalid_argument(name_ + ": expected [N," + std::to_string(cin_) + ",H,W]");
-  }
+  InferContext ctx;
+  Tensor output = infer(input, ctx);
   input_shape_ = input.shape();
-  const std::int64_t n = input.dim(0), h = input.dim(2), w = input.dim(3);
-  const std::int64_t ho = (h + stride_ - 1) / stride_, wo = (w + stride_ - 1) / stride_;
-  Tensor output({n, cout_, ho, wo});
-  for (std::int64_t s = 0; s < n; ++s) {
-    for (std::int64_t c = 0; c < cin_; ++c) {
-      const float* in = input.data() + (s * cin_ + c) * h * w;
-      float* out = output.data() + (s * cout_ + c) * ho * wo;
-      for (std::int64_t oi = 0; oi < ho; ++oi) {
-        for (std::int64_t oj = 0; oj < wo; ++oj) {
-          out[oi * wo + oj] = in[(oi * stride_) * w + oj * stride_];
-        }
-      }
-    }
-  }
   return output;
 }
 
@@ -82,44 +67,34 @@ Residual::Residual(std::string name, std::unique_ptr<Module> main, std::unique_p
   if (!main_ || !shortcut_) throw std::invalid_argument("Residual: null branch");
 }
 
-Tensor Residual::forward(const Tensor& input) {
-  Tensor main_out = main_->forward(input);
-  Tensor short_out = shortcut_->forward(input);
+Tensor Residual::join(Tensor main_out, const Tensor& short_out) const {
   add_(main_out, short_out);
   if (relu_after_) {
-    if (training_) {
-      sum_mask_ = Tensor(main_out.shape());
-      for (std::int64_t i = 0; i < main_out.numel(); ++i) {
-        const bool on = main_out[i] > 0.f;
-        sum_mask_[i] = on ? 1.f : 0.f;
-        if (!on) main_out[i] = 0.f;
-      }
-    } else {
-      for (std::int64_t i = 0; i < main_out.numel(); ++i) {
-        if (main_out[i] < 0.f) main_out[i] = 0.f;
-      }
+    for (std::int64_t i = 0; i < main_out.numel(); ++i) {
+      main_out[i] = main_out[i] > 0.f ? main_out[i] : 0.f;
     }
   }
   return main_out;
 }
 
+Tensor Residual::forward(const Tensor& input) {
+  Tensor main_out = main_->forward(input);
+  Tensor output = join(std::move(main_out), shortcut_->forward(input));
+  if (training_ && relu_after_) output_ = output;
+  return output;
+}
+
 Tensor Residual::infer(const Tensor& input, InferContext& ctx) const {
   Tensor main_out = main_->infer(input, ctx);
-  Tensor short_out = shortcut_->infer(input, ctx);
-  add_(main_out, short_out);
-  if (relu_after_) {
-    for (std::int64_t i = 0; i < main_out.numel(); ++i) {
-      if (main_out[i] < 0.f) main_out[i] = 0.f;
-    }
-  }
-  return main_out;
+  return join(std::move(main_out), shortcut_->infer(input, ctx));
 }
 
 Tensor Residual::backward(const Tensor& grad_output) {
   Tensor grad = grad_output;
   if (relu_after_) {
-    if (sum_mask_.empty()) throw std::logic_error(name_ + ": backward before forward");
-    mul_(grad, sum_mask_);
+    if (output_.empty()) throw std::logic_error(name_ + ": backward before forward");
+    // The joined output is positive exactly where the ReLU passed.
+    for (std::int64_t i = 0; i < grad.numel(); ++i) grad[i] *= output_[i] > 0.f ? 1.f : 0.f;
   }
   Tensor grad_main = main_->backward(grad);
   Tensor grad_short = shortcut_->backward(grad);

@@ -68,12 +68,16 @@ class Residual : public Module {
   Module& shortcut() { return *shortcut_; }
   bool relu_after() const { return relu_after_; }
 
+  /// The block's output from its two branch outputs: the sum, then the
+  /// ReLU when relu_after().
+  Tensor join(Tensor main_out, const Tensor& short_out) const;
+
  private:
   std::string name_;
   std::unique_ptr<Module> main_;
   std::unique_ptr<Module> shortcut_;
   bool relu_after_;
-  Tensor sum_mask_;  ///< ReLU mask over main+shortcut
+  Tensor output_;  ///< training output (relu_after only): positive where the ReLU passed
 };
 
 }  // namespace pecan::nn

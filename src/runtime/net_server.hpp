@@ -151,7 +151,6 @@ class NetServer {
   void executor_loop();
   void accept_ready();
   void handle_readable(const std::shared_ptr<Conn>& conn);
-  void handle_writable(const std::shared_ptr<Conn>& conn);
   /// Decodes and routes one frame; returns false when the connection must
   /// close (stream poisoned).
   bool handle_frame(const std::shared_ptr<Conn>& conn, const wire::FrameView& frame);

@@ -1,5 +1,6 @@
 #include "runtime/wire.hpp"
 
+#include <cstdio>
 #include <limits>
 #include <stdexcept>
 
@@ -209,7 +210,9 @@ Decoder::Result Decoder::next(FrameView& out) {
   const std::uint32_t magic = load<std::uint32_t>(h);
   if (magic != kMagic) {
     poisoned_ = true;
-    error_ = "bad magic 0x" + std::to_string(magic) + " (not a PECAN wire stream)";
+    char hex[9];
+    std::snprintf(hex, sizeof hex, "%08x", static_cast<unsigned>(magic));
+    error_ = std::string("bad magic 0x") + hex + " (not a PECAN wire stream)";
     error_request_id_ = 0;  // nothing downstream of a bad magic is trustworthy
     return Result::Error;
   }

@@ -168,17 +168,21 @@ TEST(PecanConv, QuantizeColsIdempotentForDistance) {
 }
 
 TEST(PecanConv, TrainEvalForwardAgreeForDistance) {
-  // STE: the training forward uses hard assignments, so its output must be
-  // identical to the eval forward.
-  Rng rng(7);
-  PecanConv2d layer("p", 2, 3, 3, 1, 1, false, dist_cfg(8, 9), rng);
-  Tensor x = rng.randn({2, 2, 6, 6});
-  layer.set_training(true);
-  Tensor y_train = layer.forward(x);
-  layer.set_training(false);
-  Tensor y_eval = layer.forward(x);
-  for (std::int64_t i = 0; i < y_train.numel(); ++i) {
-    EXPECT_FLOAT_EQ(y_train[i], y_eval[i]);
+  // Both paths run the same group loop, and the training forward uses hard
+  // assignments for Distance (STE) and the same softmax K for Angle, so its
+  // output must be bitwise identical to the eval forward in both modes.
+  for (const PqLayerConfig& cfg : {dist_cfg(8, 9), angle_cfg(8, 9)}) {
+    Rng rng(7);
+    PecanConv2d layer("p", 2, 3, 3, 1, 1, false, cfg, rng);
+    Tensor x = rng.randn({2, 2, 6, 6});
+    layer.set_training(true);
+    Tensor y_train = layer.forward(x);
+    layer.set_training(false);
+    Tensor y_eval = layer.forward(x);
+    ASSERT_TRUE(y_train.same_shape(y_eval));
+    for (std::int64_t i = 0; i < y_train.numel(); ++i) {
+      EXPECT_EQ(y_train[i], y_eval[i]) << "mode " << static_cast<int>(cfg.mode) << " element " << i;
+    }
   }
 }
 

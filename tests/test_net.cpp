@@ -240,6 +240,8 @@ TEST(Wire, BadMagicPoisonsWithZeroRequestId) {
   wire::FrameView frame;
   ASSERT_EQ(decoder.next(frame), wire::Decoder::Result::Error);
   EXPECT_NE(decoder.error().find("magic"), std::string::npos) << decoder.error();
+  // The diagnostic shows the received magic in hex: "PCAN" with byte 0 flipped.
+  EXPECT_NE(decoder.error().find("0x4e4143af"), std::string::npos) << decoder.error();
   // A garbage magic means the header cannot be trusted at all — no id.
   EXPECT_EQ(decoder.error_request_id(), 0u);
   // Poisoned for good: more bytes never resurrect the stream.

@@ -269,22 +269,27 @@ TEST(SoftmaxCrossEntropy, AccuracyPercent) {
 
 // --------------------------------------------------- stateless infer path
 
-/// Every element must match bit-for-bit: infer() is the serving-path twin
-/// of an eval-mode forward().
+/// Every element must match bit-for-bit: forward() computes each layer's
+/// output through infer(), in eval mode and, for every layer but
+/// BatchNorm2d's batch statistics, in training mode too.
 void expect_bitwise(const Tensor& a, const Tensor& b) {
   ASSERT_TRUE(a.same_shape(b));
   for (std::int64_t i = 0; i < a.numel(); ++i) EXPECT_EQ(a[i], b[i]) << "element " << i;
 }
 
-TEST(InferPath, ConvStackMatchesEvalForwardBitwise) {
-  Rng rng(33);
-  Sequential net("stack");
+void add_conv_stack(Sequential& net, bool with_bn, Rng& rng) {
   net.emplace<Conv2d>("conv", 2, 4, 3, 1, 1, /*bias=*/true, rng);
-  net.emplace<BatchNorm2d>("bn", 4);
+  if (with_bn) net.emplace<BatchNorm2d>("bn", 4);
   net.emplace<ReLU>("relu");
   net.emplace<MaxPool2d>("pool", 2, 2);
   net.emplace<Flatten>("flatten");
   net.emplace<Linear>("fc", 4 * 4 * 4, 5, /*bias=*/true, rng);
+}
+
+TEST(InferPath, ConvStackMatchesEvalForwardBitwise) {
+  Rng rng(33);
+  Sequential net("stack");
+  add_conv_stack(net, /*with_bn=*/true, rng);
   // Run one training step so BN has non-trivial running stats.
   Rng data_rng(35);
   net.forward(data_rng.randn({4, 2, 8, 8}));
@@ -297,25 +302,45 @@ TEST(InferPath, ConvStackMatchesEvalForwardBitwise) {
   // Second call reuses the arena slots and must be unchanged.
   ctx.reset();
   expect_bitwise(net.infer(x, ctx), eval_out);
+
+  // Without BN, a training forward (which also fills the backward caches)
+  // computes the very same output.
+  Rng bn_free_rng(33);
+  Sequential bn_free("stack_no_bn");
+  add_conv_stack(bn_free, /*with_bn=*/false, bn_free_rng);
+  Tensor train_out = bn_free.forward(x);
+  ctx.reset();
+  expect_bitwise(bn_free.infer(x, ctx), train_out);
+}
+
+std::unique_ptr<Sequential> make_residual_net(bool with_bn, Rng& rng) {
+  auto main = std::make_unique<Sequential>("main");
+  main->emplace<AdderConv2d>("adder", 2, 4, 3, 2, 1, rng);
+  if (with_bn) main->emplace<BatchNorm2d>("bn", 4);
+  auto shortcut = std::make_unique<OptionAShortcut>("sc", 2, 4, 2);
+  auto net = std::make_unique<Sequential>("res");
+  net->append(std::make_unique<Residual>("r", std::move(main), std::move(shortcut), true));
+  net->emplace<GlobalAvgPool>("gap");
+  return net;
 }
 
 TEST(InferPath, ResidualAdderGapMatchEvalForward) {
   Rng rng(37);
-  auto main = std::make_unique<Sequential>("main");
-  main->emplace<AdderConv2d>("adder", 2, 4, 3, 2, 1, rng);
-  main->emplace<BatchNorm2d>("bn", 4);
-  auto shortcut = std::make_unique<OptionAShortcut>("sc", 2, 4, 2);
-  Sequential net("res");
-  net.append(std::make_unique<Residual>("r", std::move(main), std::move(shortcut), true));
-  net.emplace<GlobalAvgPool>("gap");
+  auto net = make_residual_net(/*with_bn=*/true, rng);
   Rng data_rng(39);
-  net.forward(data_rng.randn({2, 2, 8, 8}));
-  net.set_training(false);
+  net->forward(data_rng.randn({2, 2, 8, 8}));
+  net->set_training(false);
 
   Tensor x = data_rng.randn({2, 2, 8, 8});
-  Tensor eval_out = net.forward(x);
+  Tensor eval_out = net->forward(x);
   InferContext ctx;
-  expect_bitwise(net.infer(x, ctx), eval_out);
+  expect_bitwise(net->infer(x, ctx), eval_out);
+
+  Rng bn_free_rng(37);
+  auto bn_free = make_residual_net(/*with_bn=*/false, bn_free_rng);
+  Tensor train_out = bn_free->forward(x);
+  ctx.reset();
+  expect_bitwise(bn_free->infer(x, ctx), train_out);
 }
 
 TEST(InferPath, InferIsConstAndLeavesTrainingStateAlone) {
