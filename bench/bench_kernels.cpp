@@ -1,17 +1,17 @@
 // Kernel before/after harness: the primitives behind serving — each PECAN
 // mode's CAM entry (PECAN-D best match + LUT column, PECAN-A match-line
 // scores + softmax + weighted LUT sum), SGEMM, im2col — each measured with
-// the scalar reference ("before": column-at-a-time strided CAM spec, naive
-// i-k-j gemm) and the blocked kernel the hot path runs ("after": the fused
-// [d, Lb] tile entries, 6x16 register-blocked gemm), plus end-to-end
-// CamConv2d/CamLinear img/s. Emits BENCH_kernels.json so the perf
+// the scalar reference ("before": the column-at-a-time strided CAM spec of
+// tests/cam_reference.hpp, which the test suites pin the blocked entries
+// against; naive i-k-j gemm) and the blocked kernel the hot path runs
+// ("after": the fused [d, Lb] tile entries, 6x16 register-blocked gemm),
+// plus end-to-end CamConv2d/CamLinear img/s. Emits BENCH_kernels.json so the perf
 // trajectory has checked-in data points.
 //
 //   ./bench_kernels                 full run (~1 min), writes BENCH_kernels.json
 //   ./bench_kernels --smoke         seconds-scale CI run, same JSON schema
 //   ./bench_kernels --json out.json --threads 2
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -21,6 +21,7 @@
 #include "cam/cam_array.hpp"
 #include "cam/cam_conv2d.hpp"
 #include "cam/lut.hpp"
+#include "cam_reference.hpp"
 #include "core/pecan_linear.hpp"
 #include "nn/im2col.hpp"
 #include "nn/infer_context.hpp"
@@ -94,35 +95,20 @@ struct CamBench {
   std::vector<float> out, qtile, scores;
   cam::OpCounter counter;
   cam::CamTally tally;
+  std::vector<std::uint64_t> usage;  ///< the scalar spec's hit counts
 
   CamBench(Rng&& rng, cam::SearchMetric metric, std::int64_t p, std::int64_t d, std::int64_t len)
       : array(rng.randn({p, d}), metric), lut(rng.randn({1, p})), cols(rng.randn({d, len})),
         out(static_cast<std::size_t>(len)), qtile(static_cast<std::size_t>(d * cam::kCamTileMax)),
-        scores(static_cast<std::size_t>(p * cam::kCamTileMax)), tally(p) {}
+        scores(static_cast<std::size_t>(p * cam::kCamTileMax)), tally(p),
+        usage(static_cast<std::size_t>(p)) {}
 
   bool l1() const { return array.metric() == cam::SearchMetric::L1BestMatch; }
 
   /// The scalar spec, one strided query column at a time.
   void scalar() {
-    const std::int64_t p = array.word_count(), len = cols.dim(1);
-    float* s = scores.data();
-    for (std::int64_t l = 0; l < len; ++l) {
-      if (l1()) {
-        lut.accumulate(array.search(cols.data() + l, len, counter), out.data() + l, len, counter);
-        continue;
-      }
-      array.similarity_scores(cols.data() + l, len, s, counter);
-      float mx = s[0];
-      for (std::int64_t m = 1; m < p; ++m) mx = std::max(mx, s[m]);
-      double denom = 0;
-      for (std::int64_t m = 0; m < p; ++m) {
-        s[m] = std::exp((s[m] - mx) / kTemperature);
-        denom += s[m];
-      }
-      const float inv = static_cast<float>(1.0 / denom);
-      for (std::int64_t m = 0; m < p; ++m) s[m] *= inv;
-      lut.weighted_accumulate(s, out.data() + l, len, counter);
-    }
+    camspec::spec_columns(array, lut, cols.data(), cols.dim(1), kTemperature,
+                          cam::CamPrecision::Float32, out.data(), counter, usage);
     g_sink = out[0];
   }
 
@@ -132,7 +118,7 @@ struct CamBench {
     const std::int64_t d = array.word_dim(), len = cols.dim(1);
     for (std::int64_t l0 = 0; l0 < len; l0 += cam::kCamTileMax) {
       const std::int64_t lb = std::min<std::int64_t>(cam::kCamTileMax, len - l0);
-      nn::pack_cols_tile(cols.data(), len, d, l0, lb, qtile.data());
+      camspec::pack_cols_tile(cols.data(), len, d, l0, lb, qtile.data());
       if (l1()) {
         array.search_accumulate_block(qtile.data(), lb, lut, out.data() + l0, len, tally, prec);
       } else {
@@ -280,7 +266,7 @@ Row bench_im2col_tile(std::int64_t c, std::int64_t hw, std::int64_t d, double mi
         for (std::int64_t j = 0; j < D; ++j) {
           for (std::int64_t l0 = 0; l0 < len; l0 += cam::kCamTileMax) {
             const std::int64_t lb = std::min<std::int64_t>(cam::kCamTileMax, len - l0);
-            nn::pack_cols_tile(cols.data() + j * d * len, len, d, l0, lb, qtile.data());
+            camspec::pack_cols_tile(cols.data() + j * d * len, len, d, l0, lb, qtile.data());
             g_sink = qtile[0];
           }
         }

@@ -1,8 +1,8 @@
 #include "cam/cam_array.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
 #include "cam/cam_kernels.hpp"
@@ -53,34 +53,6 @@ CamArray::CamArray(Tensor words, SearchMetric metric)
   d_ = words_.dim(1);
   if (p_ <= 0 || d_ <= 0) throw std::invalid_argument("CamArray: empty array");
   usage_.assign(static_cast<std::size_t>(p_), 0);
-}
-
-std::int64_t CamArray::search(const float* query, std::int64_t stride, OpCounter& counter) const {
-  if (metric_ != SearchMetric::L1BestMatch) {
-    throw std::invalid_argument(
-        "CamArray: best-match search is L1-only (dot arrays serve through similarity scores)");
-  }
-  count_into(&OpCounter::cam_searches, counter, bank_port_, 1);
-  // Match-line noise (empty = off): word m's offset is applied AFTER its
-  // full d-term accumulation — the same point the blocked kernel applies
-  // it, so scalar and blocked stay bitwise-identical with noise on too.
-  const float* nz = mlnoise_.empty() ? nullptr : mlnoise_.data();
-  std::int64_t best = 0;
-  float best_dist = std::numeric_limits<float>::max();
-  for (std::int64_t m = 0; m < p_; ++m) {
-    const float* w = words_.data() + m * d_;
-    float dist = 0.f;
-    for (std::int64_t i = 0; i < d_; ++i) dist += std::fabs(query[i * stride] - w[i]);
-    if (nz) dist += nz[m];
-    if (dist < best_dist) {
-      best_dist = dist;
-      best = m;
-    }
-  }
-  // Match-line arithmetic: per word, d subtractions + d accumulations.
-  count_into(&OpCounter::adds, counter, bank_port_, static_cast<std::uint64_t>(2 * p_ * d_));
-  record_usage(best);
-  return best;
 }
 
 static_assert(kCamTileMax == detail::kKernelTile, "CAM tile width and kernel tile must agree");
@@ -231,7 +203,7 @@ void CamArray::search_accumulate_block(const float* queries, std::int64_t lb, co
   } else {
     // Match-line noise injects in the Float32 scans only (float_plane()
     // carries it), after each word's full accumulation — identically to the
-    // scalar search(), so blocked == scalar holds with noise on.
+    // scalar spec, so blocked == scalar holds with noise on.
     k.f32_l1_hits(float_plane(), queries, lb, hit32);
     tally.ops.adds += static_cast<std::uint64_t>(2 * p_ * d_) * n;
   }
@@ -266,7 +238,7 @@ void CamArray::similarity_softmax_accumulate_block(const float* queries, std::in
     tally.ops.adds_q += reads;
     tally.ops.muls_q += reads;
   } else {
-    // Each score is bitwise-equal to similarity_scores() of its query,
+    // Each score is bitwise-equal to the scalar spec's read of its query,
     // match-line noise included.
     detail::active_kernels().f32_dot_scores(float_plane(), queries, lb, scores);
     tally.ops.adds += reads;
@@ -275,8 +247,8 @@ void CamArray::similarity_softmax_accumulate_block(const float* queries, std::in
   tally.ops.cam_searches += static_cast<std::uint64_t>(lb);
   // Column softmax of the [p, lb] score tile, in place — same per-element
   // operations as the scalar spec (float exp, double denominator, one float
-  // normalize multiply) so the Float32 path stays bitwise-identical to
-  // similarity_scores + softmax + weighted_accumulate.
+  // normalize multiply) so the Float32 path stays bitwise-identical to the
+  // scalar spec's score read + softmax + weighted accumulate.
   for (std::int64_t l = 0; l < lb; ++l) {
     float mx = scores[l];
     std::int64_t best = 0;
@@ -309,21 +281,6 @@ void CamArray::flush(CamTally& tally, OpCounter& counter) const {
     std::atomic_ref<std::uint64_t>(usage_[m]).fetch_add(tally.usage[m], std::memory_order_relaxed);
     tally.usage[m] = 0;
   }
-}
-
-void CamArray::similarity_scores(const float* query, std::int64_t stride, float* scores,
-                                 OpCounter& counter) const {
-  count_into(&OpCounter::cam_searches, counter, bank_port_, 1);
-  const float* nz = mlnoise_.empty() ? nullptr : mlnoise_.data();
-  for (std::int64_t m = 0; m < p_; ++m) {
-    const float* w = words_.data() + m * d_;
-    float score = 0.f;
-    for (std::int64_t i = 0; i < d_; ++i) score += query[i * stride] * w[i];
-    if (nz) score += nz[m];
-    scores[m] = score;
-  }
-  count_into(&OpCounter::adds, counter, bank_port_, static_cast<std::uint64_t>(p_ * d_));
-  count_into(&OpCounter::muls, counter, bank_port_, static_cast<std::uint64_t>(p_ * d_));
 }
 
 void CamArray::set_matchline_noise(std::vector<float> offsets) {

@@ -8,15 +8,14 @@
 //   Dot metric — crossbar inner-product read (PECAN-A): returns all p
 //                similarity scores for the softmax, p*d MACs. There is no
 //                dot-metric best match: PECAN-A weighs every word.
-// Each mode has one scalar reference (search / similarity_scores, plus the
-// LutMemory scalar accumulates) and one blocked entry that serving calls
-// (search_accumulate_block / similarity_softmax_accumulate_block). The
-// blocked entries charge a caller-owned CamTally; flush() publishes it.
+// Each mode has one blocked entry that serving calls
+// (search_accumulate_block / similarity_softmax_accumulate_block), pinned
+// bitwise to the scalar spec in tests/cam_reference.hpp. The blocked
+// entries charge a caller-owned CamTally; flush() publishes it.
 // The array also keeps a per-word usage histogram (Fig. 6) and supports
 // pruning never-used words (§5 of the paper).
 #pragma once
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -107,12 +106,6 @@ class CamArray {
   /// Mutable access for hardware non-ideality models (cam/nonideal.hpp).
   Tensor& mutable_words() { return words_; }
 
-  /// Scalar L1 best-match search, the PECAN-D spec; query points at d floats
-  /// with stride `stride` between components (column access into an im2col
-  /// matrix). Increments counter.adds by 2*p*d. Throws std::invalid_argument
-  /// on a DotProduct array.
-  std::int64_t search(const float* query, std::int64_t stride, OpCounter& counter) const;
-
   /// PECAN-D blocked entry: resolves the L1 best match of each query in a
   /// tile of lb <= kCamTileMax queries packed dim-major (component i of
   /// query l at queries[i * lb + l], see nn::im2col_tile) and adds lut column
@@ -120,8 +113,9 @@ class CamArray {
   /// indices are still in registers. The call's ops and hits go into
   /// `tally` (plain adds, no atomics); flush() publishes them. At Float32 the
   /// output, and after flush() the OpCounter totals and the usage histogram,
-  /// are bitwise-identical to search() + LutMemory::accumulate() per query
-  /// (same scan order, same summation order, same lowest-index tie-break).
+  /// are bitwise-identical to the scalar spec's search + LUT accumulate per
+  /// query (same scan order, same summation order, same lowest-index
+  /// tie-break).
   /// Int8 and Binary resolve the same argmin over their quantized distances
   /// (same tie-break) and require prepare_quantized() first. lut.entries()
   /// and the tally's usage row must match word_count(); a DotProduct array
@@ -135,8 +129,8 @@ class CamArray {
   /// softmaxes each column in place in `scores` (size >= p * lb), tallies
   /// the pre-softmax argmax as the usage hit, and weighted-accumulates into
   /// the [cout, lb] output tile. At Float32 the output, and after flush()
-  /// the OpCounter totals, are bitwise-identical to similarity_scores() +
-  /// softmax + LutMemory::weighted_accumulate() per query. Binary has no
+  /// the OpCounter totals, are bitwise-identical to the scalar spec's match
+  /// line read + softmax + weighted LUT accumulate per query. Binary has no
   /// meaningful scores — callers map Binary to Int8 first; passing Binary
   /// here throws.
   void similarity_softmax_accumulate_block(const float* queries, std::int64_t lb,
@@ -146,7 +140,7 @@ class CamArray {
 
   /// Publishes a tally of this array's blocked calls — once into `counter`,
   /// mirrored into the bank port, and into the usage histogram — then zeroes
-  /// it. The amounts equal what the scalar specs count per query.
+  /// it. The amounts equal what the scalar spec counts per query.
   void flush(CamTally& tally, OpCounter& counter) const;
 
   /// Builds the quantized plane(s) for `precision` from the current words:
@@ -165,18 +159,9 @@ class CamArray {
   /// every bit position near maximum entropy.
   const std::vector<float>& binary_thresholds() const { return bthresh_; }
 
-  /// Scalar dot-product read of ALL match lines, the PECAN-A spec:
-  /// scores[m] = <word_m, query>. Does not record usage.
-  void similarity_scores(const float* query, std::int64_t stride, float* scores,
-                         OpCounter& counter) const;
-
-  /// Usage histogram maintenance (Fig. 6). Atomic: many lanes flush into
-  /// one array concurrently and the histogram feeds §5 pruning decisions, so
-  /// drops are not acceptable.
-  void record_usage(std::int64_t word) const {
-    std::atomic_ref<std::uint64_t>(usage_[static_cast<std::size_t>(word)])
-        .fetch_add(1, std::memory_order_relaxed);
-  }
+  /// Per-word hit histogram (Fig. 6). flush() adds to it atomically: many
+  /// lanes flush into one array at once and the histogram feeds §5 pruning,
+  /// so no hit may be dropped.
   const std::vector<std::uint64_t>& usage() const { return usage_; }
   void reset_usage() const { std::fill(usage_.begin(), usage_.end(), 0); }
 
@@ -184,12 +169,12 @@ class CamArray {
   /// map so the owner can compact its LUT rows identically (§5 pruning).
   std::vector<std::int64_t> prune_unused();
 
-  /// Wires this array to a simulated bank's op ledger (cam::BankMap): the
-  /// scalar specs and flush() mirror their exact amounts into the port
-  /// alongside the caller's OpCounter — one extra relaxed atomic per field
-  /// per flush, nothing on the per-call path. nullptr detaches. The port
-  /// must outlive every concurrent search (the engine wires it at compile
-  /// time, before serving starts).
+  /// Wires this array to a simulated bank's op ledger (cam::BankMap):
+  /// flush() mirrors its exact amounts into the port alongside the caller's
+  /// OpCounter — one extra relaxed atomic per field per flush, nothing on
+  /// the per-call path. nullptr detaches. The port must outlive every
+  /// concurrent search (the engine wires it at compile time, before serving
+  /// starts).
   void set_bank_port(OpCounter* port) { bank_port_ = port; }
   OpCounter* bank_port() const { return bank_port_; }
 
@@ -198,8 +183,8 @@ class CamArray {
   /// search paths — the same perturbation a mis-calibrated match line
   /// applies to every search it serves. Empty = off, and the off path is
   /// bitwise-untouched (the offsets are applied after each word's full
-  /// accumulation, so scalar and blocked searches stay identical to each
-  /// other with noise on, too). Quantized (Int8/Binary) scans never inject:
+  /// accumulation, so the blocked entries stay identical to the scalar spec
+  /// with noise on, too). Quantized (Int8/Binary) scans never inject:
   /// noise is a Float32-only study (cam::apply_matchline_noise enforces this).
   void set_matchline_noise(std::vector<float> offsets);
   void clear_matchline_noise() { mlnoise_.clear(); }

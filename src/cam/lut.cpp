@@ -14,28 +14,6 @@ LutMemory::LutMemory(Tensor table) : table_(std::move(table)) {
   p_ = table_.dim(1);
 }
 
-void LutMemory::accumulate(std::int64_t k, float* out, std::int64_t out_stride,
-                           OpCounter& counter) const {
-  if (k < 0 || k >= p_) throw std::out_of_range("LutMemory: entry out of range");
-  const float* col = table_.data() + k;
-  for (std::int64_t c = 0; c < cout_; ++c) out[c * out_stride] += col[c * p_];
-  counter.adds.fetch_add(static_cast<std::uint64_t>(cout_), std::memory_order_relaxed);
-  counter.lut_reads.fetch_add(1, std::memory_order_relaxed);
-}
-
-void LutMemory::weighted_accumulate(const float* weights, float* out, std::int64_t out_stride,
-                                    OpCounter& counter) const {
-  for (std::int64_t c = 0; c < cout_; ++c) {
-    const float* row = table_.data() + c * p_;
-    float acc = 0.f;
-    for (std::int64_t m = 0; m < p_; ++m) acc += weights[m] * row[m];
-    out[c * out_stride] += acc;
-  }
-  counter.adds.fetch_add(static_cast<std::uint64_t>(cout_ * p_), std::memory_order_relaxed);
-  counter.muls.fetch_add(static_cast<std::uint64_t>(cout_ * p_), std::memory_order_relaxed);
-  counter.lut_reads.fetch_add(1, std::memory_order_relaxed);
-}
-
 void LutMemory::weighted_accumulate_block(const float* weights, std::int64_t lb, float* out,
                                           std::int64_t out_stride, ops::OpTotals& tally) const {
   if (lb <= 0) return;

@@ -4,12 +4,15 @@
 // column m is the contribution of prototype m to every output channel.
 // At inference a CAM hit k fetches column k and accumulates it into the
 // output (cout adds) — no multiplication (PECAN-D) or a p-wide weighted
-// sum (PECAN-A).
+// sum (PECAN-A). PECAN-D's column gather is fused into
+// CamArray::search_accumulate_block; PECAN-A's weighted sum is
+// weighted_accumulate_block below.
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
-#include "cam/op_counter.hpp"
+#include "ops/op_count.hpp"
 #include "tensor/tensor.hpp"
 
 namespace pecan::cam {
@@ -24,20 +27,12 @@ class LutMemory {
   const Tensor& table() const { return table_; }
   Tensor& table() { return table_; }
 
-  /// PECAN-D accumulate: out[c] += table[c, k] for all c (cout adds). The
-  /// scalar spec; CamArray::search_accumulate_block runs the blocked form.
-  void accumulate(std::int64_t k, float* out, std::int64_t out_stride, OpCounter& counter) const;
-
-  /// PECAN-A weighted accumulate: out[c] += sum_m weights[m] * table[c, m]
-  /// (p*cout muls + p*cout adds).
-  void weighted_accumulate(const float* weights, float* out, std::int64_t out_stride,
-                           OpCounter& counter) const;
-
   /// Blocked PECAN-A accumulate: weights is [p, lb] (weights[m * lb + l] is
   /// the softmax weight of prototype m for query l); adds table * weights
   /// into the [cout, lb] output tile. Per output element the m-summation
-  /// order matches weighted_accumulate, so results are bitwise-equal to lb
-  /// scalar calls on the weight columns. The ops go into the caller's plain
+  /// order matches the scalar spec's weighted accumulate, so results are
+  /// bitwise-equal to lb scalar calls on the weight columns (the spec lives
+  /// in tests/cam_reference.hpp). The ops go into the caller's plain
   /// `tally` (the calling CamArray's CamTally), which the array's flush()
   /// publishes.
   void weighted_accumulate_block(const float* weights, std::int64_t lb, float* out,

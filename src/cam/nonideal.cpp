@@ -7,6 +7,14 @@ namespace pecan::cam {
 
 namespace {
 
+/// Signed levels of a `bits`-wide grid, (2^bits - 1); throws outside [2, 16].
+std::int64_t intn_levels(int bits) {
+  if (bits < 2 || bits > 16) {
+    throw std::invalid_argument("quantize_to_intn: bits must be in [2,16]");
+  }
+  return (std::int64_t{1} << bits) - 1;
+}
+
 /// Symmetric per-tensor fake quantization to (2^bits - 1) signed levels.
 void fake_quantize(Tensor& values, std::int64_t levels, QuantizationReport& report) {
   float max_abs = 0.f;
@@ -27,9 +35,8 @@ void fake_quantize(Tensor& values, std::int64_t levels, QuantizationReport& repo
     err_sum += err;
     values[i] = q;
   }
-  // Running mean across tensors, weighted by element count via simple
-  // accumulation (report.mean_abs_error holds the sum until finalized by
-  // the caller; we normalize per tensor here to keep the API simple).
+  // report.mean_abs_error sums the per-tensor means until the caller divides
+  // by report.tensors, so every tensor weighs the same whatever its size.
   report.mean_abs_error += err_sum / static_cast<double>(values.numel());
   ++report.tensors;
 }
@@ -37,9 +44,8 @@ void fake_quantize(Tensor& values, std::int64_t levels, QuantizationReport& repo
 }  // namespace
 
 QuantizationReport quantize_to_intn(CamConv2d& layer, int bits) {
-  if (bits < 2 || bits > 16) throw std::invalid_argument("quantize_to_intn: bits must be in [2,16]");
   QuantizationReport report;
-  report.levels = (1LL << bits) - 1;
+  report.levels = intn_levels(bits);
   for (std::int64_t j = 0; j < layer.groups(); ++j) {
     fake_quantize(layer.array(j).mutable_words(), report.levels, report);
     fake_quantize(layer.lut(j).table(), report.levels, report);
@@ -109,7 +115,7 @@ void clear_matchline_noise(CamNetworkExport& network) {
 
 QuantizationReport quantize_to_intn(CamNetworkExport& network, int bits) {
   QuantizationReport total;
-  total.levels = (1LL << bits) - 1;
+  total.levels = intn_levels(bits);
   double mean_acc = 0;
   for (CamConv2d* layer : network.cam_layers) {
     const QuantizationReport r = quantize_to_intn(*layer, bits);

@@ -38,15 +38,17 @@ namespace pecan::cam {
 struct QuantizationReport {
   std::int64_t tensors = 0;        ///< arrays + tables quantized
   double max_abs_error = 0;        ///< worst absolute rounding error
-  double mean_abs_error = 0;       ///< mean absolute rounding error
+  double mean_abs_error = 0;       ///< per-tensor mean absolute error, averaged over tensors
   std::int64_t levels = 0;         ///< 2^bits - 1
 };
 
 /// Fake-quantizes every CAM word and LUT entry of `layer` to `bits` bits
-/// (symmetric, per-array scale). Returns rounding-error statistics.
+/// (symmetric, per-array scale). Returns rounding-error statistics. `bits`
+/// outside [2, 16] throws std::invalid_argument before anything is touched.
 QuantizationReport quantize_to_intn(CamConv2d& layer, int bits);
 
-/// Whole-network variant.
+/// Whole-network variant, with the same `bits` check even when the export
+/// has no CAM layers.
 QuantizationReport quantize_to_intn(CamNetworkExport& network, int bits);
 
 /// Device-variation knob for the match-line noise model. `sigma` is the

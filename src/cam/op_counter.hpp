@@ -74,21 +74,16 @@ struct OpCounter {
   }
 };
 
-/// Relaxed add to one `counter` field, mirrored into `port` when non-null.
-/// CamArray's scalar specs and its flush route every amount through this so
-/// the network-wide ledger and an array's simulated bank (cam::BankMap) see
-/// IDENTICAL amounts by construction — per-bank energy sums to the network
-/// total exactly, not approximately.
-inline void count_into(std::atomic<std::uint64_t> OpCounter::* field, OpCounter& counter,
-                       OpCounter* port, std::uint64_t n) {
-  (counter.*field).fetch_add(n, std::memory_order_relaxed);
-  if (port) ((*port).*field).fetch_add(n, std::memory_order_relaxed);
-}
-
-/// Publishes a plain tally field by field (zero fields cost nothing).
+/// Publishes a plain tally field by field into `counter`, mirrored into
+/// `port` when non-null (zero fields cost nothing). CamArray::flush routes
+/// every amount through this, so the network-wide ledger and an array's
+/// simulated bank (cam::BankMap) see IDENTICAL amounts by construction —
+/// per-bank energy sums to the network total exactly, not approximately.
 inline void count_into(const ops::OpTotals& t, OpCounter& counter, OpCounter* port) {
   const auto add = [&](std::atomic<std::uint64_t> OpCounter::* field, std::uint64_t n) {
-    if (n) count_into(field, counter, port, n);
+    if (n == 0) return;
+    (counter.*field).fetch_add(n, std::memory_order_relaxed);
+    if (port) ((*port).*field).fetch_add(n, std::memory_order_relaxed);
   };
   add(&OpCounter::adds, t.adds);
   add(&OpCounter::muls, t.muls);

@@ -3,10 +3,10 @@
 // im2col turns one [cin, H, W] image into the matrix X of the paper:
 // each output location becomes a column of length cin*k^2, so a convolution
 // is the matrix product F * X. Both Conv2d and the PECAN layers (which
-// group the rows of X into D subvector groups) share this code.
+// group the rows of X into D subvector groups) share this code; the CAM
+// layers gather their query tiles straight from the image with im2col_tile.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 
 #include "tensor/tensor.hpp"
@@ -42,24 +42,10 @@ void col2im_accumulate(const float* cols, const Conv2dGeometry& g, float* im_gra
 /// Convenience wrappers on Tensors (single image, not batched).
 Tensor im2col(const Tensor& image, const Conv2dGeometry& g);
 
-/// Packs a [d, lb] tile of im2col columns into contiguous dim-major storage:
-/// out[i * lb + l] = group_cols[i * len + l0 + l], where group_cols points at
-/// a group's first row of a [*, len] column matrix. This is im2col_tile's
-/// test reference (im2col + pack_cols_tile is the two-pass definition of the
-/// fused gather); tests and benches also use it to feed the blocked CAM
-/// entries query tiles cut from a column matrix.
-inline void pack_cols_tile(const float* group_cols, std::int64_t len, std::int64_t d,
-                           std::int64_t l0, std::int64_t lb, float* out) {
-  for (std::int64_t i = 0; i < d; ++i) {
-    const float* src = group_cols + i * len + l0;
-    std::copy(src, src + lb, out + i * lb);
-  }
-}
-
 /// Fused unfold -> tile pack: produces the dim-major [nrows, lb] query tile
 /// the blocked CAM kernels consume DIRECTLY from the image, skipping the
 /// full im2col `cols` materialization (the largest hot-path intermediate).
-/// Bitwise-identical to im2col + pack_cols_tile:
+/// Bitwise-identical to im2col followed by a tile copy:
 ///   out[r * lb + t] == cols[(row0 + r) * g.cols() + (l0 + t)]
 /// for r in [0, nrows), t in [0, lb). Row row0+r decomposes into its
 /// (channel, ki, kj) kernel tap; each output row of the tile is gathered

@@ -165,12 +165,6 @@ Tensor decode_tensor(const std::uint8_t* payload, std::size_t len);
 Tensor decode_tensor_request(const std::uint8_t* payload, std::size_t len,
                              std::uint8_t& priority, std::uint32_t& deadline_ms);
 
-inline Tensor decode_tensor_request(const std::uint8_t* payload, std::size_t len,
-                                    std::uint8_t& priority) {
-  std::uint32_t deadline_ms = 0;
-  return decode_tensor_request(payload, len, priority, deadline_ms);
-}
-
 // --- Decoding ---------------------------------------------------------------
 
 class Decoder {

@@ -9,8 +9,8 @@
 // plain FIFO. The queue owns the policy decisions a serving front door needs
 // and nothing else:
 //   * a capacity bound (0 = unbounded) — push() blocks while full
-//     (backpressure propagates to the caller), try_push() returns Full
-//     immediately (caller sheds);
+//     (backpressure propagates to the caller), try_push_evict() never
+//     blocks (caller sheds);
 //   * close semantics — close() wakes every blocked producer and consumer;
 //     pushes after close fail with Closed, pops keep draining whatever is
 //     already queued so no accepted item is ever dropped;
@@ -55,7 +55,7 @@ namespace pecan::util {
 
 enum class PushResult {
   Ok,      ///< item accepted (and moved from)
-  Full,    ///< capacity reached (try_push only); item untouched
+  Full,    ///< capacity reached (try_push_evict only); item untouched
   Closed,  ///< queue closed; item untouched
 };
 
@@ -73,25 +73,12 @@ class PriorityBucketQueue {
 
   std::size_t classes() const { return buckets_.size(); }
 
-  /// Non-blocking push into class `cls` (clamped to the top class): sheds the
-  /// INCOMING item when full.
-  PushResult try_push(T& item, std::size_t cls) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      cls = clamp_class(cls);
-      if (closed_) return PushResult::Closed;
-      if (at_capacity()) return PushResult::Full;
-      enqueue(std::move(item), cls);
-    }
-    cv_.notify_all();
-    return PushResult::Ok;
-  }
-
-  /// Non-blocking push that sheds the lowest class first: when full, the
-  /// newest item of the lowest occupied class STRICTLY below `cls` is evicted
-  /// into `evicted` (the caller owns failing it) and `item` is accepted. If
-  /// `cls` is itself (tied for) the lowest, the incoming item sheds instead
-  /// (Full, item untouched).
+  /// Non-blocking push into class `cls` (clamped to the top class) that
+  /// sheds the lowest class first: when full, the newest item of the lowest
+  /// occupied class STRICTLY below `cls` is evicted into `evicted` (the
+  /// caller owns failing it) and `item` is accepted. If `cls` is itself
+  /// (tied for) the lowest, the incoming item sheds instead (Full, item
+  /// untouched).
   PushResult try_push_evict(T& item, std::size_t cls, std::optional<T>& evicted) {
     evicted.reset();
     {

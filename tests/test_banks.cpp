@@ -190,17 +190,15 @@ struct ArraySpec {
   std::vector<std::uint64_t> usage;
 };
 
-/// One layer's column-at-a-time spec over `x` ([N, C, H, W]), one query at
-/// a time per group. Float32 charges the library's scalar specs (search or
-/// similarity_scores, then the scalar LUT accumulate); Int8/Binary take the
-/// winners from the independent quantized references and charge the op mix
-/// each quantized match line is defined to cost per query.
+/// One layer's column-at-a-time spec over `x` ([N, C, H, W]): the scalar
+/// spec (cam_reference.hpp) of each group at the layer's precision, one
+/// query at a time over each sample's im2col matrix. Only the ops and the
+/// usage are kept; the usage hit of a PECAN-A query is its pre-softmax
+/// argmax whatever the temperature, so the spec runs at temperature 1.
 std::vector<ArraySpec> column_spec(cam::CamConv2d& layer, const Tensor& x) {
   const std::int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
   const nn::Conv2dGeometry g = layer.geometry(h, w);
   const std::int64_t len = g.cols();
-  const cam::CamPrecision precision = layer.effective_precision();
-  const bool angle = layer.mode() == pq::MatchMode::Angle;
   std::vector<ArraySpec> specs(static_cast<std::size_t>(layer.groups()));
   for (std::int64_t s = 0; s < n; ++s) {
     const Tensor image({c, h, w}, std::vector<float>(x.data() + s * c * h * w,
@@ -209,49 +207,12 @@ std::vector<ArraySpec> column_spec(cam::CamConv2d& layer, const Tensor& x) {
     for (std::int64_t j = 0; j < layer.groups(); ++j) {
       const cam::CamArray& array = layer.array(j);
       const cam::LutMemory& lut = layer.lut(j);
-      const std::int64_t d = array.word_dim(), p = array.word_count();
       ArraySpec& spec = specs[static_cast<std::size_t>(j)];
-      spec.usage.resize(static_cast<std::size_t>(p), 0);
+      spec.usage.resize(static_cast<std::size_t>(array.word_count()), 0);
       cam::OpCounter counter;
-      std::vector<std::int64_t> qhits;
-      if (!angle && precision != cam::CamPrecision::Float32) {
-        const Tensor rows({d, len}, std::vector<float>(cols.data() + j * d * len,
-                                                       cols.data() + (j + 1) * d * len));
-        qhits = camspec::quantized_reference_hits(array, rows, precision);
-      }
-      std::vector<float> out(static_cast<std::size_t>(lut.cout()), 0.f);
-      std::vector<float> scores(static_cast<std::size_t>(p));
-      for (std::int64_t l = 0; l < len; ++l) {
-        const float* query = cols.data() + j * d * len + l;
-        std::int64_t hit = 0;
-        if (!angle) {
-          if (precision == cam::CamPrecision::Float32) {
-            hit = array.search(query, len, counter);
-          } else {
-            hit = qhits[static_cast<std::size_t>(l)];
-            ++spec.ops.cam_searches;
-            if (precision == cam::CamPrecision::Int8) {
-              spec.ops.adds_q += static_cast<std::uint64_t>(2 * p * d);
-            } else {
-              spec.ops.xor_popcounts += static_cast<std::uint64_t>(p * ((d + 63) / 64));
-            }
-          }
-          lut.accumulate(hit, out.data(), 1, counter);
-        } else {
-          if (precision == cam::CamPrecision::Float32) {
-            array.similarity_scores(query, len, scores.data(), counter);
-          } else {
-            camspec::int8_reference_scores(array, query, len, scores.data());
-            ++spec.ops.cam_searches;
-            spec.ops.adds_q += static_cast<std::uint64_t>(p * d);
-            spec.ops.muls_q += static_cast<std::uint64_t>(p * d);
-          }
-          // The usage hit is the pre-softmax argmax, whatever the temperature.
-          hit = camspec::softmax_column(scores.data(), p, 1, 0, 1.f);
-          lut.weighted_accumulate(scores.data(), out.data(), 1, counter);
-        }
-        ++spec.usage[static_cast<std::size_t>(hit)];
-      }
+      std::vector<float> out(static_cast<std::size_t>(lut.cout() * len), 0.f);
+      camspec::spec_columns(array, lut, cols.data() + j * array.word_dim() * len, len,
+                            1.f, layer.effective_precision(), out.data(), counter, spec.usage);
       spec.ops += counter.totals();
     }
   }
@@ -422,35 +383,6 @@ TEST(BankIdentity, QuantizedPrecisionsUnaffectedByBankCount) {
 }
 
 // ------------------------------------------------------- match-line noise
-
-TEST(MatchlineNoise, ScalarAndBlockedSearchAgreeWithNoiseOn) {
-  // The offsets apply after each word's full accumulation, so both modes'
-  // blocked entry == scalar spec bitwise equivalence must hold with noise ON
-  // too: D's best match + LUT column and A's softmax-weighted LUT sum.
-  const std::int64_t p = 24, d = 7, cout = 5;
-  for (const cam::SearchMetric metric :
-       {cam::SearchMetric::L1BestMatch, cam::SearchMetric::DotProduct}) {
-    for (const std::int64_t len : {std::int64_t{11}, std::int64_t{70}}) {
-      Rng rng(31 + static_cast<std::uint64_t>(len));
-      cam::CamArray array(rng.randn({p, d}), metric);
-      std::vector<float> offsets(static_cast<std::size_t>(p));
-      for (float& o : offsets) o = rng.normal(0.f, 2.f);
-      array.set_matchline_noise(offsets);
-      const cam::LutMemory lut(rng.randn({cout, p}));
-      const Tensor cols = rng.randn({d, len});
-      const camspec::Outcome spec = camspec::run_spec(array, lut, cols, 0.5f);
-      camspec::expect_same(spec, camspec::run_blocked(array, lut, cols, 0.5f),
-                           "metric=" + std::to_string(static_cast<int>(metric)) +
-                               " len=" + std::to_string(len));
-      // The offsets really move the winners: the noiseless spec differs.
-      array.clear_matchline_noise();
-      EXPECT_NE(camspec::run_spec(array, lut, cols, 0.5f).out, spec.out);
-    }
-  }
-  // Wrong-length offset vectors are rejected.
-  cam::CamArray array(Rng(32).randn({p, d}), cam::SearchMetric::L1BestMatch);
-  EXPECT_THROW(array.set_matchline_noise(std::vector<float>(3)), std::invalid_argument);
-}
 
 TEST(MatchlineNoise, SeededDrawIsDeterministicAndClears) {
   auto net_a = lenet(19);

@@ -9,6 +9,7 @@
 #include "cam/cam_conv2d.hpp"
 #include "cam/convert.hpp"
 #include "cam/lut.hpp"
+#include "cam_spec.hpp"
 #include "core/pecan_linear.hpp"
 #include "models/lenet.hpp"
 #include "models/resnet.hpp"
@@ -37,29 +38,37 @@ pq::PqLayerConfig angle_cfg(std::int64_t p, std::int64_t d) {
   return cfg;
 }
 
+// The CamArray/LutMemory cases run the served blocked entries (flushed once,
+// as a serving chunk does) against hand-computed expectations. Query
+// columns are the columns of a [d, len] matrix, as im2col lays them out.
+
 TEST(CamArray, L1BestMatchFindsNearest) {
   Tensor words({3, 2}, std::vector<float>{0.f, 0.f, 5.f, 5.f, -5.f, 5.f});
   CamArray array(std::move(words), SearchMetric::L1BestMatch);
   OpCounter counter;
-  const float q1[2] = {4.5f, 4.f};
-  EXPECT_EQ(array.search(q1, 1, counter), 1);
-  const float q2[2] = {-4.f, 6.f};
-  EXPECT_EQ(array.search(q2, 1, counter), 2);
+  const Tensor queries({2, 2}, std::vector<float>{4.5f, -4.f, 4.f, 6.f});  // (4.5, 4), (-4, 6)
+  EXPECT_EQ(camspec::blocked_hits(array, queries, CamPrecision::Float32, counter),
+            (std::vector<std::int64_t>{1, 2}));
   EXPECT_EQ(counter.cam_searches, 2u);
-  EXPECT_EQ(counter.adds, 2u * 2 * 3 * 2);  // 2 searches x 2*p*d
+  // 2 searches x 2*p*d match-line adds, plus the [1, p] LUT's one add each.
+  EXPECT_EQ(counter.adds, 2u * 2 * 3 * 2 + 2);
   EXPECT_EQ(counter.muls, 0u);
 }
 
 TEST(CamArray, DotProductScores) {
+  // Scores (0.2, 0.9) through the A entry: an identity LUT makes the output
+  // the softmax weights themselves.
   Tensor words({2, 3}, std::vector<float>{1.f, 0.f, 0.f, 0.f, 1.f, 0.f});
   CamArray array(std::move(words), SearchMetric::DotProduct);
-  OpCounter counter;
-  const float q[3] = {0.2f, 0.9f, 0.f};
-  float scores[2];
-  array.similarity_scores(q, 1, scores, counter);
-  EXPECT_FLOAT_EQ(scores[0], 0.2f);
-  EXPECT_FLOAT_EQ(scores[1], 0.9f);
-  EXPECT_EQ(counter.muls, 6u);
+  const LutMemory lut(Tensor({2, 2}, std::vector<float>{1.f, 0.f, 0.f, 1.f}));
+  const Tensor query({3, 1}, std::vector<float>{0.2f, 0.9f, 0.f});
+  const camspec::Outcome got = camspec::run_blocked(array, lut, query, 1.f);
+  const double w1 = 1.0 / (1.0 + std::exp(-0.7));
+  EXPECT_NEAR(got.out[0] - 0.5f, 1.0 - w1, 1e-6);  // run_blocked starts the output at 0.5
+  EXPECT_NEAR(got.out[1] - 0.5f, w1, 1e-6);
+  EXPECT_EQ(got.usage, (std::vector<std::uint64_t>{0, 1}));  // pre-softmax argmax
+  EXPECT_EQ(got.counter.cam_searches, 1u);
+  EXPECT_EQ(got.counter.muls, 6u + 4u);  // p*d score MACs + cout*p LUT weights
 }
 
 TEST(CamArray, StridedQueryAccess) {
@@ -67,36 +76,39 @@ TEST(CamArray, StridedQueryAccess) {
   Tensor words({2, 2}, std::vector<float>{0.f, 0.f, 10.f, 10.f});
   CamArray array(std::move(words), SearchMetric::L1BestMatch);
   OpCounter counter;
-  const float matrix[6] = {9.f, 0.1f, -1.f, 11.f, -0.2f, -1.f};  // [2 rows, 3 cols]
-  EXPECT_EQ(array.search(matrix + 0, 3, counter), 1);  // column 0 = (9, 11)
-  EXPECT_EQ(array.search(matrix + 1, 3, counter), 0);  // column 1 = (0.1, -0.2)
+  const Tensor matrix({2, 3}, std::vector<float>{9.f, 0.1f, -1.f, 11.f, -0.2f, -1.f});
+  // Columns (9, 11), (0.1, -0.2), (-1, -1).
+  EXPECT_EQ(camspec::blocked_hits(array, matrix, CamPrecision::Float32, counter),
+            (std::vector<std::int64_t>{1, 0, 0}));
 }
 
 TEST(CamArray, UsageAndPrune) {
   Tensor words({4, 1}, std::vector<float>{0.f, 10.f, 20.f, 30.f});
   CamArray array(std::move(words), SearchMetric::L1BestMatch);
   OpCounter counter;
-  const float q0[1] = {1.f}, q2[1] = {19.f};
-  array.search(q0, 1, counter);
-  array.search(q2, 1, counter);
-  array.search(q2, 1, counter);
-  EXPECT_EQ(array.usage()[0], 1u);
-  EXPECT_EQ(array.usage()[2], 2u);
+  camspec::blocked_hits(array, Tensor({1, 3}, std::vector<float>{1.f, 19.f, 19.f}),
+                        CamPrecision::Float32, counter);
+  EXPECT_EQ(array.usage(), (std::vector<std::uint64_t>{1, 0, 2, 0}));
   const auto kept = array.prune_unused();
   EXPECT_EQ(kept, (std::vector<std::int64_t>{0, 2}));
   EXPECT_EQ(array.word_count(), 2);
 }
 
 TEST(LutMemory, AccumulateIsColumnFetch) {
+  // The D entry's fused epilogue: the winner (word 1) fetches LUT column 1.
   Tensor table({3, 2}, std::vector<float>{1.f, 2.f, 3.f, 4.f, 5.f, 6.f});
   LutMemory lut(std::move(table));
+  CamArray array(Tensor({2, 1}, std::vector<float>{0.f, 10.f}), SearchMetric::L1BestMatch);
+  CamTally tally(2);
   OpCounter counter;
+  const float query[1] = {9.f};
   float out[3] = {10.f, 10.f, 10.f};
-  lut.accumulate(1, out, 1, counter);
+  array.search_accumulate_block(query, 1, lut, out, 1, tally);
+  array.flush(tally, counter);
   EXPECT_FLOAT_EQ(out[0], 12.f);
   EXPECT_FLOAT_EQ(out[1], 14.f);
   EXPECT_FLOAT_EQ(out[2], 16.f);
-  EXPECT_EQ(counter.adds, 3u);
+  EXPECT_EQ(counter.adds, 2u * 2 * 1 + 3);  // 2*p*d match-line adds + cout LUT adds
   EXPECT_EQ(counter.muls, 0u);
   EXPECT_EQ(counter.lut_reads, 1u);
 }
@@ -104,13 +116,14 @@ TEST(LutMemory, AccumulateIsColumnFetch) {
 TEST(LutMemory, WeightedAccumulate) {
   Tensor table({2, 2}, std::vector<float>{1.f, 3.f, 2.f, 4.f});
   LutMemory lut(std::move(table));
-  OpCounter counter;
+  ops::OpTotals tally;
   float out[2] = {0.f, 0.f};
-  const float w[2] = {0.25f, 0.75f};
-  lut.weighted_accumulate(w, out, 1, counter);
+  const float w[2] = {0.25f, 0.75f};  // a [p, 1] weight tile: one query
+  lut.weighted_accumulate_block(w, 1, out, 1, tally);
   EXPECT_FLOAT_EQ(out[0], 0.25f * 1 + 0.75f * 3);
   EXPECT_FLOAT_EQ(out[1], 0.25f * 2 + 0.75f * 4);
-  EXPECT_EQ(counter.muls, 4u);
+  EXPECT_EQ(tally.muls, 4u);
+  EXPECT_EQ(tally.lut_reads, 1u);
 }
 
 TEST(CamConv2d, EquivalentToPecanDistanceLayer) {

@@ -7,11 +7,11 @@
 
 #include "core/pecan_conv2d.hpp"
 #include "core/pecan_linear.hpp"
+#include "gradcheck.hpp"
 #include "nn/activations.hpp"
 #include "nn/adder_conv.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv2d.hpp"
-#include "nn/gradcheck.hpp"
 #include "nn/linear.hpp"
 #include "nn/pooling.hpp"
 #include "nn/residual.hpp"

@@ -1,10 +1,10 @@
 // Blocked-kernel equivalence tests: each PECAN mode's blocked CAM entry
 // (search_accumulate_block for D, similarity_softmax_accumulate_block for A)
 // and the register-blocked sgemm must reproduce their scalar reference specs
-// BITWISE across odd tail sizes and any thread count — and charge the
-// OpCounter and the usage histogram identically. These invariants are what
-// lets the serving hot path swap kernels without perturbing the paper's
-// numbers.
+// (cam_reference.hpp, sgemm_reference) BITWISE across odd tail sizes and any
+// thread count — and charge the OpCounter and the usage histogram
+// identically. These invariants are what lets the serving hot path swap
+// kernels without perturbing the paper's numbers.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -35,7 +35,6 @@ using cam::kCamTileMax;
 using cam::LutMemory;
 using cam::OpCounter;
 using cam::SearchMetric;
-using camspec::CounterSnapshot;
 
 // Sweep axes: tails that do not divide the tile (len mod kCamTileMax != 0),
 // tiny and odd subvector dims, single-word arrays.
@@ -47,7 +46,8 @@ constexpr float kTemp = 0.75f;
 
 // Fused == scalar spec for one mode at Float32, with match-line noise off
 // and on (the offsets land after each word's full accumulation on both
-// sides).
+// sides). With noise on, the offsets must really move the result, and an
+// offset vector of the wrong length is refused.
 void expect_blocked_matches_spec(SearchMetric metric, std::uint64_t seed) {
   for (const std::int64_t len : kLens) {
     for (const std::int64_t d : kDims) {
@@ -61,10 +61,19 @@ void expect_blocked_matches_spec(SearchMetric metric, std::uint64_t seed) {
           }
           const LutMemory lut(rng.randn({kCout, p}));
           const Tensor cols = rng.randn({d, len});  // queries are strided columns
-          camspec::expect_same(camspec::run_spec(array, lut, cols, kTemp),
-                               camspec::run_blocked(array, lut, cols, kTemp),
-                               "len=" + std::to_string(len) + " d=" + std::to_string(d) +
-                                   " p=" + std::to_string(p) + " noise=" + std::to_string(noise));
+          const std::string what = "len=" + std::to_string(len) + " d=" + std::to_string(d) +
+                                   " p=" + std::to_string(p) + " noise=" + std::to_string(noise);
+          const camspec::Outcome spec = camspec::run_spec(array, lut, cols, kTemp);
+          camspec::expect_same(spec, camspec::run_blocked(array, lut, cols, kTemp), what);
+          if (!noise) continue;
+          const std::vector<float> wrong_length(static_cast<std::size_t>(p + 1));
+          EXPECT_THROW(array.set_matchline_noise(wrong_length), std::invalid_argument) << what;
+          // A lone query's winner can survive unit offsets; over several
+          // queries of a multi-word array some result must move.
+          if (p > 1 && len > 1) {
+            array.clear_matchline_noise();
+            EXPECT_NE(camspec::run_spec(array, lut, cols, kTemp).out, spec.out) << what;
+          }
         }
       }
     }
@@ -115,7 +124,7 @@ TEST(Im2colTile, FusedMatchesTwoPassAcrossGeometries) {
         for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
           const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
           nn::im2col_tile(image.data(), g, row0, d, l0, lb, fused.data());
-          nn::pack_cols_tile(cols.data() + row0 * len, len, d, l0, lb, two_pass.data());
+          camspec::pack_cols_tile(cols.data() + row0 * len, len, d, l0, lb, two_pass.data());
           for (std::int64_t i = 0; i < d * lb; ++i) {
             ASSERT_EQ(two_pass[static_cast<std::size_t>(i)], fused[static_cast<std::size_t>(i)])
                 << "cin=" << geo.cin << " k=" << geo.k << " stride=" << geo.stride
@@ -190,12 +199,12 @@ TEST(LutBlock, WeightedBlockMatchesScalar) {
   std::vector<float> wcol(static_cast<std::size_t>(p));
   for (std::int64_t l = 0; l < len; ++l) {
     for (std::int64_t m = 0; m < p; ++m) wcol[static_cast<std::size_t>(m)] = weights[m * len + l];
-    lut.weighted_accumulate(wcol.data(), scalar_out.data() + l, len, scalar_counter);
+    camspec::weighted_accumulate(lut, wcol.data(), scalar_out.data() + l, len, scalar_counter);
   }
   std::vector<float> wtile(static_cast<std::size_t>(p * kCamTileMax));
   for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
     const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
-    nn::pack_cols_tile(weights.data(), len, p, l0, lb, wtile.data());
+    camspec::pack_cols_tile(weights.data(), len, p, l0, lb, wtile.data());
     lut.weighted_accumulate_block(wtile.data(), lb, blocked_out.data() + l0, len, blocked_tally);
   }
   for (std::int64_t i = 0; i < scalar_out.numel(); ++i) {
@@ -261,50 +270,27 @@ TEST(SgemmBlocked, DeterministicAcrossThreadCounts) {
   util::set_global_threads(hw > 0 ? static_cast<int>(hw) : 1);
 }
 
-// Tile-at-a-time CamConv2d::infer against a hand-rolled column-at-a-time
-// reference (the pre-blocking algorithm) built from the same arrays/LUTs —
-// the end-to-end bitwise guarantee across a len with an odd tile tail.
-void column_at_a_time_reference(cam::CamConv2d& layer, const Tensor& input, std::int64_t cout,
+// Tile-at-a-time CamConv2d::infer against the column-at-a-time scalar spec
+// (the pre-blocking algorithm) run group by group over each sample's im2col
+// matrix with the same arrays/LUTs — the end-to-end bitwise guarantee across
+// a len with an odd tile tail.
+void column_at_a_time_reference(cam::CamConv2d& layer, const Tensor& input, float temperature,
                                 Tensor& out) {
-  const std::int64_t n = input.dim(0);
-  const nn::Conv2dGeometry g{input.dim(1), input.dim(2), input.dim(3), 3, 1, 1};
-  const std::int64_t len = g.cols();
+  const std::int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2), w = input.dim(3);
+  const nn::Conv2dGeometry g = layer.geometry(h, w);
+  const std::int64_t len = g.cols(), cout = out.dim(1);
   OpCounter scratch_counter;  // reference ops are not under test
   for (std::int64_t s = 0; s < n; ++s) {
     const Tensor cols = nn::im2col(
-        Tensor({input.dim(1), input.dim(2), input.dim(3)},
-               std::vector<float>(input.data() + s * input.dim(1) * input.dim(2) * input.dim(3),
-                                  input.data() + (s + 1) * input.dim(1) * input.dim(2) * input.dim(3))),
+        Tensor({c, h, w}, std::vector<float>(input.data() + s * c * h * w,
+                                             input.data() + (s + 1) * c * h * w)),
         g);
-    float* out_s = out.data() + s * cout * len;
-    for (std::int64_t l = 0; l < len; ++l) {
-      for (std::int64_t j = 0; j < layer.groups(); ++j) {
-        const CamArray& array = layer.array(j);
-        const std::int64_t d = array.word_dim();
-        const float* query = cols.data() + j * d * len + l;
-        if (layer.mode() == pq::MatchMode::Distance) {
-          const std::int64_t hit = array.search(query, len, scratch_counter);
-          layer.lut(j).accumulate(hit, out_s + l, len, scratch_counter);
-        } else {
-          const std::int64_t p = array.word_count();
-          std::vector<float> scores(static_cast<std::size_t>(p));
-          std::vector<float> weights(static_cast<std::size_t>(p));
-          array.similarity_scores(query, len, scores.data(), scratch_counter);
-          float mx = scores[0];
-          for (std::int64_t mm = 1; mm < p; ++mm) {
-            mx = std::max(mx, scores[static_cast<std::size_t>(mm)]);
-          }
-          double denom = 0;
-          for (std::int64_t mm = 0; mm < p; ++mm) {
-            weights[static_cast<std::size_t>(mm)] =
-                std::exp((scores[static_cast<std::size_t>(mm)] - mx) / 1.f);
-            denom += weights[static_cast<std::size_t>(mm)];
-          }
-          const float inv = static_cast<float>(1.0 / denom);
-          for (std::int64_t mm = 0; mm < p; ++mm) weights[static_cast<std::size_t>(mm)] *= inv;
-          layer.lut(j).weighted_accumulate(weights.data(), out_s + l, len, scratch_counter);
-        }
-      }
+    for (std::int64_t j = 0; j < layer.groups(); ++j) {
+      const CamArray& array = layer.array(j);
+      std::vector<std::uint64_t> usage(static_cast<std::size_t>(array.word_count()), 0);
+      camspec::spec_columns(array, layer.lut(j), cols.data() + j * array.word_dim() * len, len,
+                            temperature, cam::CamPrecision::Float32, out.data() + s * cout * len,
+                            scratch_counter, usage);
     }
   }
 }
@@ -326,7 +312,7 @@ TEST(CamConv2dTiled, InferMatchesColumnAtATimeReference) {
     nn::InferContext ctx;
     Tensor tiled = exported.infer(x, ctx);
     Tensor reference({2, 5, 9, 9});
-    column_at_a_time_reference(exported, x, 5, reference);
+    column_at_a_time_reference(exported, x, cfg.temperature, reference);
     ASSERT_TRUE(tiled.same_shape(reference));
     for (std::int64_t i = 0; i < tiled.numel(); ++i) {
       ASSERT_EQ(reference[i], tiled[i]) << "angle=" << angle << " i=" << i;
@@ -399,14 +385,14 @@ TEST(QuantizedSearch, Int8L1MatchesScalarQuantizedReference) {
 
         // Quantized searches land in the int8-lane counters; the float
         // ledger sees only the [1, p] LUT's one add per search.
-        const CounterSnapshot snap(counter);
-        EXPECT_EQ(snap.searches, static_cast<std::uint64_t>(len));
+        const ops::OpTotals snap = counter.totals();
+        EXPECT_EQ(snap.cam_searches, static_cast<std::uint64_t>(len));
         EXPECT_EQ(snap.adds_q, static_cast<std::uint64_t>(2 * p * d * len));
         EXPECT_EQ(snap.adds, static_cast<std::uint64_t>(len));
         EXPECT_EQ(snap.lut_reads, static_cast<std::uint64_t>(len));
         EXPECT_EQ(snap.muls, 0u);
         EXPECT_EQ(snap.muls_q, 0u);
-        EXPECT_EQ(snap.xors, 0u);
+        EXPECT_EQ(snap.xor_popcounts, 0u);
       }
     }
   }
@@ -429,10 +415,10 @@ TEST(QuantizedSearch, BinaryHammingMatchesSignReference) {
             << "len=" << len << " d=" << d << " p=" << p;
         EXPECT_EQ(array.usage(), usage_of(hits, p));
 
-        const CounterSnapshot snap(counter);
+        const ops::OpTotals snap = counter.totals();
         const std::int64_t bwords = (d + 63) / 64;
-        EXPECT_EQ(snap.searches, static_cast<std::uint64_t>(len));
-        EXPECT_EQ(snap.xors, static_cast<std::uint64_t>(p * bwords * len));
+        EXPECT_EQ(snap.cam_searches, static_cast<std::uint64_t>(len));
+        EXPECT_EQ(snap.xor_popcounts, static_cast<std::uint64_t>(p * bwords * len));
         EXPECT_EQ(snap.adds, static_cast<std::uint64_t>(len));
         EXPECT_EQ(snap.adds_q, 0u);
       }
@@ -442,7 +428,6 @@ TEST(QuantizedSearch, BinaryHammingMatchesSignReference) {
 
 TEST(QuantizedSearch, RequiresPreparedPlaneAndL1ForBinary) {
   Rng rng(71);
-  OpCounter counter;
   cam::CamTally tally(4);
   std::vector<float> queries(static_cast<std::size_t>(9), 0.f);
   const LutMemory lut(rng.randn({3, 4}));
@@ -472,9 +457,7 @@ TEST(QuantizedSearch, RequiresPreparedPlaneAndL1ForBinary) {
   // refuses instead of silently degrading.
   EXPECT_THROW(softmax_dot(CamPrecision::Binary), std::invalid_argument);
   // A dot array has no best-match search at any precision: PECAN-A weighs
-  // every word, so both D entries refuse instead of reaching a missing
-  // kernel.
-  EXPECT_THROW(dot.search(queries.data(), 1, counter), std::invalid_argument);
+  // every word, so the D entry refuses instead of reaching a missing kernel.
   for (const CamPrecision precision :
        {CamPrecision::Float32, CamPrecision::Int8, CamPrecision::Binary}) {
     EXPECT_THROW(dot.search_accumulate_block(queries.data(), 1, lut, out.data(), 1, tally,
@@ -486,9 +469,9 @@ TEST(QuantizedSearch, RequiresPreparedPlaneAndL1ForBinary) {
 
 // ------------------------------------------------- fused search epilogue
 
-// The D entry with a real LUT at every precision against the scalar
-// winners: search() at Float32, the independent quantized references at
-// Int8/Binary, each followed by one scalar LutMemory::accumulate per query.
+// The D entry with a real LUT at every precision against the scalar spec:
+// search() at Float32, the independent quantized references at Int8/Binary,
+// each followed by one scalar LUT accumulate per query.
 TEST(FusedEpilogue, MatchesScalarAtEveryPrecision) {
   constexpr std::int64_t kP = 32, kD = 9;
   for (const CamPrecision precision :
@@ -499,28 +482,10 @@ TEST(FusedEpilogue, MatchesScalarAtEveryPrecision) {
       if (precision != CamPrecision::Float32) array.prepare_quantized(precision);
       const LutMemory lut(rng.randn({kCout, kP}));
       const Tensor cols = rng.randn({kD, len});
-
-      OpCounter scalar_counter;
-      std::vector<std::int64_t> hits(static_cast<std::size_t>(len));
-      if (precision == CamPrecision::Float32) {
-        for (std::int64_t l = 0; l < len; ++l) {
-          hits[static_cast<std::size_t>(l)] = array.search(cols.data() + l, len, scalar_counter);
-        }
-      } else {
-        hits = quantized_reference_hits(array, cols, precision);
-      }
-      std::vector<float> expected(static_cast<std::size_t>(kCout * len), 0.5f);
-      for (std::int64_t l = 0; l < len; ++l) {
-        lut.accumulate(hits[static_cast<std::size_t>(l)], expected.data() + l, len, scalar_counter);
-      }
-
-      const camspec::Outcome fused = camspec::run_blocked(array, lut, cols, kTemp, precision);
-      EXPECT_EQ(std::memcmp(fused.out.data(), expected.data(), expected.size() * sizeof(float)), 0)
-          << "precision=" << cam::precision_name(precision) << " len=" << len;
-      EXPECT_EQ(fused.usage, usage_of(hits, kP));
-      if (precision == CamPrecision::Float32) {
-        EXPECT_TRUE(fused.counter == CounterSnapshot(scalar_counter)) << "len=" << len;
-      }
+      camspec::expect_same(camspec::run_spec(array, lut, cols, kTemp, precision),
+                           camspec::run_blocked(array, lut, cols, kTemp, precision),
+                           std::string("precision=") + cam::precision_name(precision) +
+                               " len=" + std::to_string(len));
     }
   }
 }
@@ -546,7 +511,10 @@ TEST(FusedEpilogue, RejectsMismatchedLut) {
 
 TEST(FusedWeighted, Int8MatchesExactIntegerReference) {
   constexpr std::int64_t kP = 8;
-  // Odd d exercises the dot scan's pair padding inside the fused read.
+  // Odd d exercises the dot scan's pair padding inside the fused read. The
+  // spec reads each query's scores with the exact-integer dequantized
+  // reference, then softmaxes and weighted-accumulates them; the integer
+  // crossbar read lands in the int8-lane ledger on both sides.
   for (const std::int64_t d : {std::int64_t{9}, std::int64_t{16}}) {
     for (const std::int64_t len : {std::int64_t{1}, std::int64_t{64}, std::int64_t{65}}) {
       Rng rng(static_cast<std::uint64_t>(9500 + d * 100 + len));
@@ -554,57 +522,9 @@ TEST(FusedWeighted, Int8MatchesExactIntegerReference) {
       array.prepare_quantized(CamPrecision::Int8);
       LutMemory lut(rng.randn({kCout, kP}));
       Tensor cols = rng.randn({d, len});
-      std::vector<float> qtile(static_cast<std::size_t>(d * kCamTileMax));
-      std::vector<float> scores(static_cast<std::size_t>(kP * kCamTileMax));
-      std::vector<std::uint64_t> expected_usage(static_cast<std::size_t>(kP), 0);
-
-      // Exact-integer dequantized score reference, followed by the replica
-      // softmax and the blocked weighted accumulate.
-      ops::OpTotals ref;
-      Tensor expected({kCout, len},
-                      std::vector<float>(static_cast<std::size_t>(kCout * len), 0.f));
-      std::vector<float> column(static_cast<std::size_t>(kP));
-      for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
-        const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
-        for (std::int64_t l = 0; l < lb; ++l) {
-          camspec::int8_reference_scores(array, cols.data() + l0 + l, len, column.data());
-          for (std::int64_t m = 0; m < kP; ++m) {
-            scores[static_cast<std::size_t>(m * lb + l)] = column[static_cast<std::size_t>(m)];
-          }
-        }
-        for (std::int64_t l = 0; l < lb; ++l) {
-          ++expected_usage[static_cast<std::size_t>(
-              camspec::softmax_column(scores.data(), kP, lb, l, kTemp))];
-        }
-        lut.weighted_accumulate_block(scores.data(), lb, expected.data() + l0, len, ref);
-      }
-
-      OpCounter fused_counter;
-      cam::CamTally tally(kP);
-      Tensor actual({kCout, len},
-                    std::vector<float>(static_cast<std::size_t>(kCout * len), 0.f));
-      for (std::int64_t l0 = 0; l0 < len; l0 += kCamTileMax) {
-        const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
-        nn::pack_cols_tile(cols.data(), len, d, l0, lb, qtile.data());
-        array.similarity_softmax_accumulate_block(qtile.data(), lb, kTemp, lut, scores.data(),
-                                                  actual.data() + l0, len, tally,
-                                                  CamPrecision::Int8);
-      }
-      array.flush(tally, fused_counter);
-
-      EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
-                            static_cast<std::size_t>(kCout * len) * sizeof(float)),
-                0)
-          << "d=" << d << " len=" << len;
-      EXPECT_EQ(array.usage(), expected_usage);
-      // The integer crossbar read lands in the int8-lane ledger; the LUT's
-      // weighted accumulate charges the same float ops as the reference.
-      const CounterSnapshot fused(fused_counter);
-      EXPECT_EQ(fused.searches, ref.cam_searches + static_cast<std::uint64_t>(len));
-      EXPECT_EQ(fused.adds_q, static_cast<std::uint64_t>(kP * d * len));
-      EXPECT_EQ(fused.muls_q, static_cast<std::uint64_t>(kP * d * len));
-      EXPECT_EQ(fused.adds, ref.adds);
-      EXPECT_EQ(fused.muls, ref.muls);
+      camspec::expect_same(camspec::run_spec(array, lut, cols, kTemp, CamPrecision::Int8),
+                           camspec::run_blocked(array, lut, cols, kTemp, CamPrecision::Int8),
+                           "d=" + std::to_string(d) + " len=" + std::to_string(len));
     }
   }
 }
@@ -787,7 +707,7 @@ TEST(CrossIsaKernels, ConcurrentLanesOnMixedTablesShareOneLedger) {
       cam::CamTally tally(kP);
       for (std::int64_t l0 = 0; l0 < kLen; l0 += kCamTileMax) {
         const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, kLen - l0);
-        nn::pack_cols_tile(cols.data(), kLen, kD, l0, lb, qtile.data());
+        camspec::pack_cols_tile(cols.data(), kLen, kD, l0, lb, qtile.data());
         array.search_accumulate_block(qtile.data(), lb, lut, out.data() + l0, kLen, tally,
                                       CamPrecision::Int8);
       }
@@ -800,8 +720,8 @@ TEST(CrossIsaKernels, ConcurrentLanesOnMixedTablesShareOneLedger) {
   for (const std::vector<float>& out : outs) {
     EXPECT_EQ(std::memcmp(out.data(), want.out.data(), out.size() * sizeof(float)), 0);
   }
-  const CounterSnapshot total(shared);
-  EXPECT_EQ(total.searches, kLanes * want.counter.searches);
+  const ops::OpTotals total = shared.totals();
+  EXPECT_EQ(total.cam_searches, kLanes * want.counter.cam_searches);
   EXPECT_EQ(total.adds, kLanes * want.counter.adds);
   EXPECT_EQ(total.adds_q, kLanes * want.counter.adds_q);
   EXPECT_EQ(total.lut_reads, kLanes * want.counter.lut_reads);

@@ -146,8 +146,11 @@ TEST(Wire, PriorityZeroFramesStayByteIdenticalToLegacy) {
   ASSERT_EQ(decoder.next(frame), wire::Decoder::Result::Frame);
   // A frame with no priority byte decodes as the default class...
   std::uint8_t priority = 0xFF;
-  const Tensor back = wire::decode_tensor_request(frame.payload, frame.payload_len, priority);
+  std::uint32_t deadline_ms = 0xFFFFFFFF;
+  const Tensor back =
+      wire::decode_tensor_request(frame.payload, frame.payload_len, priority, deadline_ms);
   EXPECT_EQ(priority, 0);
+  EXPECT_EQ(deadline_ms, 0u);
   EXPECT_TRUE(matches(back, t));
   // ...and its payload still satisfies the plain reply decoder.
   EXPECT_TRUE(matches(wire::decode_tensor(frame.payload, frame.payload_len), t));
@@ -166,8 +169,11 @@ TEST(Wire, PriorityByteRoundTrips) {
   wire::FrameView frame;
   ASSERT_EQ(decoder.next(frame), wire::Decoder::Result::Frame);
   std::uint8_t priority = 0;
-  const Tensor back = wire::decode_tensor_request(frame.payload, frame.payload_len, priority);
+  std::uint32_t deadline_ms = 0xFFFFFFFF;
+  const Tensor back =
+      wire::decode_tensor_request(frame.payload, frame.payload_len, priority, deadline_ms);
   EXPECT_EQ(priority, 3);
+  EXPECT_EQ(deadline_ms, 0u);  // the 1-byte tail carries no deadline
   EXPECT_TRUE(matches(back, t));
 }
 

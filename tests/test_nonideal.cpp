@@ -129,6 +129,18 @@ TEST(Nonideal, RejectsBadBitWidths) {
   CamConv2d exported(layer, std::make_shared<OpCounter>());
   EXPECT_THROW(quantize_to_intn(exported, 1), std::invalid_argument);
   EXPECT_THROW(quantize_to_intn(exported, 17), std::invalid_argument);
+
+  // The whole-network overload checks the width up front, so an export with
+  // no CAM layers rejects it too, and a width past 63 never reaches a shift.
+  Rng net_rng(6);
+  auto baseline = models::make_lenet5(models::Variant::Baseline, net_rng);
+  baseline->set_training(false);
+  CamNetworkExport no_cam = convert_to_cam(*baseline);
+  ASSERT_TRUE(no_cam.cam_layers.empty());
+  for (const int bits : {1, 17, 64}) {
+    EXPECT_THROW(quantize_to_intn(no_cam, bits), std::invalid_argument) << "bits=" << bits;
+  }
+  EXPECT_EQ(quantize_to_intn(no_cam, 8).levels, 255);
 }
 
 // ----------------------------------------- affine uint8 grid edge cases

@@ -20,6 +20,7 @@
 #include <fstream>
 #include <future>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -46,25 +47,30 @@ using namespace std::chrono_literals;
 
 constexpr auto kKeepAll = [](const int&, const int&) { return true; };
 
-TEST(PriorityBucketQueue, TryPushShedsAtCapacity) {
+TEST(PriorityBucketQueue, TryPushEvictShedsAtCapacity) {
+  // One class has nothing below it to evict: a full queue sheds the
+  // incoming item.
   util::PriorityBucketQueue<int> queue(1, 2);
   int a = 1, b = 2, c = 3;
-  EXPECT_EQ(queue.try_push(a, 0), util::PushResult::Ok);
-  EXPECT_EQ(queue.try_push(b, 0), util::PushResult::Ok);
-  EXPECT_EQ(queue.try_push(c, 0), util::PushResult::Full);
+  std::optional<int> evicted;
+  EXPECT_EQ(queue.try_push_evict(a, 0, evicted), util::PushResult::Ok);
+  EXPECT_EQ(queue.try_push_evict(b, 0, evicted), util::PushResult::Ok);
+  EXPECT_EQ(queue.try_push_evict(c, 0, evicted), util::PushResult::Full);
   EXPECT_EQ(c, 3);  // rejected item is untouched
+  EXPECT_FALSE(evicted.has_value());
   EXPECT_EQ(queue.size(), 2u);
 
   std::vector<int> batch;
   EXPECT_EQ(queue.pop_batch(batch, 8, 0us, 1, kKeepAll), 2u);
-  EXPECT_EQ(queue.try_push(c, 0), util::PushResult::Ok);  // space freed
+  EXPECT_EQ(queue.try_push_evict(c, 0, evicted), util::PushResult::Ok);  // space freed
 }
 
 TEST(PriorityBucketQueue, UnboundedNeverSheds) {
   util::PriorityBucketQueue<int> queue(1);  // capacity 0 = unbounded
+  std::optional<int> evicted;
   for (int i = 0; i < 1000; ++i) {
     int v = i;
-    ASSERT_EQ(queue.try_push(v, 0), util::PushResult::Ok);
+    ASSERT_EQ(queue.try_push_evict(v, 0, evicted), util::PushResult::Ok);
   }
   EXPECT_EQ(queue.size(), 1000u);
 }
@@ -113,14 +119,14 @@ TEST(PriorityBucketQueue, CloseWakesBlockedProducerWithItemIntact) {
   batch.clear();
   EXPECT_EQ(queue.pop_batch(batch, 8, 0us, 1, kKeepAll), 0u);
   int late = 7;
-  EXPECT_EQ(queue.try_push(late, 0), util::PushResult::Closed);
+  EXPECT_EQ(queue.push(late, 0), util::PushResult::Closed);
 }
 
 TEST(PriorityBucketQueue, PopBatchCoalescesLongestPrefixAcceptedByPredicate) {
   util::PriorityBucketQueue<int> queue(1, 8);
   for (int v : {1, 1, 1, 2, 2}) {
     int item = v;
-    ASSERT_EQ(queue.try_push(item, 0), util::PushResult::Ok);
+    ASSERT_EQ(queue.push(item, 0), util::PushResult::Ok);
   }
   const auto same = [](const int& first, const int& candidate) { return first == candidate; };
   std::vector<int> batch;
@@ -149,7 +155,7 @@ TEST(PriorityBucketQueue, PopBatchAnchorsPredicateOnThisCallsFirstItem) {
   util::PriorityBucketQueue<int> queue(1, 8);
   for (int v : {1, 1, 2}) {
     int item = v;
-    ASSERT_EQ(queue.try_push(item, 0), util::PushResult::Ok);
+    ASSERT_EQ(queue.push(item, 0), util::PushResult::Ok);
   }
   const auto same = [](const int& first, const int& candidate) { return first == candidate; };
   // The caller's vector already holds unrelated elements from a previous
@@ -166,7 +172,7 @@ TEST(PriorityBucketQueue, ConcurrentConsumerDrainingDuringStragglerWaitIsSafe) {
   // empty deque, then see close() and return 0.
   util::PriorityBucketQueue<int> queue(1, 8);
   int item = 1;
-  ASSERT_EQ(queue.try_push(item, 0), util::PushResult::Ok);
+  ASSERT_EQ(queue.push(item, 0), util::PushResult::Ok);
 
   std::atomic<std::size_t> a_popped{999};
   std::thread consumer_a([&] {
@@ -189,7 +195,7 @@ TEST(PriorityBucketQueue, FullQueueSkipsStragglerWaitWhenWantExceedsCapacity) {
   util::PriorityBucketQueue<int> queue(1, 2);
   for (int v : {1, 2}) {
     int item = v;
-    ASSERT_EQ(queue.try_push(item, 0), util::PushResult::Ok);
+    ASSERT_EQ(queue.push(item, 0), util::PushResult::Ok);
   }
   const auto start = std::chrono::steady_clock::now();
   std::vector<int> batch;

@@ -89,8 +89,12 @@ TEST(PriorityBucketQueue, PopBatchCloseRaceLosesNothingDuplicatesNothing) {
           int item = p * kItemsPerProducer + i;
           const int value = item;
           // Alternate blocking and shedding pushes: both must agree with the
-          // consumer side about what was accepted.
-          const PushResult result = (i % 2 == 0) ? queue.push(item, 0) : queue.try_push(item, 0);
+          // consumer side about what was accepted. One class has nothing
+          // below it to evict, so a full queue sheds the incoming item.
+          std::optional<int> evicted;
+          const PushResult result =
+              (i % 2 == 0) ? queue.push(item, 0) : queue.try_push_evict(item, 0, evicted);
+          EXPECT_FALSE(evicted.has_value());
           if (result == PushResult::Ok) {
             std::lock_guard<std::mutex> lock(accepted_mutex);
             accepted.push_back(value);
@@ -142,7 +146,7 @@ TEST(PriorityBucketQueue, CloseDuringStragglerWaitStillDeliversQueuedItems) {
   PriorityBucketQueue<int> queue(1, 16);
   for (int v : {1, 2, 3}) {
     int item = v;
-    ASSERT_EQ(queue.try_push(item, 0), PushResult::Ok);
+    ASSERT_EQ(queue.push(item, 0), PushResult::Ok);
   }
 
   std::vector<int> batch;
@@ -170,7 +174,7 @@ constexpr auto kKeepAll = [](const int&, const int&) { return true; };
 int push_pq(PriorityBucketQueue<int>& q, std::size_t cls, int seq) {
   int item = static_cast<int>(cls) * 1000 + seq;
   const int value = item;
-  EXPECT_EQ(q.try_push(item, cls), PushResult::Ok);
+  EXPECT_EQ(q.push(item, cls), PushResult::Ok);
   return value;
 }
 
@@ -231,13 +235,10 @@ TEST(PriorityBucketQueue, RejectModeShedsLowestClassFirst) {
 
   // Full queue + lowest-class arrival: the INCOMING item sheds (Full), and
   // the rejected item is left intact in the caller's hands.
-  int low = 7;
-  EXPECT_EQ(q.try_push(low, 0), PushResult::Full);
-  EXPECT_EQ(low, 7);
   std::optional<int> evicted;
-  int low2 = 8;
-  EXPECT_EQ(q.try_push_evict(low2, 0, evicted), PushResult::Full);
-  EXPECT_EQ(low2, 8);
+  int low = 7;
+  EXPECT_EQ(q.try_push_evict(low, 0, evicted), PushResult::Full);
+  EXPECT_EQ(low, 7);
   EXPECT_FALSE(evicted.has_value());
 
   // Full queue + higher-class arrival: the NEWEST item of the lowest
@@ -266,15 +267,18 @@ TEST(PriorityBucketQueue, SoftCapacityTightensAndReopensAdmission) {
   push_pq(q, 0, 0);
   push_pq(q, 0, 1);
   q.set_soft_capacity(2);  // controller clamps admission below the hard bound
-  int item = 42;
-  EXPECT_EQ(q.try_push(item, 1), PushResult::Full);
   std::optional<int> evicted;
+  int low = 41;
+  EXPECT_EQ(q.try_push_evict(low, 0, evicted), PushResult::Full);  // the cap holds
+  EXPECT_FALSE(evicted.has_value());
+  int item = 42;
   EXPECT_EQ(q.try_push_evict(item, 1, evicted), PushResult::Ok);  // evicts under the cap
   ASSERT_TRUE(evicted.has_value());
   EXPECT_EQ(q.size(), 2u);
   q.set_soft_capacity(0);  // back to the hard bound
   int more = 43;
-  EXPECT_EQ(q.try_push(more, 0), PushResult::Ok);
+  EXPECT_EQ(q.try_push_evict(more, 0, evicted), PushResult::Ok);
+  EXPECT_FALSE(evicted.has_value());
   EXPECT_EQ(q.size(), 3u);
 }
 
