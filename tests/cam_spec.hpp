@@ -77,29 +77,22 @@ inline Outcome run_blocked(const cam::CamArray& array, const cam::LutMemory& lut
   return {out, counter.totals(), array.usage()};
 }
 
-/// quantized_search() winners of the [d, len] query columns.
-inline std::vector<std::int64_t> quantized_reference_hits(const cam::CamArray& array,
-                                                          const Tensor& cols,
-                                                          cam::CamPrecision precision) {
-  const std::int64_t len = cols.dim(1);
-  std::vector<std::int64_t> hits(static_cast<std::size_t>(len));
-  for (std::int64_t l = 0; l < len; ++l) {
-    hits[static_cast<std::size_t>(l)] = quantized_search(array, cols.data() + l, len, precision);
-  }
-  return hits;
+/// The [1, p] index LUT: entry m holds float(m), so accumulating a PECAN-D
+/// winner into a row adds exactly its index (exact for p < 2^24).
+inline cam::LutMemory index_lut(std::int64_t p) {
+  Tensor index_row({1, p});
+  for (std::int64_t m = 0; m < p; ++m) index_row[m] = static_cast<float>(m);
+  return cam::LutMemory(std::move(index_row));
 }
 
-/// Raw best-match winners of an L1 array through the D entry: a [1, p] LUT
-/// whose entry m holds float(m), accumulated into a zeroed row, makes
-/// out[l] == hit[l] exactly. The counter sees the scan plus one LUT add and
-/// one LUT read per query.
+/// Raw best-match winners of an L1 array through the D entry: the index LUT
+/// accumulated into a zeroed row makes out[l] == hit[l] exactly. The counter
+/// sees the scan plus one LUT add and one LUT read per query.
 inline std::vector<std::int64_t> blocked_hits(const cam::CamArray& array, const Tensor& cols,
                                               cam::CamPrecision precision,
                                               cam::OpCounter& counter) {
   const std::int64_t d = array.word_dim(), p = array.word_count(), len = cols.dim(1);
-  Tensor index_row({1, p});
-  for (std::int64_t m = 0; m < p; ++m) index_row[m] = static_cast<float>(m);
-  const cam::LutMemory lut(std::move(index_row));
+  const cam::LutMemory lut = index_lut(p);
   std::vector<float> out(static_cast<std::size_t>(len), 0.f);
   std::vector<float> qtile(static_cast<std::size_t>(d * cam::kCamTileMax));
   cam::CamTally tally(p);

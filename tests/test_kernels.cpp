@@ -355,14 +355,6 @@ TEST(CamConv2dTiled, LargeGeometryBatchedMatchesPerSampleInfer) {
 // ------------------------------------------------- quantized search planes
 
 using cam::CamPrecision;
-using camspec::blocked_hits;
-using camspec::quantized_reference_hits;
-
-std::vector<std::uint64_t> usage_of(const std::vector<std::int64_t>& hits, std::int64_t p) {
-  std::vector<std::uint64_t> usage(static_cast<std::size_t>(p), 0);
-  for (const std::int64_t h : hits) ++usage[static_cast<std::size_t>(h)];
-  return usage;
-}
 
 // d=16/17 cross the int8 L1 kernel's 8-dim group boundary.
 const std::int64_t kQDims[] = {1, 2, 9, 16, 17};
@@ -376,16 +368,18 @@ TEST(QuantizedSearch, Int8L1MatchesScalarQuantizedReference) {
         array.prepare_quantized(CamPrecision::Int8);
         Tensor cols = rng.randn({d, len});
 
-        OpCounter counter;
-        const std::vector<std::int64_t> hits =
-            blocked_hits(array, cols, CamPrecision::Int8, counter);
-        EXPECT_EQ(hits, quantized_reference_hits(array, cols, CamPrecision::Int8))
-            << "len=" << len << " d=" << d << " p=" << p;
-        EXPECT_EQ(array.usage(), usage_of(hits, p));
+        // With the index LUT each output is 0.5 plus the query's winner, so
+        // the tiles compare winners; totals and usage are compared as well.
+        const LutMemory lut = camspec::index_lut(p);
+        const camspec::Outcome got =
+            camspec::run_blocked(array, lut, cols, kTemp, CamPrecision::Int8);
+        camspec::expect_same(camspec::run_spec(array, lut, cols, kTemp, CamPrecision::Int8), got,
+                             "len=" + std::to_string(len) + " d=" + std::to_string(d) +
+                                 " p=" + std::to_string(p));
 
         // Quantized searches land in the int8-lane counters; the float
         // ledger sees only the [1, p] LUT's one add per search.
-        const ops::OpTotals snap = counter.totals();
+        const ops::OpTotals& snap = got.counter;
         EXPECT_EQ(snap.cam_searches, static_cast<std::uint64_t>(len));
         EXPECT_EQ(snap.adds_q, static_cast<std::uint64_t>(2 * p * d * len));
         EXPECT_EQ(snap.adds, static_cast<std::uint64_t>(len));
@@ -408,14 +402,14 @@ TEST(QuantizedSearch, BinaryHammingMatchesSignReference) {
         array.prepare_quantized(CamPrecision::Binary);
         Tensor cols = rng.randn({d, len});
 
-        OpCounter counter;
-        const std::vector<std::int64_t> hits =
-            blocked_hits(array, cols, CamPrecision::Binary, counter);
-        EXPECT_EQ(hits, quantized_reference_hits(array, cols, CamPrecision::Binary))
-            << "len=" << len << " d=" << d << " p=" << p;
-        EXPECT_EQ(array.usage(), usage_of(hits, p));
+        const LutMemory lut = camspec::index_lut(p);
+        const camspec::Outcome got =
+            camspec::run_blocked(array, lut, cols, kTemp, CamPrecision::Binary);
+        camspec::expect_same(camspec::run_spec(array, lut, cols, kTemp, CamPrecision::Binary), got,
+                             "len=" + std::to_string(len) + " d=" + std::to_string(d) +
+                                 " p=" + std::to_string(p));
 
-        const ops::OpTotals snap = counter.totals();
+        const ops::OpTotals& snap = got.counter;
         const std::int64_t bwords = (d + 63) / 64;
         EXPECT_EQ(snap.cam_searches, static_cast<std::uint64_t>(len));
         EXPECT_EQ(snap.xor_popcounts, static_cast<std::uint64_t>(p * bwords * len));

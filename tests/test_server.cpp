@@ -119,7 +119,10 @@ TEST(PriorityBucketQueue, CloseWakesBlockedProducerWithItemIntact) {
   batch.clear();
   EXPECT_EQ(queue.pop_batch(batch, 8, 0us, 1, kKeepAll), 0u);
   int late = 7;
-  EXPECT_EQ(queue.push(late, 0), util::PushResult::Closed);
+  std::optional<int> evicted;
+  EXPECT_EQ(queue.try_push_evict(late, 0, evicted), util::PushResult::Closed);
+  EXPECT_EQ(late, 7);
+  EXPECT_FALSE(evicted.has_value());
 }
 
 TEST(PriorityBucketQueue, PopBatchCoalescesLongestPrefixAcceptedByPredicate) {
