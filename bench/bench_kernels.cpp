@@ -291,18 +291,27 @@ Row bench_im2col_tile(std::int64_t c, std::int64_t hw, std::int64_t d, double mi
   return row;
 }
 
-Row bench_camconv(bool angle, double min_time) {
-  Rng rng(angle ? 31 : 30);
+/// One PECAN conv layer's CAM path (bias on, stride 1), `batch` images per
+/// infer(), in img/s.
+struct ConvShape {
+  const char* name;
+  pq::MatchMode mode;
+  std::int64_t p, d, cin, cout, k, pad, hw;
+  std::uint64_t seed;
+};
+
+Row bench_camconv(const ConvShape& shape, double min_time) {
+  Rng rng(shape.seed);
   pq::PqLayerConfig cfg;
-  cfg.mode = angle ? pq::MatchMode::Angle : pq::MatchMode::Distance;
-  cfg.p = 32;
-  cfg.d = 6;
+  cfg.mode = shape.mode;
+  cfg.p = shape.p;
+  cfg.d = shape.d;
   cfg.temperature = 1.f;
-  pq::PecanConv2d trained("bench", 6, 16, 5, 1, 0, true, cfg, rng);
+  pq::PecanConv2d trained("bench", shape.cin, shape.cout, shape.k, 1, shape.pad, true, cfg, rng);
   trained.set_training(false);
   cam::CamConv2d layer(trained, std::make_shared<cam::OpCounter>());
   const std::int64_t batch = 8;
-  Tensor x = rng.randn({batch, 6, 14, 14});
+  Tensor x = rng.randn({batch, shape.cin, shape.hw, shape.hw});
   nn::InferContext ctx;
   const double reps = rate(
       [&] {
@@ -312,7 +321,7 @@ Row bench_camconv(bool angle, double min_time) {
       },
       min_time);
   Row row;
-  row.name = angle ? "camconv_lenet_a" : "camconv_lenet_d";
+  row.name = shape.name;
   row.unit = "img/s";
   row.blocked = reps * static_cast<double>(batch);
   return row;
@@ -397,6 +406,8 @@ int main(int argc, char** argv) {
   rows.push_back(bench_cam_search(cam::SearchMetric::L1BestMatch, 64, 9, len, min_time));
   rows.push_back(bench_cam_search(cam::SearchMetric::L1BestMatch, 32, 16, len, min_time));
   rows.push_back(bench_cam_search(cam::SearchMetric::L1BestMatch, 8, 4, len, min_time));
+  // ResNet20-D's PECAN-D word shape (report-only: no reference row).
+  rows.push_back(bench_cam_search(cam::SearchMetric::L1BestMatch, 64, 3, len, min_time));
   rows.push_back(bench_cam_search(cam::SearchMetric::DotProduct, 16, 9, len, min_time));
   rows.push_back(bench_cam_search(cam::SearchMetric::DotProduct, 8, 16, len, min_time));
   // A row plus the absolute floors emitted as its "gate" object, which
@@ -432,8 +443,15 @@ int main(int argc, char** argv) {
   rows.push_back(bench_im2col(128, 32, min_time));
   rows.push_back(bench_im2col_tile(16, 32, 8, min_time));
   rows.push_back(bench_im2col_tile(64, 16, 8, min_time));
-  rows.push_back(bench_camconv(false, min_time));
-  rows.push_back(bench_camconv(true, min_time));
+  constexpr auto kDist = pq::MatchMode::Distance;
+  rows.push_back(bench_camconv({"camconv_lenet_d", kDist, 32, 6, 6, 16, 5, 0, 14, 30}, min_time));
+  rows.push_back(bench_camconv(
+      {"camconv_lenet_a", pq::MatchMode::Angle, 32, 6, 6, 16, 5, 0, 14, 31}, min_time));
+  // ResNet20-D stage-1 and stage-3 convs (report-only: no reference rows).
+  rows.push_back(
+      bench_camconv({"camconv_resnet20_s1_d", kDist, 64, 3, 16, 16, 3, 1, 32, 34}, min_time));
+  rows.push_back(
+      bench_camconv({"camconv_resnet20_s3_d", kDist, 64, 3, 64, 64, 3, 1, 8, 35}, min_time));
   rows.push_back(bench_camlinear(min_time));
   // Exact energy-per-inference rows (bank/ prefix, gated as a family in CI).
   // These are ledger math, not timing, so the floors sit just under the

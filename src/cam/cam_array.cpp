@@ -210,9 +210,10 @@ void CamArray::search_accumulate_block(const float* queries, std::int64_t lb, co
   tally.ops.cam_searches += n;
   for (std::int64_t l = 0; l < lb; ++l) ++tally.usage[static_cast<std::size_t>(hit32[l])];
   // Fused epilogue: the winners go straight into the LUT row sweep while
-  // still hot. hits are < p_ by construction, so no per-element bounds
-  // re-check is needed.
-  k.lut_gather(lut.table().data(), lut.cout(), p_, hit32, lb, out, out_stride);
+  // still hot. With p_ <= 64 each table row is held in registers and looked
+  // up by permutes, with no gather. hits are < p_ by construction, so no
+  // per-element bounds re-check is needed.
+  k.lut_accumulate(lut.table().data(), lut.cout(), p_, hit32, lb, out, out_stride);
   tally.ops.adds += static_cast<std::uint64_t>(lut.cout()) * n;
   tally.ops.lut_reads += n;
 }

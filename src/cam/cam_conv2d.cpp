@@ -1,5 +1,6 @@
 #include "cam/cam_conv2d.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -82,21 +83,6 @@ Tensor CamConv2d::infer(const Tensor& input, nn::InferContext&) const {
 
   Tensor output({n, cout_, g.hout(), g.wout()});
 
-  // Bias broadcast hoisted over the whole batch in one sweep; the search
-  // loop below only ever accumulates.
-  if (has_bias_) {
-    util::parallel_for(
-        0, n * cout_,
-        [&](std::int64_t r0, std::int64_t r1) {
-          for (std::int64_t r = r0; r < r1; ++r) {
-            const float b = bias_[r % cout_];
-            float* out_r = output.data() + r * len;
-            for (std::int64_t l = 0; l < len; ++l) out_r[l] = b;
-          }
-        },
-        std::max<std::int64_t>(1, (1 << 14) / std::max<std::int64_t>(len, 1)));
-  }
-
   // Algorithm 1, tile-at-a-time. Per tile and group, the queries are
   // gathered straight from the input image into a contiguous dim-major
   // [d, lb] block (nn::im2col_tile — no full im2col `cols` intermediate is
@@ -114,20 +100,35 @@ Tensor CamConv2d::infer(const Tensor& input, nn::InferContext&) const {
   // straight into the LUT sweep without a hits round-trip, bitwise-identical
   // to the scalar column-at-a-time spec at Float32. The entries charge the
   // chunk's per-group tallies; no shared cache line is written per tile.
+  //
+  // Every group accumulates into a contiguous [cout, lb] tile that starts
+  // at the bias, and the tile is written to the output once. Accumulating
+  // in the output plane itself, at row stride len, would map a tile's rows
+  // onto a few L1 sets (4096 bytes apart at 32x32). The tile's row stride
+  // is lb rounded up to 16 lanes, so a tail tile's masked 16-lane row
+  // stores never overlap the next row's loads.
   const CamPrecision eff = effective_precision();
   const auto tile_body = [&](const float* image, float* out_s, std::int64_t l0, std::int64_t lb,
-                             float* qtile, float* scores, std::vector<CamTally>& tallies) {
+                             float* qtile, float* scores, float* acc,
+                             std::vector<CamTally>& tallies) {
+    const std::int64_t ld = (lb + 15) & ~std::int64_t{15};
+    for (std::int64_t c = 0; c < cout_; ++c) {
+      std::fill(acc + c * ld, acc + c * ld + lb, has_bias_ ? bias_[c] : 0.f);
+    }
     for (std::int64_t j = 0; j < D; ++j) {
       const CamArray& array = arrays_[static_cast<std::size_t>(j)];
       const LutMemory& lut = luts_[static_cast<std::size_t>(j)];
       CamTally& tally = tallies[static_cast<std::size_t>(j)];
       nn::im2col_tile(image, g, j * d_, d_, l0, lb, qtile);
       if (mode_ == pq::MatchMode::Distance) {
-        array.search_accumulate_block(qtile, lb, lut, out_s + l0, len, tally, eff);
+        array.search_accumulate_block(qtile, lb, lut, acc, ld, tally, eff);
       } else {
-        array.similarity_softmax_accumulate_block(qtile, lb, temperature_, lut, scores, out_s + l0,
-                                                  len, tally, eff);
+        array.similarity_softmax_accumulate_block(qtile, lb, temperature_, lut, scores, acc, ld,
+                                                  tally, eff);
       }
+    }
+    for (std::int64_t c = 0; c < cout_; ++c) {
+      std::copy(acc + c * ld, acc + c * ld + lb, out_s + c * len + l0);
     }
   };
   const std::int64_t scores_size = mode_ == pq::MatchMode::Angle ? p_ * kCamTileMax : 0;
@@ -145,6 +146,7 @@ Tensor CamConv2d::infer(const Tensor& input, nn::InferContext&) const {
       [&](std::int64_t w0, std::int64_t w1) {
         std::vector<float> qtile(static_cast<std::size_t>(d_ * kCamTileMax));
         std::vector<float> scores(static_cast<std::size_t>(scores_size));
+        std::vector<float> acc(static_cast<std::size_t>(cout_ * kCamTileMax));
         std::vector<CamTally> tallies;
         tallies.reserve(static_cast<std::size_t>(D));
         for (const CamArray& array : arrays_) tallies.emplace_back(array.word_count());
@@ -153,7 +155,7 @@ Tensor CamConv2d::infer(const Tensor& input, nn::InferContext&) const {
           const std::int64_t l0 = (w % ntiles) * kCamTileMax;
           const std::int64_t lb = std::min<std::int64_t>(kCamTileMax, len - l0);
           tile_body(input.data() + s * cin_ * hin * win, output.data() + s * cout_ * len, l0, lb,
-                    qtile.data(), scores.data(), tallies);
+                    qtile.data(), scores.data(), acc.data(), tallies);
         }
         for (std::int64_t j = 0; j < D; ++j) {
           arrays_[static_cast<std::size_t>(j)].flush(tallies[static_cast<std::size_t>(j)],

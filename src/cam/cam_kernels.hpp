@@ -11,7 +11,7 @@
 //                                so the same loops plus the AVX-512 intrinsic
 //                                paths (register-resident float L1 scan,
 //                                VPSADBW / VPMADDWD / byte-plane Hamming
-//                                scans, gathered LUT epilogue).
+//                                scans, register-resident LUT epilogue).
 // Each TU defines one KernelTable; active_kernels() picks the widest table
 // the running CPU supports, once per process.
 //
@@ -93,9 +93,9 @@ struct KernelTable {
   void (*binary_hits)(const BinaryPlane& w, const float* queries, std::int64_t lb,
                       const KernelScratch& s, std::int32_t* hits);
   /// Fused LUT epilogue: out[c * out_stride + l] += table[c * p + hits[l]].
-  void (*lut_gather)(const float* table, std::int64_t cout, std::int64_t p,
-                     const std::int32_t* hits, std::int64_t lb, float* out,
-                     std::int64_t out_stride);
+  void (*lut_accumulate)(const float* table, std::int64_t cout, std::int64_t p,
+                         const std::int32_t* hits, std::int64_t lb, float* out,
+                         std::int64_t out_stride);
 };
 
 extern const KernelTable kBaselineKernels;

@@ -4,9 +4,11 @@
 // column m is the contribution of prototype m to every output channel.
 // At inference a CAM hit k fetches column k and accumulates it into the
 // output (cout adds) — no multiplication (PECAN-D) or a p-wide weighted
-// sum (PECAN-A). PECAN-D's column gather is fused into
-// CamArray::search_accumulate_block; PECAN-A's weighted sum is
-// weighted_accumulate_block below.
+// sum (PECAN-A). PECAN-D's column lookup is fused into
+// CamArray::search_accumulate_block (the kernels' lut_accumulate, which
+// holds a row of up to 64 entries in registers and looks the winners up
+// without a gather); PECAN-A's weighted sum is weighted_accumulate_block
+// below.
 #pragma once
 
 #include <cstdint>

@@ -112,7 +112,7 @@ TEST(BankMap, ValidatesConfig) {
 // ----------------------------------------------------- per-bank op ledgers
 
 TEST(BankLedger, BankSearchesAndEnergyPartitionTheNetworkLedger) {
-  // PECAN-D runs the best-match search + LUT gather epilogue; PECAN-A runs
+  // PECAN-D runs the best-match search + LUT lookup epilogue; PECAN-A runs
   // the similarity + softmax + weighted-accumulate epilogue, whose LUT ops
   // reach the bank port through LutMemory::weighted_accumulate_block.
   for (const models::Variant variant : {models::Variant::PecanD, models::Variant::PecanA}) {

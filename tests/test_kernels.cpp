@@ -7,6 +7,7 @@
 // kernels without perturbing the paper's numbers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstring>
@@ -272,15 +273,19 @@ TEST(SgemmBlocked, DeterministicAcrossThreadCounts) {
 
 // Tile-at-a-time CamConv2d::infer against the column-at-a-time scalar spec
 // (the pre-blocking algorithm) run group by group over each sample's im2col
-// matrix with the same arrays/LUTs — the end-to-end bitwise guarantee across
-// a len with an odd tile tail.
-void column_at_a_time_reference(cam::CamConv2d& layer, const Tensor& input, float temperature,
-                                Tensor& out) {
+// matrix with the same arrays/LUTs, starting from the layer's bias — the
+// end-to-end bitwise guarantee across a len with an odd tile tail.
+void column_at_a_time_reference(cam::CamConv2d& layer, const Tensor& input, const Tensor& bias,
+                                float temperature, Tensor& out) {
   const std::int64_t n = input.dim(0), c = input.dim(1), h = input.dim(2), w = input.dim(3);
   const nn::Conv2dGeometry g = layer.geometry(h, w);
   const std::int64_t len = g.cols(), cout = out.dim(1);
   OpCounter scratch_counter;  // reference ops are not under test
   for (std::int64_t s = 0; s < n; ++s) {
+    for (std::int64_t co = 0; co < cout; ++co) {
+      float* row = out.data() + (s * cout + co) * len;
+      std::fill(row, row + len, bias[co]);
+    }
     const Tensor cols = nn::im2col(
         Tensor({c, h, w}, std::vector<float>(input.data() + s * c * h * w,
                                              input.data() + (s + 1) * c * h * w)),
@@ -295,27 +300,57 @@ void column_at_a_time_reference(cam::CamConv2d& layer, const Tensor& input, floa
   }
 }
 
+// The layer shapes the served models run, each through every epilogue path
+// of the LUT accumulate: ResNet20-D's d = 3, p = 64 stage convs (full and
+// tail tiles, stride 1 and 2, folded-BN bias), its p = 128 conv1 (the gather
+// fallback), a p = 37 array as pruning leaves one (masked table-row loads),
+// a LeNet5-D FC layer (lb = 1, the scalar loop) and PECAN-A, whose weighted
+// accumulate writes the same accumulator tile.
 TEST(CamConv2dTiled, InferMatchesColumnAtATimeReference) {
-  for (const bool angle : {false, true}) {
-    Rng rng(angle ? 21 : 20);
+  struct Case {
+    const char* what;
+    pq::MatchMode mode;
+    std::int64_t p, d, cin, cout, k, stride, pad, hw, n;
+    bool bias;
+  };
+  constexpr auto kD = pq::MatchMode::Distance;
+  const Case cases[] = {
+      // 9x9 input, k=3, pad=1 -> len = 81: one full 64-tile plus a 17 tail.
+      {"pecan-d p8 d9", kD, 8, 9, 3, 5, 3, 1, 1, 9, 2, false},
+      {"pecan-a p8 d9", pq::MatchMode::Angle, 8, 9, 3, 5, 3, 1, 1, 9, 2, true},
+      {"resnet20-d stage1 (len 100)", kD, 64, 3, 16, 16, 3, 1, 1, 10, 2, true},
+      {"resnet20-d stage2 stride 2 (len 64)", kD, 64, 3, 16, 32, 3, 2, 1, 16, 2, true},
+      {"resnet20-d stage3 stride 2 (len 36)", kD, 64, 3, 32, 64, 3, 2, 1, 12, 2, true},
+      {"resnet20-d stage3 (len 81)", kD, 64, 3, 64, 64, 3, 1, 1, 9, 2, true},
+      {"resnet20-d conv1 p128", kD, 128, 3, 3, 16, 3, 1, 1, 9, 2, true},
+      {"pruned p37", kD, 37, 3, 8, 16, 3, 1, 1, 9, 2, true},
+      {"lenet5-d fc1 (lb 1)", kD, 64, 8, 400, 128, 1, 1, 0, 1, 3, true},
+  };
+  for (const Case& tc : cases) {
+    Rng rng(static_cast<std::uint64_t>(20 + tc.p * 7 + tc.cin * 3 + tc.cout));
     pq::PqLayerConfig cfg;
-    cfg.mode = angle ? pq::MatchMode::Angle : pq::MatchMode::Distance;
-    cfg.p = 8;
-    cfg.d = 9;
+    cfg.mode = tc.mode;
+    cfg.p = tc.p;
+    cfg.d = tc.d;
     cfg.temperature = 1.f;
-    // 9x9 input, k=3, pad=1 -> len = 81: one full 64-tile plus a 17 tail.
-    pq::PecanConv2d trained("t", 3, 5, 3, 1, 1, /*bias=*/false, cfg, rng);
+    pq::PecanConv2d trained("t", tc.cin, tc.cout, tc.k, tc.stride, tc.pad, tc.bias, cfg, rng);
     trained.set_training(false);
+    Tensor bias({tc.cout});
+    if (tc.bias) {
+      bias = rng.randn({tc.cout});
+      trained.bias().value = bias;
+    }
     cam::CamConv2d exported(trained, std::make_shared<OpCounter>());
-    Tensor x = rng.randn({2, 3, 9, 9});
+    Tensor x = rng.randn({tc.n, tc.cin, tc.hw, tc.hw});
 
     nn::InferContext ctx;
     Tensor tiled = exported.infer(x, ctx);
-    Tensor reference({2, 5, 9, 9});
-    column_at_a_time_reference(exported, x, cfg.temperature, reference);
-    ASSERT_TRUE(tiled.same_shape(reference));
+    const nn::Conv2dGeometry g = exported.geometry(tc.hw, tc.hw);
+    Tensor reference({tc.n, tc.cout, g.hout(), g.wout()});
+    column_at_a_time_reference(exported, x, bias, cfg.temperature, reference);
+    ASSERT_TRUE(tiled.same_shape(reference)) << tc.what;
     for (std::int64_t i = 0; i < tiled.numel(); ++i) {
-      ASSERT_EQ(reference[i], tiled[i]) << "angle=" << angle << " i=" << i;
+      ASSERT_EQ(reference[i], tiled[i]) << tc.what << " i=" << i;
     }
   }
 }
@@ -541,6 +576,8 @@ camspec::Outcome sweep(const KernelTable& table, const CamArray& array, const Lu
 }
 
 TEST(CrossIsaKernels, TablesResolveOnceWidestLastAndPinPerThread) {
+  // Named in --gtest_output reports (CI writes it to the job summary).
+  RecordProperty("kernel_isa", cam::kernel_isa());
   const cam::detail::SupportedKernels supported = cam::detail::supported_kernels();
   ASSERT_GE(supported.count, 1);
   EXPECT_EQ(supported.tables[0], &cam::detail::kBaselineKernels);
@@ -607,6 +644,11 @@ TEST(CrossIsaKernels, EveryHostTableBitwiseMatchesBaseline) {
   const cam::detail::SupportedKernels supported = cam::detail::supported_kernels();
   if (supported.count < 2) GTEST_SKIP() << "host runs the baseline kernel table only";
   const KernelTable& baseline = *supported.tables[0];
+  std::string compared;
+  for (int t = 1; t < supported.count; ++t) {
+    compared += std::string(t > 1 ? "," : "") + supported.tables[t]->isa;
+  }
+  RecordProperty("compared_tables", compared);
 
   struct Config {
     CamPrecision precision;
@@ -619,16 +661,21 @@ TEST(CrossIsaKernels, EveryHostTableBitwiseMatchesBaseline) {
       {CamPrecision::Int8, SearchMetric::DotProduct},
       {CamPrecision::Binary, SearchMetric::L1BestMatch},
   };
-  // p = 300 exceeds the byte-lane Hamming scan's 256-word bound, so the
-  // wide tables' in-kernel fallback is pinned too.
-  const std::int64_t kTableWords[] = {1, 32, 300};
+  // The word counts cross every LUT epilogue bound of the wide tables: the
+  // 16-entry table-row registers (16/17), the two-register permute halves
+  // (32/33), the last permuted row size and the gather fallback (64/65).
+  // p = 300 also exceeds the byte-lane Hamming scan's 256-word bound, so
+  // that in-kernel fallback is pinned too.
+  const std::int64_t kTableWords[] = {1, 16, 17, 32, 33, 64, 65, 300};
   // The Float32 L1 scan gets the widest sweep: the register-resident v4
   // scan masks its last 16-lane chunk (lb 15/16/17), runs at the ResNet20-D
-  // preset d = 3 and at d = 16, must keep the lowest index on exact ties and
-  // must never let a NaN distance win.
+  // preset d = 3 with d fixed (lb 63/64) and read at run time (narrower
+  // tiles), and at d = 16, must keep the lowest index on exact ties and must
+  // never let a NaN distance win. lb 3 and 4 sit either side of the LUT
+  // epilogue's scalar cut-off.
   const std::vector<std::int64_t> lens(std::begin(kLens), std::end(kLens));
   const std::vector<std::int64_t> dims(std::begin(kDims), std::end(kDims));
-  const std::vector<std::int64_t> l1_lens = {1, 5, 15, 16, 17, 63, 64, 65, 130};
+  const std::vector<std::int64_t> l1_lens = {1, 3, 4, 5, 15, 16, 17, 63, 64, 65, 130};
   const std::vector<std::int64_t> l1_dims = {1, 2, 3, 9, 16};
   for (int t = 1; t < supported.count; ++t) {
     const KernelTable& table = *supported.tables[t];
