@@ -13,10 +13,8 @@
 //     SCHEDULED arrival, so a stall penalizes the tail instead of pausing
 //     the workload (mirroring bench_net_throughput's open loop). Run once
 //     with a fixed batching config and once with the adaptive SLO
-//     controller + 4 priority classes (2 high-priority clients, 6 low): the
-//     rows record fixed-vs-adaptive p99, the high-vs-low priority gap, and
-//     which class the sheds landed on (absolute p99 ceilings + ratio
-//     floors in the reference).
+//     controller: the rows record fixed-vs-adaptive p99 (an absolute p99
+//     ceiling + a ratio floor in the reference).
 //
 // Throughput, latency and client scaling of the served models end to end
 // are perfbench's job (perfbench/README.md); these sweeps stay because
@@ -30,7 +28,6 @@
 // sweep's pool size (--shard-threads); the SLO sweep always runs inline. Weights are randomly initialized — cost is
 // shape-determined, so trained weights would time identically.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <future>
@@ -123,12 +120,11 @@ void run_shard_sweep(int threads, std::int64_t rounds) {
 
 using Clock = std::chrono::steady_clock;
 
-/// One open-loop client: priority class, arrival schedule, and what it saw.
+/// One open-loop client: arrival schedule, and what it saw.
 struct OpenClient {
-  std::int64_t priority = 0;
   std::vector<double> offsets_s;
   std::vector<double> latencies_ms;  ///< completed requests only
-  long long shed = 0;                ///< submit rejections + evicted futures
+  long long shed = 0;                ///< submit rejections
 };
 
 /// Drives every client's schedule against `server` concurrently. Per client,
@@ -136,8 +132,8 @@ struct OpenClient {
 /// far completions lag (an overloaded server cannot slow the workload down —
 /// the coordinated-omission trap), handing accepted futures to a COLLECTOR
 /// thread; each latency runs from the request's SCHEDULED arrival to future
-/// completion. A request sheds either at submit() (queue full) or at
-/// future.get() (evicted by a higher class); both count as `shed`.
+/// completion. A request sheds at submit() (queue full); every accepted
+/// future completes.
 void run_open_clients(runtime::Server& server, const std::string& model, const Tensor& samples,
                       std::vector<OpenClient>& clients) {
   const std::int64_t sample_numel = samples.numel() / samples.dim(0);
@@ -158,7 +154,6 @@ void run_open_clients(runtime::Server& server, const std::string& model, const T
   for (OpenClient& client : clients) {
     threads.emplace_back([&, t0] {
       util::PriorityBucketQueue<InFlight> handoff(1);  // unbounded sender->collector
-      std::atomic<long long> evicted{0};
       std::thread collector([&] {
         std::vector<InFlight> batch;
         for (;;) {
@@ -168,13 +163,9 @@ void run_open_clients(runtime::Server& server, const std::string& model, const T
             return;
           }
           for (InFlight& item : batch) {
-            try {
-              item.future.get();
-              client.latencies_ms.push_back(
-                  std::chrono::duration<double, std::milli>(Clock::now() - item.arrival).count());
-            } catch (const runtime::OverloadedError&) {
-              evicted.fetch_add(1);  // accepted, then shed by a higher class
-            }
+            item.future.get();
+            client.latencies_ms.push_back(
+                std::chrono::duration<double, std::milli>(Clock::now() - item.arrival).count());
           }
         }
       });
@@ -184,8 +175,7 @@ void run_open_clients(runtime::Server& server, const std::string& model, const T
                      std::chrono::duration<double>(client.offsets_s[i]));
         std::this_thread::sleep_until(arrival);
         try {
-          InFlight item{arrival,
-                        server.submit(model, nth(static_cast<std::int64_t>(i)), client.priority)};
+          InFlight item{arrival, server.submit(model, nth(static_cast<std::int64_t>(i)))};
           handoff.push(item, 0);
         } catch (const runtime::OverloadedError&) {
           ++client.shed;
@@ -193,28 +183,23 @@ void run_open_clients(runtime::Server& server, const std::string& model, const T
       }
       handoff.close();
       collector.join();
-      client.shed += evicted.load();
     });
   }
   for (std::thread& t : threads) t.join();
 }
 
-/// Merges the latency vectors of every client whose priority satisfies
-/// `want` (negative = all classes).
-std::vector<double> merged_latencies(const std::vector<OpenClient>& clients, std::int64_t want) {
+/// Merges the latency vectors of every client.
+std::vector<double> merged_latencies(const std::vector<OpenClient>& clients) {
   std::vector<double> all;
   for (const OpenClient& c : clients) {
-    if (want >= 0 && c.priority != want) continue;
     all.insert(all.end(), c.latencies_ms.begin(), c.latencies_ms.end());
   }
   return all;
 }
 
-long long merged_shed(const std::vector<OpenClient>& clients, std::int64_t want) {
+long long merged_shed(const std::vector<OpenClient>& clients) {
   long long total = 0;
-  for (const OpenClient& c : clients) {
-    if (want < 0 || c.priority == want) total += c.shed;
-  }
+  for (const OpenClient& c : clients) total += c.shed;
   return total;
 }
 
@@ -235,16 +220,13 @@ void emit_slo_row(const char* label, const std::string& name, const std::vector<
 
 /// The SLO sweep: measures closed-loop capacity, then drives 8 open-loop
 /// clients at 2x that rate — once against fixed batching knobs, once with
-/// the adaptive controller + priority classes. The interesting comparisons
-/// (adaptive p99 vs fixed p99, low-class p99 vs high-class p99, low-class
-/// sheds vs high-class sheds) land in the speedup column so check_bench.py
-/// can hold ratio floors against them; the adaptive rows also carry
-/// absolute p99 ceilings in the checked-in reference.
+/// the adaptive controller. Fixed p99 over adaptive p99 lands in the
+/// speedup column so check_bench.py can hold a ratio floor against it; the
+/// adaptive row also carries an absolute p99 ceiling in the checked-in
+/// reference.
 void run_slo_sweep(std::int64_t per_client, double slo_ms) {
   util::set_global_threads(1);  // inline kernels: service time is the batcher's
   constexpr int kClients = 8;
-  constexpr int kHiClients = 2;  // clients 0..1 high class, 2..7 default class
-  constexpr std::int64_t kHiClass = 3;
   Rng data_rng(7177);
   const Tensor samples = data_rng.randn({8, 1, 28, 28});
 
@@ -285,7 +267,6 @@ void run_slo_sweep(std::int64_t per_client, double slo_ms) {
   const auto make_clients = [&](bool bursty) {
     std::vector<OpenClient> clients(kClients);
     for (int c = 0; c < kClients; ++c) {
-      clients[static_cast<std::size_t>(c)].priority = c < kHiClients ? kHiClass : 0;
       clients[static_cast<std::size_t>(c)].offsets_s =
           bursty ? bursty_schedule(static_cast<std::size_t>(per_client), client_rate, 16)
                  : poisson_schedule(static_cast<std::size_t>(per_client), client_rate,
@@ -294,56 +275,33 @@ void run_slo_sweep(std::int64_t per_client, double slo_ms) {
     return clients;
   };
 
-  // Fixed baseline: same admission limits, no controller, one class.
+  // Fixed baseline: same admission limits, no controller.
   std::vector<double> fixed_lats;
   long long fixed_shed = 0;
   {
     runtime::Server server;
     server.deploy("m", build_lenet(), fixed_config);
     std::vector<OpenClient> clients = make_clients(false);
-    for (OpenClient& c : clients) c.priority = 0;  // single class
     run_open_clients(server, "m", samples, clients);
-    fixed_lats = merged_latencies(clients, -1);
-    fixed_shed = merged_shed(clients, -1);
+    fixed_lats = merged_latencies(clients);
+    fixed_shed = merged_shed(clients);
     emit_slo_row("fixed", "slo/open8/fixed", fixed_lats, fixed_shed, -1);
   }
 
   runtime::EngineConfig adaptive_config = fixed_config;
-  adaptive_config.priority_classes = 4;
   adaptive_config.slo_target_ms = slo_ms;
 
   // Adaptive: the controller shrinks the micro-batch and caps queue depth
-  // against the SLO while high-class requests jump the line.
+  // against the SLO.
   {
     runtime::Server server;
     server.deploy("m", build_lenet(), adaptive_config);
     std::vector<OpenClient> clients = make_clients(false);
     run_open_clients(server, "m", samples, clients);
-    const std::vector<double> all = merged_latencies(clients, -1);
-    const std::vector<double> hi = merged_latencies(clients, kHiClass);
-    const std::vector<double> lo = merged_latencies(clients, 0);
-    const long long hi_shed = merged_shed(clients, kHiClass);
-    const long long lo_shed = merged_shed(clients, 0);
+    const std::vector<double> all = merged_latencies(clients);
     const double adaptive_p99 = percentile(all, 0.99);
-    emit_slo_row("adaptive", "slo/open8/adaptive", all, hi_shed + lo_shed,
+    emit_slo_row("adaptive", "slo/open8/adaptive", all, merged_shed(clients),
                  adaptive_p99 > 0 ? percentile(fixed_lats, 0.99) / adaptive_p99 : -1);
-    emit_slo_row("adaptive/hi", "slo/open8/adaptive/hi", hi, hi_shed, -1);
-    emit_slo_row("adaptive/lo", "slo/open8/adaptive/lo", lo, lo_shed, -1);
-    // Priority gap: low-class p99 over high-class p99 (>1 = classes work).
-    bench::Row gap;
-    gap.name = "slo/open8/priority-gap";
-    gap.speedup = percentile(hi, 0.99) > 0 ? percentile(lo, 0.99) / percentile(hi, 0.99) : -1;
-    g_json_rows.push_back(gap);
-    // Shed skew: low-class sheds over high-class sheds, +1-smoothed
-    // (>=1 = the queue sheds its LOWEST class first, the admission
-    // contract).
-    bench::Row skew;
-    skew.name = "slo/open8/shed-skew";
-    skew.speedup = static_cast<double>(lo_shed + 1) / static_cast<double>(hi_shed + 1);
-    g_json_rows.push_back(skew);
-    std::printf("%-22s %9s %9s %6s %7.2fx\n", "priority-gap (lo/hi)", "-", "-", "-", gap.speedup);
-    std::printf("%-22s %9s %9s %6s %7.2fx\n", "shed-skew (lo/hi)", "-", "-", "-", skew.speedup);
-    std::fflush(stdout);
   }
 
   // Bursty arrivals against the adaptive config — report-only (burst clumps
@@ -353,8 +311,8 @@ void run_slo_sweep(std::int64_t per_client, double slo_ms) {
     server.deploy("m", build_lenet(), adaptive_config);
     std::vector<OpenClient> clients = make_clients(true);
     run_open_clients(server, "m", samples, clients);
-    emit_slo_row("adaptive/bursty", "slo/open8/bursty", merged_latencies(clients, -1),
-                 merged_shed(clients, -1), -1);
+    emit_slo_row("adaptive/bursty", "slo/open8/bursty", merged_latencies(clients),
+                 merged_shed(clients), -1);
   }
 }
 

@@ -23,9 +23,8 @@ row — ``min_speedup``, ``min_gb_per_s``, ``max_p99_ms``, ``max_shed``,
 ``min_goodput``, ``max_expired_frac``, and whatever future benches record.
 A gate key that matches neither pattern fails the gate outright (a typo'd
 bound must never silently pass). The SLO rows use ceilings (an adaptive
-scheduler whose open-loop p99 blows through its ceiling, or whose
-high-priority class starts shedding, is a regression even if every ratio
-still looks fine); the ``fault/`` chaos rows of BENCH_net.json use a
+scheduler whose open-loop p99 blows through its ceiling is a regression
+even if every ratio still looks fine); the ``fault/`` chaos rows of BENCH_net.json use a
 ``min_goodput`` floor (the self-healing client must keep completing
 requests under injected faults) and a ``max_expired_frac`` ceiling
 (deadline expiries must stay bounded). The quantized CAM rows use this: their
@@ -65,10 +64,9 @@ runner hardware — it only drifts with core count and scheduler noise, which
 the 0.5x floor absorbs. Pass ``--gate-prefix shard/`` for those rows.
 
 BENCH_runtime.json's `slo/...` rows gate the SLO scheduler the same way
-(``--gate-prefix slo/``): their speedups are fixed-vs-adaptive p99,
-low-vs-high-class p99, and low-vs-high-class shed ratios — all measured in
-one process at a rate derived from the machine's own capacity, so they hold
-across runners where absolute latency does not. Their reference rows omit
+(``--gate-prefix slo/``): the adaptive row's speedup is fixed-vs-adaptive
+p99, measured in one process at a rate derived from the machine's own
+capacity, so it holds across runners where absolute latency does not. Their reference rows omit
 the ``speedup`` key on purpose: open-loop tail ratios are too noisy for the
 0.5x relative check, so only the absolute ``gate`` bounds apply.
 

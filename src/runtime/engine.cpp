@@ -36,24 +36,15 @@ void flatten(const nn::Module& module, std::vector<const nn::Module*>& plan,
 Engine::Engine(std::unique_ptr<nn::Sequential> net, EngineConfig config)
     : net_(std::move(net)),
       config_(config),
-      queue_(config.priority_classes > 0 ? static_cast<std::size_t>(config.priority_classes) : 1,
-             config.max_pending > 0 ? static_cast<std::size_t>(config.max_pending) : 0),
+      queue_(1, config.max_pending > 0 ? static_cast<std::size_t>(config.max_pending) : 0),
       eff_batch_(config.max_batch),
       eff_wait_us_(config.batch_wait.count()),
       latency_(kLatencyWindow) {
   if (!net_) throw std::invalid_argument("Engine: null network");
   if (config_.max_batch < 1) throw std::invalid_argument("Engine: max_batch must be >= 1");
   if (config_.max_pending < 0) throw std::invalid_argument("Engine: max_pending must be >= 0");
-  if (config_.priority_classes < 1) {
-    throw std::invalid_argument("Engine: priority_classes must be >= 1");
-  }
   if (config_.slo_target_ms < 0.0) {
     throw std::invalid_argument("Engine: slo_target_ms must be >= 0");
-  }
-  stats_.classes.resize(static_cast<std::size_t>(config_.priority_classes));
-  class_latency_.reserve(static_cast<std::size_t>(config_.priority_classes));
-  for (std::int64_t c = 0; c < config_.priority_classes; ++c) {
-    class_latency_.emplace_back(kLatencyWindow);
   }
   net_->set_training(false);
   if (config_.cam_precision != cam::CamPrecision::Float32 && config_.path != ExecPath::Cam) {
@@ -295,8 +286,7 @@ void Engine::ensure_batcher() {
   batcher_ = std::thread([this] { batcher_loop(); });
 }
 
-std::future<Tensor> Engine::submit(Tensor sample, std::int64_t priority,
-                                   std::chrono::steady_clock::time_point deadline) {
+std::future<Tensor> Engine::submit(Tensor sample, std::chrono::steady_clock::time_point deadline) {
   if (sample.ndim() != 3) {
     throw std::invalid_argument("Engine::submit: expected a [C,H,W] sample, got " +
                                 shape_str(sample.shape()));
@@ -313,8 +303,6 @@ std::future<Tensor> Engine::submit(Tensor sample, std::int64_t priority,
                                 shape_str(config_.input_shape) + " sample, got " +
                                 shape_str(sample.shape()));
   }
-  const std::size_t cls = static_cast<std::size_t>(
-      std::clamp<std::int64_t>(priority, 0, config_.priority_classes - 1));
   // Admission-time deadline check: shedding here costs a few loads; shedding
   // at batch formation costs a queue slot and a wasted wakeup. An EWMA of
   // per-sample service time times the current depth predicts the wait this
@@ -337,7 +325,6 @@ std::future<Tensor> Engine::submit(Tensor sample, std::int64_t priority,
       {
         std::lock_guard<std::mutex> stats_lock(stats_mutex_);
         ++stats_.expired;
-        ++stats_.classes[cls].expired;
       }
       throw DeadlineExceededError(
           "Engine::submit: deadline lapsed (or predicted queue wait exceeds the "
@@ -358,22 +345,15 @@ std::future<Tensor> Engine::submit(Tensor sample, std::int64_t priority,
   }
   Pending pending;
   pending.sample = std::move(sample);
-  pending.priority = cls;
   pending.enqueued_at = std::chrono::steady_clock::now();
   pending.deadline = deadline;
   std::future<Tensor> future = pending.promise.get_future();
-  // Reject mode sheds the lowest class first: a full queue evicts the newest
-  // queued sample of a class strictly below ours (we fail its promise below,
-  // outside the queue lock) rather than rejecting a more urgent arrival.
-  // With one class this degenerates to the plain reject path.
-  std::optional<Pending> evicted;
   const util::PushResult pushed = config_.backpressure == Backpressure::Reject
-                                      ? queue_.try_push_evict(pending, cls, evicted)
-                                      : queue_.push(pending, cls);
+                                      ? queue_.try_push(pending, 0)
+                                      : queue_.push(pending, 0);
   if (pushed == util::PushResult::Full) {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     ++stats_.shed;
-    ++stats_.classes[cls].shed;
     throw OverloadedError("Engine::submit: pending queue full (max_pending=" +
                           std::to_string(config_.max_pending) + "), request shed");
   }
@@ -386,16 +366,6 @@ std::future<Tensor> Engine::submit(Tensor sample, std::int64_t priority,
   {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     ++stats_.requests;
-    ++stats_.classes[cls].requests;
-    if (evicted) {
-      ++stats_.shed;
-      ++stats_.classes[evicted->priority].shed;
-    }
-  }
-  if (evicted) {
-    evicted->promise.set_exception(std::make_exception_ptr(
-        OverloadedError("Engine::submit: shed by a higher-priority request (max_pending=" +
-                        std::to_string(config_.max_pending) + ")")));
   }
   return future;
 }
@@ -405,12 +375,10 @@ void Engine::batcher_loop() {
   for (;;) {
     batch.clear();
     // Block for the first sample, wait for stragglers, then coalesce the
-    // longest same-shape run — the queue serves the highest non-empty
-    // priority class at every pop, so coalescing crosses classes while
-    // precedence holds. Batch size and straggler wait are the CONTROLLER'S
-    // effective values, re-read each iteration (they equal the fixed config
-    // when slo_target_ms is off). Returns 0 only when the queue is closed
-    // AND drained, so every accepted request is executed.
+    // longest same-shape run in FIFO order. Batch size and straggler wait
+    // are the CONTROLLER'S effective values, re-read each iteration (they
+    // equal the fixed config when slo_target_ms is off). Returns 0 only when
+    // the queue is closed AND drained, so every accepted request is executed.
     const auto eff_batch =
         static_cast<std::size_t>(eff_batch_.load(std::memory_order_relaxed));
     const std::chrono::microseconds eff_wait{eff_wait_us_.load(std::memory_order_relaxed)};
@@ -431,7 +399,6 @@ void Engine::batcher_loop() {
         {
           std::lock_guard<std::mutex> stats_lock(stats_mutex_);
           ++stats_.expired;
-          ++stats_.classes[batch[i].priority].expired;
         }
         batch[i].promise.set_exception(std::make_exception_ptr(DeadlineExceededError(
             "Engine: deadline lapsed in the pending queue — expired at batch formation")));
@@ -485,12 +452,11 @@ void Engine::execute_pending(std::vector<Pending>& batch) {
     const std::int64_t row_numel = out.numel() / b;
     for (std::int64_t i = 0; i < b; ++i) {
       Pending& pending = batch[static_cast<std::size_t>(i)];
-      // End-to-end latency (queue wait + coalesce + execute), recorded into
-      // the global and per-class windows BEFORE the promise resolves so a
-      // client reading stats() right after get() sees its own sample.
-      record_request_latency(
-          std::chrono::duration<double, std::milli>(done - pending.enqueued_at).count(),
-          pending.priority);
+      // End-to-end latency (queue wait + coalesce + execute), recorded
+      // BEFORE the promise resolves so a client reading stats() right after
+      // get() sees its own sample.
+      record_latency(
+          std::chrono::duration<double, std::milli>(done - pending.enqueued_at).count());
       Tensor row(row_shape);
       std::memcpy(row.data(), out.data() + i * row_numel,
                   static_cast<std::size_t>(row_numel) * sizeof(float));
@@ -537,13 +503,6 @@ void Engine::record_latency(double ms) {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   ++stats_.latency_samples;
   latency_.record(ms);
-}
-
-void Engine::record_request_latency(double ms, std::size_t cls) {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  ++stats_.latency_samples;
-  latency_.record(ms);
-  class_latency_[cls].record(ms);
 }
 
 // ---------------------------------------------------------- SLO controller
@@ -613,19 +572,12 @@ EngineStats Engine::stats() const {
     snapshot = stats_;
     snapshot.p50_ms = latency_.percentile(0.50);
     snapshot.p99_ms = latency_.percentile(0.99);
-    for (std::size_t c = 0; c < class_latency_.size(); ++c) {
-      snapshot.classes[c].p50_ms = class_latency_[c].percentile(0.50);
-      snapshot.classes[c].p99_ms = class_latency_[c].percentile(0.99);
-    }
   }
   snapshot.scratch_bytes = scratch_bytes;
   snapshot.queue_depth = static_cast<std::int64_t>(queue_.size());
   snapshot.eff_max_batch = eff_batch_.load(std::memory_order_relaxed);
   snapshot.eff_batch_wait_us = eff_wait_us_.load(std::memory_order_relaxed);
   snapshot.depth_cap = depth_cap_.load(std::memory_order_relaxed);
-  for (std::size_t c = 0; c < snapshot.classes.size(); ++c) {
-    snapshot.classes[c].depth = static_cast<std::int64_t>(queue_.depth(c));
-  }
   // Energy: price the exact op ledger through the energy table. The per-bank
   // ledgers are mirrors of the same aggregates, so banks[].energy_pj sums to
   // energy_pj (up to float addition order — the counts themselves are exact).

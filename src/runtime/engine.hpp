@@ -13,15 +13,17 @@
 //   * submit(): single-sample requests that a background batcher thread
 //     coalesces into micro-batches (up to max_batch, waiting at most
 //     batch_wait for stragglers) and answers through futures — the classic
-//     serving-side latency/throughput trade. The pending queue is a
-//     util::PriorityBucketQueue: K priority classes drained highest-first,
-//     and with max_pending set a full queue either blocks the submitter
-//     (Backpressure::Block) or sheds the LOWEST class first
-//     (Backpressure::Reject, OverloadedError) — the admission-control knobs
-//     the multi-model runtime::Server exposes per model. With slo_target_ms
-//     set, an adaptive controller steers the effective micro-batch size,
-//     straggler wait, and (Reject mode) pending-depth cap off the windowed
-//     end-to-end p99 so tail latency tracks the SLO under load.
+//     serving-side latency/throughput trade. The pending queue is one FIFO
+//     (a single-class util::PriorityBucketQueue), and with max_pending set
+//     a full queue either blocks the submitter (Backpressure::Block) or
+//     sheds the arrival (Backpressure::Reject, OverloadedError) — the
+//     admission-control knobs the multi-model runtime::Server exposes per
+//     model. Request priority is not an engine concept: NetServer's
+//     executor queue orders wire requests before they reach submit().
+//     With slo_target_ms set, an adaptive controller steers the effective
+//     micro-batch size, straggler wait, and (Reject mode) pending-depth cap
+//     off the windowed end-to-end p99 so tail latency tracks the SLO under
+//     load.
 //
 // Concurrency model: the network is immutable after compile() and every
 // forward executes through the stateless Module::infer path, with all
@@ -134,14 +136,6 @@ struct EngineConfig {
   /// lanes. Float32 here defers to the precision baked into a deployed
   /// artifact (if any); Int8/Binary override it.
   cam::CamPrecision cam_precision = cam::CamPrecision::Float32;
-  /// Priority classes for submit(): class indices 0..priority_classes-1,
-  /// HIGHER = more urgent, 0 = default (what every legacy caller gets). The
-  /// batcher drains the highest non-empty class first, and Reject-mode
-  /// admission sheds the lowest class first — an urgent request arriving at
-  /// a full queue evicts the newest low-priority sample instead of being
-  /// rejected itself (the evicted future fails with OverloadedError). 1 =
-  /// today's single-class behavior, bit for bit.
-  std::int64_t priority_classes = 1;
   /// Tail-latency SLO the adaptive batching controller steers toward, in
   /// milliseconds over submit() end-to-end latency (queue wait + coalesce +
   /// execute). 0 = controller off: max_batch/batch_wait stay fixed. When on,
@@ -159,46 +153,31 @@ struct EngineConfig {
   double slo_target_ms = 0.0;
 };
 
-/// Per-priority-class serving counters (EngineStats::classes, index =
-/// class). Latency percentiles cover submit() end-to-end time for samples of
-/// that class over the same bounded window as the global estimator.
-#define PECAN_ENGINE_CLASS_STATS_FIELDS(X) \
-  X(std::uint64_t, requests, 0, "count")   \
-  X(std::uint64_t, shed, 0, "count")       \
-  X(std::uint64_t, expired, 0, "count")    \
-  X(std::int64_t, depth, 0, "gauge")       \
-  X(double, p50_ms, 0.0, "ms")             \
-  X(double, p99_ms, 0.0, "ms")
-struct EngineClassStats {
-  PECAN_ENGINE_CLASS_STATS_FIELDS(PECAN_STATS_MEMBER)
-};
-
 /// One engine's live snapshot (Engine::stats()); every field's meaning and
 /// reset semantics are in docs/STATS_REFERENCE.md.
-#define PECAN_ENGINE_STATS_FIELDS(X)                     \
-  X(std::uint64_t, requests, 0, "count")                 \
-  X(std::uint64_t, batches, 0, "count")                  \
-  X(std::uint64_t, batched_samples, 0, "count")          \
-  X(std::uint64_t, direct_batches, 0, "count")           \
-  X(std::uint64_t, sharded_batches, 0, "count")          \
-  X(std::uint64_t, shard_executions, 0, "count")         \
-  X(std::uint64_t, latency_samples, 0, "count")          \
-  X(std::uint64_t, shed, 0, "count")                     \
-  X(std::uint64_t, expired, 0, "count")                  \
-  X(std::int64_t, queue_depth, 0, "gauge")               \
-  X(std::int64_t, in_flight, 0, "gauge")                 \
-  X(std::int64_t, peak_in_flight, 0, "high-water")       \
-  X(std::int64_t, contexts, 0, "high-water")             \
-  X(std::int64_t, scratch_bytes, 0, "bytes")             \
-  X(double, p50_ms, 0.0, "ms")                           \
-  X(double, p99_ms, 0.0, "ms")                           \
-  X(std::int64_t, eff_max_batch, 0, "samples")           \
-  X(std::int64_t, eff_batch_wait_us, 0, "µs")            \
-  X(std::int64_t, depth_cap, 0, "samples")               \
-  X(std::vector<EngineClassStats>, classes, {}, "array") \
-  X(std::uint64_t, direct_samples, 0, "count")           \
-  X(double, energy_pj, 0.0, "pJ")                        \
-  X(double, energy_per_inference_nj, 0.0, "nJ")          \
+#define PECAN_ENGINE_STATS_FIELDS(X)                 \
+  X(std::uint64_t, requests, 0, "count")             \
+  X(std::uint64_t, batches, 0, "count")              \
+  X(std::uint64_t, batched_samples, 0, "count")      \
+  X(std::uint64_t, direct_batches, 0, "count")       \
+  X(std::uint64_t, sharded_batches, 0, "count")      \
+  X(std::uint64_t, shard_executions, 0, "count")     \
+  X(std::uint64_t, latency_samples, 0, "count")      \
+  X(std::uint64_t, shed, 0, "count")                 \
+  X(std::uint64_t, expired, 0, "count")              \
+  X(std::int64_t, queue_depth, 0, "gauge")           \
+  X(std::int64_t, in_flight, 0, "gauge")             \
+  X(std::int64_t, peak_in_flight, 0, "high-water")   \
+  X(std::int64_t, contexts, 0, "high-water")         \
+  X(std::int64_t, scratch_bytes, 0, "bytes")         \
+  X(double, p50_ms, 0.0, "ms")                       \
+  X(double, p99_ms, 0.0, "ms")                       \
+  X(std::int64_t, eff_max_batch, 0, "samples")       \
+  X(std::int64_t, eff_batch_wait_us, 0, "µs")        \
+  X(std::int64_t, depth_cap, 0, "samples")           \
+  X(std::uint64_t, direct_samples, 0, "count")       \
+  X(double, energy_pj, 0.0, "pJ")                    \
+  X(double, energy_per_inference_nj, 0.0, "nJ")      \
   X(std::vector<cam::BankStats>, banks, {}, "array")
 struct EngineStats {
   PECAN_ENGINE_STATS_FIELDS(PECAN_STATS_MEMBER)
@@ -227,17 +206,10 @@ class Engine {
   /// the future yields its logits row ([classes]) or rethrows the execution
   /// error. The batcher thread starts lazily on first use.
   ///
-  /// `priority` selects the class (0 = default/lowest, clamped to
-  /// [0, priority_classes-1]): the batcher always drains the highest
-  /// non-empty class first, so urgent samples overtake queued bulk traffic.
-  ///
   /// Admission control: with max_pending > 0 the pending queue is bounded —
   /// a full queue makes submit() wait for a slot (Backpressure::Block) or
-  /// shed the LOWEST class first (Backpressure::Reject): the newest queued
-  /// sample of a class strictly below `priority` is evicted (its future
-  /// fails with OverloadedError) to admit this one; if this sample is itself
-  /// lowest, submit() throws OverloadedError without queuing. Every accepted
-  /// sample is always answered, even across shutdown.
+  /// throw OverloadedError without queuing (Backpressure::Reject). Every
+  /// accepted sample is always answered, even across shutdown.
   ///
   /// `deadline` (absolute; time_point::max() = none) is enforced twice here:
   /// at admission — an already-lapsed deadline, or an EWMA-predicted queue
@@ -246,9 +218,8 @@ class Engine {
   /// batcher's lazy expiry sweep fails dead samples' futures with
   /// DeadlineExceededError without leasing them an InferContext. Expired
   /// samples count into EngineStats::expired (never into shed).
-  std::future<Tensor> submit(Tensor sample, std::int64_t priority = 0,
-                             std::chrono::steady_clock::time_point deadline =
-                                 std::chrono::steady_clock::time_point::max());
+  std::future<Tensor> submit(Tensor sample, std::chrono::steady_clock::time_point deadline =
+                                                std::chrono::steady_clock::time_point::max());
 
   /// Drains pending requests, answers them, and stops the batcher thread.
   /// Idempotent and safe to race with submit(): a concurrent submit()
@@ -276,7 +247,6 @@ class Engine {
   struct Pending {
     Tensor sample;
     std::promise<Tensor> promise;
-    std::size_t priority = 0;
     /// submit() timestamp: end-to-end latency (queue wait + coalesce +
     /// execute) is measured from here to promise resolution.
     std::chrono::steady_clock::time_point enqueued_at{};
@@ -323,10 +293,9 @@ class Engine {
   void batcher_loop();
   void execute_pending(std::vector<Pending>& batch);
   void ensure_batcher();
+  /// Records one latency sample (a forward_batch call's wall time, or one
+  /// submit()ed sample's end-to-end time) into the sliding window.
   void record_latency(double ms);
-  /// Records one submit()ed sample's end-to-end latency into the global and
-  /// its class's sliding windows.
-  void record_request_latency(double ms, std::size_t cls);
   /// SLO controller step, run on the batcher thread after each micro-batch:
   /// folds the batch's per-sample service time into the EWMA, then steers
   /// eff_batch_/eff_wait_us_ (and, in Reject mode, the queue's soft depth
@@ -355,9 +324,9 @@ class Engine {
   std::vector<nn::InferContext*> free_contexts_;
   nn::ScratchArena::Profile arena_profile_;
 
-  // Priority-bucketed pending queue (admission control + class precedence)
-  // + the batcher that consumes it. batcher_mutex_ guards the thread handle
-  // and stopping_; the queue has its own internal lock. Shutdown ordering:
+  // Single-class pending queue (admission control, FIFO) + the batcher that
+  // consumes it. batcher_mutex_ guards the thread handle and stopping_; the
+  // queue has its own internal lock. Shutdown ordering:
   // set stopping_ and claim the handle under batcher_mutex_ (so a racing
   // submit() either started the batcher before — we join it — or observes
   // stopping_ and throws), then close the queue, join, and answer any
@@ -384,8 +353,7 @@ class Engine {
 
   mutable std::mutex stats_mutex_;
   EngineStats stats_;
-  util::LatencyWindow latency_;                     ///< recent request latencies (ms)
-  std::vector<util::LatencyWindow> class_latency_;  ///< per-class submit() e2e latencies
+  util::LatencyWindow latency_;  ///< recent request latencies (ms)
 };
 
 }  // namespace pecan::runtime

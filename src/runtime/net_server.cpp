@@ -393,7 +393,6 @@ void key(std::string& out, const char* name) {
     out += '}';                            \
   }
 
-PECAN_PUT_STRUCT(EngineClassStats, PECAN_ENGINE_CLASS_STATS_FIELDS)
 PECAN_PUT_STRUCT(cam::BankStats, PECAN_BANK_STATS_FIELDS)
 template <class T>
 void put(std::string& out, const std::vector<T>& items) {
@@ -468,9 +467,9 @@ bool NetServer::handle_frame(const std::shared_ptr<Conn>& conn, const wire::Fram
         // Zero-copy hand-off: floats go from the connection buffer straight
         // into the engine-ready sample/batch tensor. The optional trailing
         // priority byte (absent = class 0, the pre-priority wire format)
-        // orders the job queue and, for INFER, the engine's admission. An
-        // optional relative deadline_ms is anchored HERE, at frame receipt —
-        // queue time, batch wait, and execution all burn the same budget.
+        // orders the executor job queue. An optional relative deadline_ms is
+        // anchored HERE, at frame receipt — queue time, batch wait, and
+        // execution all burn the same budget.
         std::uint32_t deadline_ms = 0;
         job.tensor =
             wire::decode_tensor_request(frame.payload, frame.payload_len, job.priority, deadline_ms);

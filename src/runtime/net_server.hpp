@@ -18,9 +18,10 @@
 //     INFER_BATCH, DEPLOY) are handed to the executor pool through a
 //     util::PriorityBucketQueue (highest wire priority class first) so a
 //     slow forward never stalls the event loop. A frame's optional priority
-//     byte picks the job's class (4 classes; higher bytes clamp to the top)
-//     and is forwarded to Server::submit for INFER, where the engine's own
-//     priority-bucketed admission applies. Frames without it run at class 0.
+//     byte picks the job's class (4 classes; higher bytes clamp to the top),
+//     so executors take urgent requests first. This queue is the only place
+//     priority acts: engines serve their pending samples in one FIFO.
+//     Frames without the byte run at class 0.
 //
 //   * Executor threads. Each pops a request, drives the Server (submit +
 //     future wait — so the engines' micro-batching coalesces requests

@@ -73,12 +73,11 @@ void Server::undeploy(const std::string& name) {
   // hot-swap.
 }
 
-std::future<Tensor> Server::submit(const std::string& name, Tensor sample,
-                                   std::int64_t priority,
+std::future<Tensor> Server::submit(const std::string& name, Tensor sample, std::int64_t,
                                    std::chrono::steady_clock::time_point deadline) {
   std::shared_ptr<Engine> engine = slot(name).engine;
   try {
-    return engine->submit(std::move(sample), priority, deadline);
+    return engine->submit(std::move(sample), deadline);
   } catch (const OverloadedError&) {
     // The slot outlives undeploy, so the shed lands on this name even when
     // the engine was retired between the lease and the throw.

@@ -108,15 +108,18 @@ class Server {
   /// its generation and shed count: a later deploy continues from them.
   void undeploy(const std::string& name);
 
-  /// Routes one sample to the engine serving `name` at the given priority
-  /// class (0 = default/lowest; clamped to the engine's priority_classes).
-  /// Throws UnknownModelError (not deployed), std::invalid_argument (bad
-  /// sample), OverloadedError (Reject-mode admission shed — counted in
-  /// stats; under priority-aware shedding an evicted LOWER-class request's
-  /// future fails instead of this call throwing), or DeadlineExceededError
-  /// (deadline already dead on arrival — see Engine::submit; the future can
-  /// also fail with it when the deadline lapses in the queue).
-  std::future<Tensor> submit(const std::string& name, Tensor sample, std::int64_t priority = 0,
+  /// Routes one sample to the engine serving `name`. Throws
+  /// UnknownModelError (not deployed), std::invalid_argument (bad sample),
+  /// OverloadedError (Reject-mode admission shed — counted in stats), or
+  /// DeadlineExceededError (deadline already dead on arrival — see
+  /// Engine::submit; the future can also fail with it when the deadline
+  /// lapses in the queue).
+  ///
+  /// The third parameter is ignored: engines have no priority classes (the
+  /// wire priority byte orders NetServer's executor queue before this call).
+  /// It stays only because perfbench's in-process replay still passes a
+  /// priority here, and goes once that caller stops passing it.
+  std::future<Tensor> submit(const std::string& name, Tensor sample, std::int64_t = 0,
                              std::chrono::steady_clock::time_point deadline =
                                  std::chrono::steady_clock::time_point::max());
 

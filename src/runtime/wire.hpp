@@ -26,7 +26,9 @@
 //     Infer/InferBatch requests may carry an optional trailing tail after
 //     the tensor payload, self-sized by the payload length:
 //       tensor               priority 0, no deadline (every pre-priority frame)
-//       tensor + 1 byte      u8 priority class (0 = default/lowest)
+//       tensor + 1 byte      u8 priority class (0 = default/lowest): the
+//                            class of NetServer's executor queue (4 classes;
+//                            bytes above 3 clamp to 3)
 //       tensor + 5 bytes     u8 priority class, then u32 deadline_ms — a
 //                            RELATIVE millisecond budget measured from frame
 //                            receipt (0 never appears on the wire; 0 in the

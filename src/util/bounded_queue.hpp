@@ -4,13 +4,13 @@
 // A bounded MPMC queue: any number of producers push work items, any number
 // of consumers pop them. K priority classes share ONE capacity bound
 // (admission control is about total queued work, not per-class fairness);
-// class indices are 0..K-1 with HIGHER values more urgent, and class 0 is
-// the default every legacy producer lands in. A single-class queue is the
-// plain FIFO. The queue owns the policy decisions a serving front door needs
-// and nothing else:
+// class indices are 0..K-1 with HIGHER values more urgent. A single-class
+// queue is the plain FIFO: that is the Engine's queue, while NetServer's
+// executor queue has one class per wire priority level. The queue owns the
+// policy decisions a serving front door needs and nothing else:
 //   * a capacity bound (0 = unbounded) — push() blocks while full
-//     (backpressure propagates to the caller), try_push_evict() never
-//     blocks (caller sheds);
+//     (backpressure propagates to the caller), try_push() never blocks and
+//     returns Full instead (the caller sheds the arrival);
 //   * close semantics — close() wakes every blocked producer and consumer;
 //     pushes after close fail with Closed, pops keep draining whatever is
 //     already queued so no accepted item is ever dropped;
@@ -20,21 +20,14 @@
 //   * consumers drain the highest non-empty class first — pop_batch picks
 //     every item (the first AND each coalesced straggler) from the highest
 //     class available at that moment, so batches coalesce ACROSS classes
-//     while strict precedence holds at every single pop;
-//   * under Reject-mode pressure the LOWEST class sheds first —
-//     try_push_evict on a full queue evicts the newest item of the lowest
-//     occupied class strictly below the incoming one (drop-tail of the least
-//     urgent traffic) and hands it back to the caller to fail; an incoming
-//     item that is itself (tied for) lowest is the one shed.
+//     while strict precedence holds at every single pop.
 //
 // Push never moves from the caller's item unless it is accepted, so a
 // rejected producer still owns its payload and can retry elsewhere. (Note
 // this is a queue-level guarantee: Engine::submit takes its sample by
 // value, so at THAT boundary a shed request's tensor is gone either way.)
-//
-// The queue reports per-class depth only; sheds are counted by the caller
-// that fails the shed item (Engine's EngineStats::classes[c].shed counts
-// rejections and evictions alike), so there is one shed ledger.
+// The queue counts nothing: sheds are counted by the caller that fails the
+// shed item (EngineStats::shed), so there is one shed ledger.
 //
 // A `soft_capacity` below the hard bound lets a controller shrink the
 // admission window at runtime (deadline-derived queue caps): pushes respect
@@ -47,7 +40,6 @@
 #include <cstddef>
 #include <deque>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -55,7 +47,7 @@ namespace pecan::util {
 
 enum class PushResult {
   Ok,      ///< item accepted (and moved from)
-  Full,    ///< capacity reached (try_push_evict only); item untouched
+  Full,    ///< capacity reached (try_push only); item untouched
   Closed,  ///< queue closed; item untouched
 };
 
@@ -71,34 +63,14 @@ class PriorityBucketQueue {
   PriorityBucketQueue(const PriorityBucketQueue&) = delete;
   PriorityBucketQueue& operator=(const PriorityBucketQueue&) = delete;
 
-  std::size_t classes() const { return buckets_.size(); }
-
-  /// Non-blocking push into class `cls` (clamped to the top class) that
-  /// sheds the lowest class first: when full, the newest item of the lowest
-  /// occupied class STRICTLY below `cls` is evicted into `evicted` (the
-  /// caller owns failing it) and `item` is accepted. If `cls` is itself
-  /// (tied for) the lowest, the incoming item sheds instead (Full, item
-  /// untouched).
-  PushResult try_push_evict(T& item, std::size_t cls, std::optional<T>& evicted) {
-    evicted.reset();
+  /// Non-blocking push into class `cls` (clamped to the top class): Full
+  /// (item untouched) at the effective bound, never evicts.
+  PushResult try_push(T& item, std::size_t cls) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      cls = clamp_class(cls);
       if (closed_) return PushResult::Closed;
-      if (at_capacity()) {
-        std::size_t victim = buckets_.size();
-        for (std::size_t c = 0; c < cls; ++c) {
-          if (!buckets_[c].empty()) {
-            victim = c;
-            break;
-          }
-        }
-        if (victim >= buckets_.size()) return PushResult::Full;
-        evicted = std::move(buckets_[victim].back());
-        buckets_[victim].pop_back();
-        --total_;
-      }
-      enqueue(std::move(item), cls);
+      if (at_capacity()) return PushResult::Full;
+      enqueue(std::move(item), clamp_class(cls));
     }
     cv_.notify_all();
     return PushResult::Ok;
@@ -185,11 +157,6 @@ class PriorityBucketQueue {
   std::size_t size() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return total_;
-  }
-
-  std::size_t depth(std::size_t cls) const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return buckets_[clamp_class(cls)].size();
   }
 
   /// Controller knob: tighten admission to min(capacity, n) without touching

@@ -12,8 +12,10 @@
 //     storm that interrupts every few milliseconds.
 //   * Deadlines — wire tail round trip (priority-0 + no-deadline frames
 //     stay byte-identical to v1), engine admission shed and queue-expiry
-//     sweep with per-class expired counters, and DEADLINE_EXCEEDED over a
-//     real socket.
+//     sweep with their expired counter, and DEADLINE_EXCEEDED over a real
+//     socket.
+//   * Executor priority — with the one executor stalled, a priority-3
+//     request queued behind a priority-0 one is served first.
 //   * Connection death mid-request — a half-frame close and a
 //     close-before-reply both release the executor slot and the in-flight
 //     ledger (NetServerStats::jobs_in_flight returns to 0, no leak).
@@ -36,6 +38,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -389,16 +392,14 @@ TEST(EngineDeadline, LapsedOnArrivalIsShedAtAdmissionAndCounted) {
   util::set_global_threads(1);
   runtime::Engine engine(lenet(7));
   const auto past = std::chrono::steady_clock::now() - 1ms;
-  EXPECT_THROW((void)engine.submit(lenet_sample(1), 0, past), runtime::DeadlineExceededError);
+  EXPECT_THROW((void)engine.submit(lenet_sample(1), past), runtime::DeadlineExceededError);
   const runtime::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.expired, 1u);
-  ASSERT_FALSE(stats.classes.empty());
-  EXPECT_EQ(stats.classes[0].expired, 1u);
   EXPECT_EQ(stats.shed, 0u);  // deadline expiry is NOT admission shedding
 
   // A live deadline with an idle engine serves normally.
   const auto future = std::chrono::steady_clock::now() + 5s;
-  EXPECT_EQ(engine.submit(lenet_sample(1), 0, future).get().dim(0), 10);
+  EXPECT_EQ(engine.submit(lenet_sample(1), future).get().dim(0), 10);
 }
 
 TEST(EngineDeadline, QueueExpiryFailsTheFutureWithoutExecuting) {
@@ -417,13 +418,12 @@ TEST(EngineDeadline, QueueExpiryFailsTheFutureWithoutExecuting) {
   std::future<Tensor> a = engine.submit(lenet_sample(1));
   std::this_thread::sleep_for(50ms);  // let the batcher pop A and hit the stall
   std::future<Tensor> b =
-      engine.submit(lenet_sample(2), 0, std::chrono::steady_clock::now() + 80ms);
+      engine.submit(lenet_sample(2), std::chrono::steady_clock::now() + 80ms);
 
   EXPECT_EQ(a.get().dim(0), 10);  // the stalled request still completes
   EXPECT_THROW((void)b.get(), runtime::DeadlineExceededError);
   const runtime::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.expired, 1u);
-  EXPECT_EQ(stats.classes[0].expired, 1u);
   EXPECT_EQ(stats.requests, 2u);  // B was admitted, then expired in the queue
 }
 
@@ -458,6 +458,47 @@ TEST(NetServerDeadline, ExpiredRequestAnswersDeadlineExceededOverTheWire) {
   EXPECT_NE(json.find("\"expired\":"), std::string::npos) << json;
   net.stop();
   EXPECT_EQ(net.stats().deadline_expired, 1u);
+  util::set_global_threads(1);
+}
+
+// --------------------------------------------------- executor-queue priority
+
+TEST(NetServerPriority, ExecutorQueueServesHigherPriorityFirst) {
+  ScopedFaults guard;
+  util::set_global_threads(2);
+  runtime::Server server;
+  server.deploy("m", lenet(7));
+  std::vector<Tensor> samples, refs;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    samples.push_back(lenet_sample(seed));
+    refs.push_back(server.submit("m", samples.back()).get());
+  }
+  runtime::NetServer net(server, loopback_config(/*executors=*/1));
+  net.start();
+
+  // The single executor stalls 300 ms on A, so B (priority 0) and then C
+  // (priority 3) wait in the executor queue together; C must be served
+  // first although it arrived last.
+  FaultInjector::instance().arm("net.exec.delay",
+                                {/*probability=*/1.0, /*count=*/1, /*latency_ms=*/300});
+  runtime::NetClient client("127.0.0.1", net.port());
+  std::map<std::uint64_t, std::size_t> sample_of;
+  sample_of[client.send_infer("m", samples[0], /*priority=*/0)] = 0;  // A
+  std::this_thread::sleep_for(30ms);  // A is inside the stalled executor
+  sample_of[client.send_infer("m", samples[1], /*priority=*/0)] = 1;  // B
+  sample_of[client.send_infer("m", samples[2], /*priority=*/3)] = 2;  // C
+
+  std::vector<std::size_t> order;
+  for (int i = 0; i < 3; ++i) {
+    const runtime::NetClient::Reply reply = client.recv();
+    ASSERT_EQ(reply.status, wire::Status::Ok);
+    ASSERT_TRUE(sample_of.count(reply.request_id));
+    const std::size_t s = sample_of[reply.request_id];
+    EXPECT_TRUE(matches(reply.tensor, refs[s])) << "sample " << s;
+    order.push_back(s);
+  }
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 2, 1}));  // C's reply before B's
+  net.stop();
   util::set_global_threads(1);
 }
 

@@ -552,9 +552,9 @@ TEST(NetServer, BitwiseIdentityForEveryModelUnderConcurrentConnections) {
   util::set_global_threads(1);
 }
 
-// Priority over the wire, end to end: tagged INFERs serve bitwise-identically
-// to untagged ones (priority moves scheduling, never math), and the STATS verb
-// exposes the per-class counters and controller state.
+// Priority over the wire, end to end: tagged INFERs cross the executor queue
+// and serve bitwise-identically to untagged ones (priority moves scheduling,
+// never math), and the STATS verb exposes the controller state.
 TEST(NetServer, PriorityTaggedInfersServeBitwiseIdenticallyAndShowInStats) {
   util::set_global_threads(2);
   Rng data(23);
@@ -566,9 +566,7 @@ TEST(NetServer, PriorityTaggedInfersServeBitwiseIdenticallyAndShowInStats) {
   }
 
   runtime::Server server;
-  runtime::EngineConfig config;
-  config.priority_classes = 4;
-  server.deploy("lenet5-d", lenet(7), config);
+  server.deploy("lenet5-d", lenet(7));
   runtime::NetServer net(server, loopback_config());
   net.start();
 
@@ -590,7 +588,6 @@ TEST(NetServer, PriorityTaggedInfersServeBitwiseIdenticallyAndShowInStats) {
   EXPECT_TRUE(matches(client.infer("lenet5-d", nth_sample(batch, 0)), ref[0]));
 
   const std::string json = client.stats_json("lenet5-d");
-  EXPECT_NE(json.find("\"classes\":["), std::string::npos) << json;
   EXPECT_NE(json.find("\"eff_max_batch\":"), std::string::npos) << json;
   EXPECT_NE(json.find("\"depth_cap\":"), std::string::npos) << json;
 
@@ -631,15 +628,14 @@ std::size_t value_of(const std::string& json, const std::string& key, const std:
   return at == std::string::npos ? json.size() : at + key.size() + 3 + prefix.size() - 1;
 }
 
-// Every field of the five stats lists reaches the wire as a key of its own
+// Every field of the four stats lists reaches the wire as a key of its own
 // struct's object, in list order, nested the way the structs nest. A CAM
-// model with several priority classes makes `classes` and `banks` non-empty.
+// model makes `banks` non-empty.
 TEST(NetServer, StatsReplyCarriesEveryListedField) {
   util::set_global_threads(2);
   runtime::Server server;
   runtime::EngineConfig config;
   config.path = runtime::ExecPath::Cam;
-  config.priority_classes = 2;
   server.deploy("lenet5-cam", lenet(7), config);
   runtime::NetServer net(server, loopback_config());
   net.start();
@@ -649,20 +645,17 @@ TEST(NetServer, StatsReplyCarriesEveryListedField) {
   (void)client.infer("lenet5-cam", nth_sample(lenet_batch(data, 1), 0), /*priority=*/1);
   const std::string json = client.stats_json("lenet5-cam");
 
-  std::vector<std::string> top = {"model"}, engine, klass, bank, netk;
+  std::vector<std::string> top = {"model"}, engine, bank, netk;
 #define PECAN_TOP(type, name, init, unit) top.push_back(#name);
 #define PECAN_ENGINE(type, name, init, unit) engine.push_back(#name);
-#define PECAN_CLASS(type, name, init, unit) klass.push_back(#name);
 #define PECAN_BANK(type, name, init, unit) bank.push_back(#name);
 #define PECAN_NET(type, name, init, unit) netk.push_back(#name);
   PECAN_MODEL_SERVER_STATS_FIELDS(PECAN_TOP)
   PECAN_ENGINE_STATS_FIELDS(PECAN_ENGINE)
-  PECAN_ENGINE_CLASS_STATS_FIELDS(PECAN_CLASS)
   PECAN_BANK_STATS_FIELDS(PECAN_BANK)
   PECAN_NET_SERVER_STATS_FIELDS(PECAN_NET)
 #undef PECAN_TOP
 #undef PECAN_ENGINE
-#undef PECAN_CLASS
 #undef PECAN_BANK
 #undef PECAN_NET
   top.push_back("net");
@@ -670,14 +663,11 @@ TEST(NetServer, StatsReplyCarriesEveryListedField) {
   ASSERT_EQ(json.front(), '{') << json;
   EXPECT_EQ(object_keys(json, 0), top) << json;
   EXPECT_EQ(object_keys(json, value_of(json, "engine", "{")), engine) << json;
-  EXPECT_EQ(object_keys(json, value_of(json, "classes", "[{")), klass) << json;
   EXPECT_EQ(object_keys(json, value_of(json, "banks", "[{")), bank) << json;
   EXPECT_EQ(object_keys(json, value_of(json, "net", "{")), netk) << json;
 
   EXPECT_EQ(json.rfind("{\"model\":\"lenet5-cam\",\"generation\":1,", 0), 0u) << json;
   EXPECT_NE(json.find("\"engine\":{\"requests\":1,"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"classes\":[{\"requests\":0,"), std::string::npos) << json;
-  EXPECT_NE(json.find("},{\"requests\":1,"), std::string::npos) << json;  // class 1
   EXPECT_NE(json.find(",\"net\":{\"connections_accepted\":1,"), std::string::npos) << json;
   EXPECT_EQ(json.back(), '}');
 

@@ -20,7 +20,6 @@
 #include <fstream>
 #include <future>
 #include <mutex>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -47,30 +46,25 @@ using namespace std::chrono_literals;
 
 constexpr auto kKeepAll = [](const int&, const int&) { return true; };
 
-TEST(PriorityBucketQueue, TryPushEvictShedsAtCapacity) {
-  // One class has nothing below it to evict: a full queue sheds the
-  // incoming item.
+TEST(PriorityBucketQueue, TryPushShedsAtCapacity) {
   util::PriorityBucketQueue<int> queue(1, 2);
   int a = 1, b = 2, c = 3;
-  std::optional<int> evicted;
-  EXPECT_EQ(queue.try_push_evict(a, 0, evicted), util::PushResult::Ok);
-  EXPECT_EQ(queue.try_push_evict(b, 0, evicted), util::PushResult::Ok);
-  EXPECT_EQ(queue.try_push_evict(c, 0, evicted), util::PushResult::Full);
+  EXPECT_EQ(queue.try_push(a, 0), util::PushResult::Ok);
+  EXPECT_EQ(queue.try_push(b, 0), util::PushResult::Ok);
+  EXPECT_EQ(queue.try_push(c, 0), util::PushResult::Full);
   EXPECT_EQ(c, 3);  // rejected item is untouched
-  EXPECT_FALSE(evicted.has_value());
   EXPECT_EQ(queue.size(), 2u);
 
   std::vector<int> batch;
   EXPECT_EQ(queue.pop_batch(batch, 8, 0us, 1, kKeepAll), 2u);
-  EXPECT_EQ(queue.try_push_evict(c, 0, evicted), util::PushResult::Ok);  // space freed
+  EXPECT_EQ(queue.try_push(c, 0), util::PushResult::Ok);  // space freed
 }
 
 TEST(PriorityBucketQueue, UnboundedNeverSheds) {
   util::PriorityBucketQueue<int> queue(1);  // capacity 0 = unbounded
-  std::optional<int> evicted;
   for (int i = 0; i < 1000; ++i) {
     int v = i;
-    ASSERT_EQ(queue.try_push_evict(v, 0, evicted), util::PushResult::Ok);
+    ASSERT_EQ(queue.try_push(v, 0), util::PushResult::Ok);
   }
   EXPECT_EQ(queue.size(), 1000u);
 }
@@ -119,10 +113,8 @@ TEST(PriorityBucketQueue, CloseWakesBlockedProducerWithItemIntact) {
   batch.clear();
   EXPECT_EQ(queue.pop_batch(batch, 8, 0us, 1, kKeepAll), 0u);
   int late = 7;
-  std::optional<int> evicted;
-  EXPECT_EQ(queue.try_push_evict(late, 0, evicted), util::PushResult::Closed);
+  EXPECT_EQ(queue.try_push(late, 0), util::PushResult::Closed);
   EXPECT_EQ(late, 7);
-  EXPECT_FALSE(evicted.has_value());
 }
 
 TEST(PriorityBucketQueue, PopBatchCoalescesLongestPrefixAcceptedByPredicate) {
@@ -666,96 +658,6 @@ TEST(Server, RejectModeShedsWithDistinctErrorWhileAcceptedComplete) {
   EXPECT_EQ(stats.engine.shed, shed.load());
   EXPECT_EQ(stats.engine.requests, accepted.load());
   EXPECT_EQ(stats.engine.queue_depth, 0);  // all drained
-}
-
-TEST(Server, PriorityClassesShedLowestFirstUnderOverload) {
-  util::set_global_threads(1);
-  constexpr int kLoClients = 4;
-  constexpr int kHiClients = 2;
-  constexpr int kPerClient = 50;
-  constexpr std::int64_t kSamples = 4;
-  constexpr std::int64_t kHiClass = 3;
-
-  Rng data(313);
-  const Tensor batch = lenet_batch(data, kSamples);
-  std::vector<Tensor> ref;
-  {
-    Rng rng(7);
-    runtime::Engine direct(models::make_lenet5(models::Variant::PecanD, rng));
-    ref = split_rows(direct.forward_batch(batch));
-  }
-
-  runtime::Server server;
-  runtime::EngineConfig config;
-  config.max_batch = 1;
-  config.max_pending = 1;  // one slot: high-priority arrivals must evict
-  config.backpressure = runtime::Backpressure::Reject;
-  config.priority_classes = 4;
-  server.deploy("m", [] { Rng rng(7); return models::make_lenet5(models::Variant::PecanD, rng); }(),
-                config);
-
-  // Low-priority requests can fail in TWO places: at submit() (queue full
-  // with nothing lower to evict) or at future.get() (accepted, then evicted
-  // by a later high-priority arrival). High-priority requests sit in the top
-  // class — nothing can evict them, so an accepted hi future ALWAYS
-  // completes.
-  std::atomic<std::uint64_t> lo_submit_shed{0}, lo_evicted{0}, lo_completed{0}, lo_correct{0};
-  std::atomic<std::uint64_t> hi_submit_shed{0}, hi_completed{0}, hi_correct{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kLoClients + kHiClients; ++c) {
-    const bool high = c >= kLoClients;
-    clients.emplace_back([&, high] {
-      std::vector<std::pair<std::int64_t, std::future<Tensor>>> futures;
-      for (int r = 0; r < kPerClient; ++r) {
-        const std::int64_t s = r % kSamples;
-        try {
-          futures.emplace_back(s, server.submit("m", nth_sample(batch, s), high ? kHiClass : 0));
-        } catch (const runtime::OverloadedError&) {
-          (high ? hi_submit_shed : lo_submit_shed).fetch_add(1);
-        }
-      }
-      for (auto& [s, future] : futures) {
-        try {
-          Tensor row = future.get();
-          (high ? hi_completed : lo_completed).fetch_add(1);
-          if (matches(row, ref[static_cast<std::size_t>(s)])) {
-            (high ? hi_correct : lo_correct).fetch_add(1);
-          }
-        } catch (const runtime::OverloadedError&) {
-          ASSERT_FALSE(high) << "top-class request was evicted";
-          lo_evicted.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-
-  // Every request is accounted for exactly once.
-  EXPECT_EQ(lo_submit_shed.load() + lo_evicted.load() + lo_completed.load(),
-            static_cast<std::uint64_t>(kLoClients * kPerClient));
-  EXPECT_EQ(hi_submit_shed.load() + hi_completed.load(),
-            static_cast<std::uint64_t>(kHiClients * kPerClient));
-  // Overload was real, yet completed requests stayed bitwise-correct.
-  EXPECT_GT(lo_submit_shed.load() + lo_evicted.load(), 0u);
-  EXPECT_GT(hi_completed.load(), 0u);
-  EXPECT_EQ(lo_correct.load(), lo_completed.load());
-  EXPECT_EQ(hi_correct.load(), hi_completed.load());
-
-  const runtime::ModelServerStats stats = server.stats("m");
-  ASSERT_EQ(stats.engine.classes.size(), 4u);
-  // Per-class engine accounting: sheds land on the class that LOST, whether
-  // it lost at admission or by eviction.
-  EXPECT_EQ(stats.engine.classes[0].shed, lo_submit_shed.load() + lo_evicted.load());
-  EXPECT_EQ(stats.engine.classes[0].requests, lo_evicted.load() + lo_completed.load());
-  EXPECT_EQ(stats.engine.classes[kHiClass].shed, hi_submit_shed.load());
-  EXPECT_EQ(stats.engine.classes[kHiClass].requests, hi_completed.load());
-  EXPECT_EQ(stats.engine.classes[1].requests + stats.engine.classes[2].requests, 0u);
-  EXPECT_EQ(stats.engine.shed,
-            lo_submit_shed.load() + lo_evicted.load() + hi_submit_shed.load());
-  // Server-level shed_total only sees submit-time rejections (evictions
-  // surface through the victim's future instead).
-  EXPECT_EQ(stats.shed_total, lo_submit_shed.load() + hi_submit_shed.load());
-  EXPECT_EQ(stats.engine.queue_depth, 0);
 }
 
 TEST(Server, BlockModeBackpressureCompletesEveryRequest) {

@@ -33,7 +33,6 @@ std::map<std::string, std::vector<Field>> field_lists() {
       {"NetServerStats", {PECAN_NET_SERVER_STATS_FIELDS(PECAN_FIELD_ROW)}},
       {"ModelServerStats", {PECAN_MODEL_SERVER_STATS_FIELDS(PECAN_FIELD_ROW)}},
       {"EngineStats", {PECAN_ENGINE_STATS_FIELDS(PECAN_FIELD_ROW)}},
-      {"EngineClassStats", {PECAN_ENGINE_CLASS_STATS_FIELDS(PECAN_FIELD_ROW)}},
       {"BankStats", {PECAN_BANK_STATS_FIELDS(PECAN_FIELD_ROW)}},
   };
 #undef PECAN_FIELD_ROW
@@ -45,7 +44,7 @@ std::map<std::string, std::vector<Field>> field_lists() {
 std::map<std::string, std::map<std::string, std::string>> documented(const std::string& doc) {
   static const std::regex heading(R"(^(#+)\s.*)");
   static const std::regex struct_name(
-      R"(\b(NetServerStats|ModelServerStats|EngineStats|EngineClassStats|BankStats)\b)");
+      R"(\b(NetServerStats|ModelServerStats|EngineStats|BankStats)\b)");
   static const std::regex row(R"(^\|\s*`(\w+)`\s*\|\s*([^|]*?)\s*\|)");
   std::map<std::string, std::map<std::string, std::string>> out;
   std::string section[2];  // struct named by the current ## and ### heading
@@ -112,26 +111,26 @@ TEST(StatsReference, EveryFieldHasARowWithItsUnitInItsOwnSection) {
 }
 
 // A row that some other struct also documents must still be caught when it
-// goes missing from its own section: EngineStats documents `requests` too.
+// goes missing from its own section: EngineStats documents `energy_pj` too.
 TEST(StatsReference, MissingOrMisunitedRowInOneSectionFails) {
   const std::string doc = reference_text();
-  const std::size_t section = doc.find("EngineClassStats`)\n");
+  const std::size_t section = doc.find("## BankStats\n");
   ASSERT_NE(section, std::string::npos);
 
   std::string deleted = doc;
-  const std::size_t row = deleted.find("\n| `requests` |", section);
+  const std::size_t row = deleted.find("\n| `energy_pj` |", section);
   ASSERT_NE(row, std::string::npos);
   deleted.erase(row, deleted.find('\n', row + 1) - row);
   EXPECT_EQ(reference_failures(deleted),
-            std::vector<std::string>{"EngineClassStats::requests has no row in its section"});
+            std::vector<std::string>{"BankStats::energy_pj has no row in its section"});
 
   std::string misunited = doc;
-  const std::size_t unit = misunited.find("| `depth` | gauge |", section);
+  const std::size_t unit = misunited.find("| `searches` | count |", section);
   ASSERT_NE(unit, std::string::npos);
-  misunited.replace(unit, 19, "| `depth` | count |");
+  misunited.replace(unit, 22, "| `searches` | gauge |");
   EXPECT_EQ(reference_failures(misunited),
             std::vector<std::string>{
-                "EngineClassStats::depth is documented in 'count', its list says 'gauge'"});
+                "BankStats::searches is documented in 'gauge', its list says 'count'"});
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // Tests for the utility substrate: CLI parsing, CSV/PGM writers, formatting,
 // the PriorityBucketQueue close/pop_batch race (no accepted item lost or
 // duplicated when close() lands while consumers are mid-coalesce), its
-// scheduling policies (FIFO within class, strict
-// cross-class precedence, shed-lowest-first eviction, cross-class
-// coalescing), and the LatencyWindow percentile ring.
+// scheduling policies (FIFO within class, strict cross-class precedence,
+// cross-class coalescing, try_push shedding the arrival at the bound), and
+// the LatencyWindow percentile ring.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
-#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -67,8 +66,8 @@ TEST(Cli, TracksUnusedKeys) {
 // The serving-path invariant behind Engine::shutdown: every sample the queue
 // ACCEPTED is answered exactly once, even when close() races consumers that
 // are mid-coalesce inside pop_batch (straggler wait) and producers that are
-// blocked in push(). Run many short rounds so close() lands at a different
-// phase each time.
+// blocked in push(), across classes. Run many short rounds so close() lands
+// at a different phase each time.
 TEST(PriorityBucketQueue, PopBatchCloseRaceLosesNothingDuplicatesNothing) {
   using namespace std::chrono_literals;
   constexpr int kRounds = 40;
@@ -78,7 +77,7 @@ TEST(PriorityBucketQueue, PopBatchCloseRaceLosesNothingDuplicatesNothing) {
   constexpr auto kKeep = [](const int&, const int&) { return true; };
 
   for (int round = 0; round < kRounds; ++round) {
-    PriorityBucketQueue<int> queue(1, 4);  // small capacity: producers block often
+    PriorityBucketQueue<int> queue(3, 4);  // small capacity: producers block often
 
     std::mutex accepted_mutex;
     std::vector<int> accepted;
@@ -86,15 +85,13 @@ TEST(PriorityBucketQueue, PopBatchCloseRaceLosesNothingDuplicatesNothing) {
     for (int p = 0; p < kProducers; ++p) {
       producers.emplace_back([&, p] {
         for (int i = 0; i < kItemsPerProducer; ++i) {
+          const std::size_t cls = static_cast<std::size_t>((p + i) % 3);
           int item = p * kItemsPerProducer + i;
           const int value = item;
           // Alternate blocking and shedding pushes: both must agree with the
-          // consumer side about what was accepted. One class has nothing
-          // below it to evict, so a full queue sheds the incoming item.
-          std::optional<int> evicted;
+          // consumer side about what was accepted.
           const PushResult result =
-              (i % 2 == 0) ? queue.push(item, 0) : queue.try_push_evict(item, 0, evicted);
-          EXPECT_FALSE(evicted.has_value());
+              (i % 2 == 0) ? queue.push(item, cls) : queue.try_push(item, cls);
           if (result == PushResult::Ok) {
             std::lock_guard<std::mutex> lock(accepted_mutex);
             accepted.push_back(value);
@@ -189,9 +186,7 @@ TEST(PriorityBucketQueue, FifoWithinClassAndStrictPrecedenceAcrossClasses) {
   push_pq(q, 0, 1);
   push_pq(q, 2, 1);
   push_pq(q, 1, 1);
-  EXPECT_EQ(q.depth(0), 2u);
-  EXPECT_EQ(q.depth(1), 2u);
-  EXPECT_EQ(q.depth(2), 2u);
+  EXPECT_EQ(q.size(), 6u);
 
   std::vector<int> order;
   std::vector<int> batch;
@@ -228,38 +223,16 @@ TEST(PriorityBucketQueue, PopBatchCoalescesAcrossClasses) {
   EXPECT_EQ(q.size(), 1u);  // the class-0 item stayed queued
 }
 
-TEST(PriorityBucketQueue, RejectModeShedsLowestClassFirst) {
+TEST(PriorityBucketQueue, TryPushNeverEvictsForAHigherClass) {
   PriorityBucketQueue<int> q(3, 2);
   push_pq(q, 0, 0);
   push_pq(q, 0, 1);
-
-  // Full queue + lowest-class arrival: the INCOMING item sheds (Full), and
-  // the rejected item is left intact in the caller's hands.
-  std::optional<int> evicted;
-  int low = 7;
-  EXPECT_EQ(q.try_push_evict(low, 0, evicted), PushResult::Full);
-  EXPECT_EQ(low, 7);
-  EXPECT_FALSE(evicted.has_value());
-
-  // Full queue + higher-class arrival: the NEWEST item of the lowest
-  // occupied class below it is evicted and handed back; the urgent item is
-  // admitted.
+  // A full queue sheds every arrival, whatever its class, and leaves it
+  // intact in the caller's hands.
   int urgent = 2000;
-  EXPECT_EQ(q.try_push_evict(urgent, 2, evicted), PushResult::Ok);
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(*evicted, 1);  // newest class-0 item (drop-tail), not the oldest
-  EXPECT_EQ(q.depth(0), 1u);
-  EXPECT_EQ(q.depth(2), 1u);
-
-  // Full queue of equal-or-higher classes: a mid-class arrival with nothing
-  // strictly below it sheds itself.
-  int mid = 1000;
-  EXPECT_EQ(q.try_push_evict(mid, 1, evicted), PushResult::Ok);  // evicts value 0 (class 0)
-  ASSERT_TRUE(evicted.has_value());
-  EXPECT_EQ(*evicted, 0);
-  int mid2 = 1001;
-  EXPECT_EQ(q.try_push_evict(mid2, 1, evicted), PushResult::Full);
-  EXPECT_FALSE(evicted.has_value());
+  EXPECT_EQ(q.try_push(urgent, 2), PushResult::Full);
+  EXPECT_EQ(urgent, 2000);
+  EXPECT_EQ(q.drain(), (std::vector<int>{0, 1}));
 }
 
 TEST(PriorityBucketQueue, SoftCapacityTightensAndReopensAdmission) {
@@ -267,18 +240,11 @@ TEST(PriorityBucketQueue, SoftCapacityTightensAndReopensAdmission) {
   push_pq(q, 0, 0);
   push_pq(q, 0, 1);
   q.set_soft_capacity(2);  // controller clamps admission below the hard bound
-  std::optional<int> evicted;
-  int low = 41;
-  EXPECT_EQ(q.try_push_evict(low, 0, evicted), PushResult::Full);  // the cap holds
-  EXPECT_FALSE(evicted.has_value());
   int item = 42;
-  EXPECT_EQ(q.try_push_evict(item, 1, evicted), PushResult::Ok);  // evicts under the cap
-  ASSERT_TRUE(evicted.has_value());
+  EXPECT_EQ(q.try_push(item, 1), PushResult::Full);  // the cap holds for every class
   EXPECT_EQ(q.size(), 2u);
   q.set_soft_capacity(0);  // back to the hard bound
-  int more = 43;
-  EXPECT_EQ(q.try_push_evict(more, 0, evicted), PushResult::Ok);
-  EXPECT_FALSE(evicted.has_value());
+  EXPECT_EQ(q.try_push(item, 1), PushResult::Ok);
   EXPECT_EQ(q.size(), 3u);
 }
 
@@ -344,76 +310,6 @@ TEST(PriorityBucketQueue, ConcurrentPopsObserveNonIncreasingClasses) {
   }
   for (std::thread& t : consumers) t.join();
   EXPECT_EQ(total.load(), 3 * kPerClass);
-}
-
-// The race the Engine relies on: concurrent producers (mixing blocking,
-// shedding, and evicting pushes) against coalescing consumers, with close()
-// landing mid-stream. Every item lands in exactly one of {accepted+popped,
-// evicted, rejected} — nothing lost, nothing duplicated.
-TEST(PriorityBucketQueue, ConcurrentPushPopEvictLosesNothingDuplicatesNothing) {
-  using namespace std::chrono_literals;
-  constexpr int kRounds = 25;
-  constexpr int kProducers = 3;
-  constexpr int kConsumers = 2;
-  constexpr int kItemsPerProducer = 60;
-
-  for (int round = 0; round < kRounds; ++round) {
-    PriorityBucketQueue<int> queue(3, 4);  // small capacity: eviction paths hot
-
-    std::mutex bookkeeping_mutex;
-    std::vector<int> accepted;
-    std::vector<int> evicted_items;
-    std::vector<std::thread> producers;
-    for (int p = 0; p < kProducers; ++p) {
-      producers.emplace_back([&, p] {
-        for (int i = 0; i < kItemsPerProducer; ++i) {
-          const std::size_t cls = static_cast<std::size_t>((p + i) % 3);
-          int item = (p * kItemsPerProducer + i) * 10 + static_cast<int>(cls);
-          const int value = item;
-          std::optional<int> evicted;
-          const PushResult result = (i % 2 == 0) ? queue.push(item, cls)
-                                                 : queue.try_push_evict(item, cls, evicted);
-          if (result == PushResult::Ok) {
-            std::lock_guard<std::mutex> lock(bookkeeping_mutex);
-            accepted.push_back(value);
-            if (evicted) evicted_items.push_back(*evicted);
-          } else {
-            EXPECT_EQ(item, value);  // rejected item left intact
-            if (result == PushResult::Closed) break;
-          }
-        }
-      });
-    }
-
-    std::mutex popped_mutex;
-    std::vector<int> popped;
-    std::vector<std::thread> consumers;
-    for (int c = 0; c < kConsumers; ++c) {
-      consumers.emplace_back([&] {
-        std::vector<int> batch;
-        for (;;) {
-          batch.clear();
-          if (queue.pop_batch(batch, 8, 300us, 6, kKeepAll) == 0) return;
-          std::lock_guard<std::mutex> lock(popped_mutex);
-          popped.insert(popped.end(), batch.begin(), batch.end());
-        }
-      });
-    }
-
-    std::this_thread::sleep_for(std::chrono::microseconds(50 * (round % 7)));
-    queue.close();
-    for (std::thread& t : producers) t.join();
-    for (std::thread& t : consumers) t.join();
-
-    // accepted = popped ∪ evicted, disjointly.
-    std::vector<int> served = popped;
-    served.insert(served.end(), evicted_items.begin(), evicted_items.end());
-    std::sort(accepted.begin(), accepted.end());
-    std::sort(served.begin(), served.end());
-    EXPECT_EQ(served, accepted) << "round " << round << ": accepted " << accepted.size()
-                                << ", popped " << popped.size() << ", evicted "
-                                << evicted_items.size();
-  }
 }
 
 // ---------------------------------------------------------------------------
