@@ -311,12 +311,9 @@ int main(int argc, char** argv) {
   if (port == 0) {
     util::set_global_threads(threads);
     server = std::make_unique<runtime::Server>();
-    runtime::EngineConfig config;
-    config.max_batch = 8;
-    config.batch_wait = std::chrono::microseconds(200);
     {
       Rng rng(7);
-      server->deploy(model, models::make_lenet5(models::Variant::PecanD, rng), config);
+      server->deploy(model, models::make_lenet5(models::Variant::PecanD, rng));
     }
     runtime::NetServerConfig net_config;
     net_config.host = host;

@@ -158,7 +158,7 @@ void run_open_clients(runtime::Server& server, const std::string& model, const T
         std::vector<InFlight> batch;
         for (;;) {
           batch.clear();
-          if (handoff.pop_batch(batch, 64, std::chrono::microseconds(0), 1,
+          if (handoff.pop_batch(batch, 64, std::chrono::microseconds(0),
                                 [](const InFlight&, const InFlight&) { return true; }) == 0) {
             return;
           }
@@ -176,7 +176,7 @@ void run_open_clients(runtime::Server& server, const std::string& model, const T
         std::this_thread::sleep_until(arrival);
         try {
           InFlight item{arrival, server.submit(model, nth(static_cast<std::int64_t>(i)))};
-          handoff.push(item, 0);
+          handoff.try_push(item, 0);  // unbounded: Ok until close()
         } catch (const runtime::OverloadedError&) {
           ++client.shed;
         }
@@ -231,10 +231,7 @@ void run_slo_sweep(std::int64_t per_client, double slo_ms) {
   const Tensor samples = data_rng.randn({8, 1, 28, 28});
 
   runtime::EngineConfig fixed_config;
-  fixed_config.max_batch = 8;
-  fixed_config.batch_wait = std::chrono::microseconds(200);
   fixed_config.max_pending = 128;
-  fixed_config.backpressure = runtime::Backpressure::Reject;
 
   // Closed-loop capacity probe: how fast the fixed config drains a backlog.
   double capacity_rps;

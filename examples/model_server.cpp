@@ -167,7 +167,6 @@ int main(int argc, char** argv) {
   // --- 1. deploy three models ------------------------------------------------
   runtime::Server server;
   runtime::EngineConfig config;
-  config.max_batch = 8;
   {
     Rng rng(7);
     server.deploy("lenet5-d", models::make_lenet5(models::Variant::PecanD, rng), config);
@@ -237,9 +236,7 @@ int main(int argc, char** argv) {
 
   // --- 4. overload protection ------------------------------------------------
   runtime::EngineConfig reject = config;
-  reject.max_batch = 1;
   reject.max_pending = 2;
-  reject.backpressure = runtime::Backpressure::Reject;
   {
     Rng rng(8);
     server.deploy("lenet5-d", models::make_lenet5(models::Variant::PecanD, rng), reject);

@@ -32,6 +32,21 @@ inline float sign_surrogate(float x, SignSurrogate kind, float a) {
   }
   return 0.f;
 }
+
+/// Softmax backward over p prototypes for each of len columns (Eq. 4):
+/// dS = K o (dK - <K, dK>) / tau, with K, dK and dS stored [p, len].
+void softmax_backward(const float* k, const float* dk, std::int64_t p, std::int64_t len,
+                      float tau, float* ds) {
+  for (std::int64_t l = 0; l < len; ++l) {
+    double inner = 0;
+    for (std::int64_t m = 0; m < p; ++m) {
+      inner += static_cast<double>(k[m * len + l]) * dk[m * len + l];
+    }
+    for (std::int64_t m = 0; m < p; ++m) {
+      ds[m * len + l] = k[m * len + l] * (dk[m * len + l] - static_cast<float>(inner)) / tau;
+    }
+  }
+}
 }  // namespace
 
 PecanConv2d::PecanConv2d(std::string name, std::int64_t cin, std::int64_t cout, std::int64_t k,
@@ -288,17 +303,7 @@ Tensor PecanConv2d::backward(const Tensor& grad_output) {
         sgemm(false, true, p_, d_, len, 1.f, k_buf, len, dxq_group, len, 1.f, cgrad, d_);
         sgemm(false, false, p_, len, d_, 1.f, codebook_.prototype(j, 0), d_, dxq_group, len, 0.f,
               dk.data(), len);
-        // Softmax backward: dS = K o (dK - <K, dK>) / tau.
-        for (std::int64_t l = 0; l < len; ++l) {
-          double inner = 0;
-          for (std::int64_t m = 0; m < p_; ++m) {
-            inner += static_cast<double>(k_buf[m * len + l]) * dk[m * len + l];
-          }
-          for (std::int64_t m = 0; m < p_; ++m) {
-            ddist[m * len + l] =
-                k_buf[m * len + l] * (dk[m * len + l] - static_cast<float>(inner)) / tau;
-          }
-        }
+        softmax_backward(k_buf, dk.data(), p_, len, tau, ddist.data());
         // S = C X  =>  dC += dS X^T, dX = C^T dS.
         sgemm(false, true, p_, d_, len, 1.f, ddist.data(), len, xj, len, 1.f, cgrad, d_);
         sgemm(true, false, d_, len, p_, 1.f, codebook_.prototype(j, 0), d_, ddist.data(), len, 0.f,
@@ -312,17 +317,7 @@ Tensor PecanConv2d::backward(const Tensor& grad_output) {
         }
         sgemm(false, false, p_, len, d_, 1.f, codebook_.prototype(j, 0), d_, dxq_group, len, 0.f,
               dk.data(), len);
-        // Softmax (Eq. 4) backward.
-        for (std::int64_t l = 0; l < len; ++l) {
-          double inner = 0;
-          for (std::int64_t m = 0; m < p_; ++m) {
-            inner += static_cast<double>(k_buf[m * len + l]) * dk[m * len + l];
-          }
-          for (std::int64_t m = 0; m < p_; ++m) {
-            ddist[m * len + l] =
-                k_buf[m * len + l] * (dk[m * len + l] - static_cast<float>(inner)) / tau;
-          }
-        }
+        softmax_backward(k_buf, dk.data(), p_, len, tau, ddist.data());
         // l1 distance backward with the sign surrogate (Eq. 6):
         // d(-||X_l - C_m||_1)/dC_m =  surrogate(X - C)
         // d(-||X_l - C_m||_1)/dX_l = -surrogate(X - C)

@@ -37,11 +37,10 @@ Engine::Engine(std::unique_ptr<nn::Sequential> net, EngineConfig config)
     : net_(std::move(net)),
       config_(config),
       queue_(1, config.max_pending > 0 ? static_cast<std::size_t>(config.max_pending) : 0),
-      eff_batch_(config.max_batch),
-      eff_wait_us_(config.batch_wait.count()),
+      eff_batch_(kMaxBatch),
+      eff_wait_us_(kBatchWait.count()),
       latency_(kLatencyWindow) {
   if (!net_) throw std::invalid_argument("Engine: null network");
-  if (config_.max_batch < 1) throw std::invalid_argument("Engine: max_batch must be >= 1");
   if (config_.max_pending < 0) throw std::invalid_argument("Engine: max_pending must be >= 0");
   if (config_.slo_target_ms < 0.0) {
     throw std::invalid_argument("Engine: slo_target_ms must be >= 0");
@@ -65,16 +64,16 @@ std::unique_ptr<Engine> Engine::from_artifact(const ModelArtifact& artifact, Eng
     throw std::invalid_argument("Engine: ExecPath::Cam requires a PECAN variant artifact, got " +
                                 models::variant_name(artifact.variant));
   }
-  if (config.input_shape.empty()) {
-    config.input_shape = {artifact.in_channels, artifact.in_height, artifact.in_width};
-  }
   // A Float32 config defers to the operating point baked into the artifact;
   // an explicit Int8/Binary config wins (e.g. a canary deploy of the same
   // artifact at a different point).
   if (config.path == ExecPath::Cam && config.cam_precision == cam::CamPrecision::Float32) {
     config.cam_precision = artifact.cam_precision;
   }
-  return std::make_unique<Engine>(build_network(artifact), config);
+  auto engine = std::make_unique<Engine>(build_network(artifact), config);
+  engine->input_shape_ = {artifact.in_channels, artifact.in_height, artifact.in_width};
+  engine->prewarm_scratch();
+  return engine;
 }
 
 Engine::~Engine() { shutdown(); }
@@ -87,7 +86,6 @@ void Engine::compile() {
   if (config_.shard_samples < 0) {
     throw std::invalid_argument("Engine: shard_samples must be >= 0");
   }
-  if (!config_.input_shape.empty()) prewarm_scratch();
 }
 
 void Engine::prewarm_scratch() {
@@ -96,9 +94,9 @@ void Engine::prewarm_scratch() {
   // its per-sample high-water shape, which the lease release below merges
   // into arena_profile_ — every context materialized later starts from it
   // instead of growing during its first live request. Also fails fast on an
-  // input_shape the plan cannot actually consume.
+  // input geometry the plan cannot actually consume.
   Shape warm_shape{1};
-  warm_shape.insert(warm_shape.end(), config_.input_shape.begin(), config_.input_shape.end());
+  warm_shape.insert(warm_shape.end(), input_shape_.begin(), input_shape_.end());
   run_plan(Tensor(warm_shape));
   // The warm-up is not traffic: undo its marks on the CAM op counter, the
   // per-bank ledgers it was mirrored into, and the usage histograms (they
@@ -238,13 +236,12 @@ Tensor Engine::forward_batch(const Tensor& batch) {
   if (batch.numel() == 0) {
     throw std::invalid_argument("Engine::forward_batch: empty batch " + shape_str(batch.shape()));
   }
-  if (!config_.input_shape.empty()) {
-    const bool shape_ok = batch.ndim() == 4 && batch.dim(1) == config_.input_shape[0] &&
-                          batch.dim(2) == config_.input_shape[1] &&
-                          batch.dim(3) == config_.input_shape[2];
+  if (!input_shape_.empty()) {
+    const bool shape_ok = batch.ndim() == 4 && batch.dim(1) == input_shape_[0] &&
+                          batch.dim(2) == input_shape_[1] && batch.dim(3) == input_shape_[2];
     if (!shape_ok) {
       throw std::invalid_argument("Engine::forward_batch: expected a batch of " +
-                                  shape_str(config_.input_shape) + " samples, got " +
+                                  shape_str(input_shape_) + " samples, got " +
                                   shape_str(batch.shape()));
     }
   }
@@ -298,10 +295,9 @@ std::future<Tensor> Engine::submit(Tensor sample, std::chrono::steady_clock::tim
     throw std::invalid_argument("Engine::submit: zero-element sample " +
                                 shape_str(sample.shape()));
   }
-  if (!config_.input_shape.empty() && sample.shape() != config_.input_shape) {
-    throw std::invalid_argument("Engine::submit: expected a " +
-                                shape_str(config_.input_shape) + " sample, got " +
-                                shape_str(sample.shape()));
+  if (!input_shape_.empty() && sample.shape() != input_shape_) {
+    throw std::invalid_argument("Engine::submit: expected a " + shape_str(input_shape_) +
+                                " sample, got " + shape_str(sample.shape()));
   }
   // Admission-time deadline check: shedding here costs a few loads; shedding
   // at batch formation costs a queue slot and a wasted wakeup. An EWMA of
@@ -348,9 +344,7 @@ std::future<Tensor> Engine::submit(Tensor sample, std::chrono::steady_clock::tim
   pending.enqueued_at = std::chrono::steady_clock::now();
   pending.deadline = deadline;
   std::future<Tensor> future = pending.promise.get_future();
-  const util::PushResult pushed = config_.backpressure == Backpressure::Reject
-                                      ? queue_.try_push(pending, 0)
-                                      : queue_.push(pending, 0);
+  const util::PushResult pushed = queue_.try_push(pending, 0);
   if (pushed == util::PushResult::Full) {
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     ++stats_.shed;
@@ -377,13 +371,14 @@ void Engine::batcher_loop() {
     // Block for the first sample, wait for stragglers, then coalesce the
     // longest same-shape run in FIFO order. Batch size and straggler wait
     // are the CONTROLLER'S effective values, re-read each iteration (they
-    // equal the fixed config when slo_target_ms is off). Returns 0 only when
-    // the queue is closed AND drained, so every accepted request is executed.
+    // stay kMaxBatch and kBatchWait when slo_target_ms is off). Returns 0
+    // only when the queue is closed AND drained, so every accepted request
+    // is executed.
     const auto eff_batch =
         static_cast<std::size_t>(eff_batch_.load(std::memory_order_relaxed));
     const std::chrono::microseconds eff_wait{eff_wait_us_.load(std::memory_order_relaxed)};
     const std::size_t popped = queue_.pop_batch(
-        batch, eff_batch, eff_wait, eff_batch,
+        batch, eff_batch, eff_wait,
         [](const Pending& first, const Pending& candidate) {
           return first.sample.shape() == candidate.sample.shape();
         });
@@ -483,8 +478,8 @@ void Engine::shutdown() {
     batcher = std::move(batcher_);
     batcher_running_ = false;
   }
-  // Close wakes blocked producers (Backpressure::Block) with Closed and lets
-  // the batcher drain what was already accepted before it exits.
+  // Close makes later pushes fail with Closed and lets the batcher drain
+  // what was already accepted before it exits.
   queue_.close();
   if (batcher.joinable()) batcher.join();
   // The batcher drains the queue before exiting, so this is normally empty
@@ -538,19 +533,17 @@ void Engine::update_controller(double batch_ms, std::int64_t batch_size) {
     eff_wait_us_.store(cur_wait / 2, std::memory_order_relaxed);
   } else if (window_n >= 8 && p99 < 0.6 * config_.slo_target_ms &&
              static_cast<std::int64_t>(queue_.size()) >= cur_batch) {
-    eff_batch_.store(std::min(config_.max_batch, cur_batch * 2), std::memory_order_relaxed);
+    eff_batch_.store(std::min(kMaxBatch, cur_batch * 2), std::memory_order_relaxed);
     eff_wait_us_.store(
-        std::min<std::int64_t>(config_.batch_wait.count(),
-                               std::max<std::int64_t>(cur_wait * 2, 50)),
+        std::min<std::int64_t>(kBatchWait.count(), std::max<std::int64_t>(cur_wait * 2, 50)),
         std::memory_order_relaxed);
   }
-  // Reject mode: derive the pending-depth cap that makes queue wait fit the
+  // Bounded queue: derive the pending-depth cap that makes queue wait fit the
   // SLO. Every queued sample costs ~ewma ms of wait, so capping depth at
   // half the SLO's worth of samples bounds p99 near the target no matter
   // how fast the hardware is — admission control does what batch-size
   // tuning alone cannot once the queue is saturated.
-  if (config_.backpressure == Backpressure::Reject && config_.max_pending > 0 &&
-      ewma_sample_ms_ > 0.0) {
+  if (config_.max_pending > 0 && ewma_sample_ms_ > 0.0) {
     const double budget = 0.5 * config_.slo_target_ms;
     auto cap = static_cast<std::int64_t>(budget / ewma_sample_ms_);
     cap = std::clamp<std::int64_t>(cap, 1, config_.max_pending);

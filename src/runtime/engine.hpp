@@ -11,19 +11,18 @@
 //     client-level parallelism the stateless path gives N separate
 //     clients, with rows recombined in order and bitwise-identical output;
 //   * submit(): single-sample requests that a background batcher thread
-//     coalesces into micro-batches (up to max_batch, waiting at most
-//     batch_wait for stragglers) and answers through futures — the classic
+//     coalesces into micro-batches (up to kMaxBatch, waiting at most
+//     kBatchWait for stragglers) and answers through futures — the classic
 //     serving-side latency/throughput trade. The pending queue is one FIFO
 //     (a single-class util::PriorityBucketQueue), and with max_pending set
-//     a full queue either blocks the submitter (Backpressure::Block) or
-//     sheds the arrival (Backpressure::Reject, OverloadedError) — the
-//     admission-control knobs the multi-model runtime::Server exposes per
-//     model. Request priority is not an engine concept: NetServer's
-//     executor queue orders wire requests before they reach submit().
-//     With slo_target_ms set, an adaptive controller steers the effective
-//     micro-batch size, straggler wait, and (Reject mode) pending-depth cap
-//     off the windowed end-to-end p99 so tail latency tracks the SLO under
-//     load.
+//     a full queue sheds the arrival with OverloadedError — the admission
+//     control the multi-model runtime::Server exposes per model. Nothing
+//     in submit() waits for queue space. Request priority is not an engine
+//     concept: NetServer's executor queue orders wire requests before they
+//     reach submit(). With slo_target_ms set, an adaptive controller steers
+//     the effective micro-batch size, straggler wait, and (with max_pending
+//     set) pending-depth cap off the windowed end-to-end p99 so tail
+//     latency tracks the SLO under load.
 //
 // Concurrency model: the network is immutable after compile() and every
 // forward executes through the stateless Module::infer path, with all
@@ -78,17 +77,21 @@ enum class ExecPath {
   Cam     ///< CAM + LUT export (PECAN variants only)
 };
 
-/// What submit() does when the pending queue is at max_pending.
-enum class Backpressure {
-  Block,  ///< wait for a slot — backpressure propagates to the caller
-  Reject  ///< shed immediately with OverloadedError
-};
+/// What submit() does when the pending queue is at max_pending: shed the
+/// arrival with OverloadedError. The only admission rule there is.
+enum class Backpressure { Reject };
 
-/// Thrown by submit() in Backpressure::Reject mode when the pending queue is
-/// full. Distinct from validation errors (std::invalid_argument) and from
-/// shutdown (EngineStoppedError) so clients and the Server can tell "try
-/// again later" apart from "this request is malformed" and "this engine is
-/// gone".
+/// Micro-batch size cap of the submit() batcher; the SLO controller moves
+/// the effective cap within [1, kMaxBatch].
+constexpr std::int64_t kMaxBatch = 8;
+/// Straggler wait per micro-batch; the SLO controller moves the effective
+/// wait within [0, kBatchWait].
+constexpr std::chrono::microseconds kBatchWait{200};
+
+/// Thrown by submit() when the pending queue is full. Distinct from
+/// validation errors (std::invalid_argument) and from shutdown
+/// (EngineStoppedError) so clients and the Server can tell "try again later"
+/// apart from "this request is malformed" and "this engine is gone".
 struct OverloadedError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
@@ -110,17 +113,13 @@ struct DeadlineExceededError : std::runtime_error {
 
 struct EngineConfig {
   ExecPath path = ExecPath::Float;
-  std::int64_t max_batch = 8;                       ///< micro-batch size cap
-  std::chrono::microseconds batch_wait{200};        ///< straggler wait per batch
-  /// Expected sample geometry [C, H, W]; when non-empty, submit() and
-  /// forward_batch() reject mismatched inputs up front (before queuing)
-  /// instead of failing later inside a layer on the batcher thread.
-  /// Engine::from_artifact fills this from the artifact.
-  Shape input_shape{};
-  /// Admission control: cap on samples queued-but-not-yet-executing.
-  /// 0 = unbounded (no admission control).
+  /// Admission control: cap on samples queued-but-not-yet-executing; a
+  /// full queue sheds the arrival. 0 = unbounded (no admission control).
   std::int64_t max_pending = 0;
-  Backpressure backpressure = Backpressure::Block;
+  /// One-valued: a bounded queue always rejects. The field stays only
+  /// because perfbench's mixed_swap_open workload still sets it, and goes
+  /// once that caller stops.
+  Backpressure backpressure = Backpressure::Reject;
   /// Batch sharding: forwards larger than this many samples split into
   /// sample shards that run as independent in-flight executions (each
   /// leasing its own InferContext), rows recombined in order — so ONE big
@@ -138,18 +137,17 @@ struct EngineConfig {
   cam::CamPrecision cam_precision = cam::CamPrecision::Float32;
   /// Tail-latency SLO the adaptive batching controller steers toward, in
   /// milliseconds over submit() end-to-end latency (queue wait + coalesce +
-  /// execute). 0 = controller off: max_batch/batch_wait stay fixed. When on,
-  /// the controller grows the effective micro-batch size and straggler wait
-  /// while the windowed p99 is comfortably under the SLO and cuts them as
-  /// p99 approaches it; in Reject mode it additionally derives a pending-
-  /// depth cap from the SLO and the EWMA per-sample service time, so queue
-  /// wait — the term that actually explodes under overload — stays bounded.
-  /// Batching still never crosses samples: the controller only moves WHICH
-  /// requests share a micro-batch, never how any sample is computed, so
-  /// per-sample outputs stay bitwise-identical at every setting.
-  /// The controller's bounds are the fixed knobs themselves: the effective
-  /// batch size moves within [1, max_batch] and the effective straggler
-  /// wait within [0, batch_wait].
+  /// execute). 0 = controller off: kMaxBatch/kBatchWait stay fixed. When
+  /// on, the controller grows the effective micro-batch size and straggler
+  /// wait while the windowed p99 is comfortably under the SLO and cuts them
+  /// as p99 approaches it; with max_pending set it additionally derives a
+  /// pending-depth cap from the SLO and the EWMA per-sample service time, so
+  /// queue wait — the term that actually explodes under overload — stays
+  /// bounded. Batching still never crosses samples: the controller only
+  /// moves WHICH requests share a micro-batch, never how any sample is
+  /// computed, so per-sample outputs stay bitwise-identical at every
+  /// setting. The effective batch size moves within [1, kMaxBatch] and the
+  /// effective straggler wait within [0, kBatchWait].
   double slo_target_ms = 0.0;
 };
 
@@ -190,7 +188,10 @@ class Engine {
   /// additionally exported to its CAM+LUT realization.
   Engine(std::unique_ptr<nn::Sequential> net, EngineConfig config = {});
 
-  /// Loads + rebuilds an artifact, then compiles it.
+  /// Loads + rebuilds an artifact, then compiles it. The artifact's sample
+  /// geometry [C, H, W] makes submit() and forward_batch() reject
+  /// mismatched inputs up front (before queuing) instead of failing later
+  /// inside a layer on the batcher thread, and prewarms the scratch profile.
   static std::unique_ptr<Engine> from_artifact(const ModelArtifact& artifact,
                                                EngineConfig config = {});
 
@@ -207,9 +208,9 @@ class Engine {
   /// error. The batcher thread starts lazily on first use.
   ///
   /// Admission control: with max_pending > 0 the pending queue is bounded —
-  /// a full queue makes submit() wait for a slot (Backpressure::Block) or
-  /// throw OverloadedError without queuing (Backpressure::Reject). Every
-  /// accepted sample is always answered, even across shutdown.
+  /// a full queue makes submit() throw OverloadedError without queuing. It
+  /// never waits for space. Every accepted sample is always answered, even
+  /// across shutdown.
   ///
   /// `deadline` (absolute; time_point::max() = none) is enforced twice here:
   /// at admission — an already-lapsed deadline, or an EWMA-predicted queue
@@ -286,7 +287,7 @@ class Engine {
   /// the shard count through `shards` (1 = ran unsharded).
   Tensor run_sharded(const Tensor& batch, std::int64_t& shards);
   void compile();
-  /// One throwaway forward at compile time (input_shape known): sizes the
+  /// One throwaway forward at deploy time (input_shape_ known): sizes the
   /// scratch profile so serving-path requests start fully prewarmed, then
   /// resets the op counter / usage histograms the warm-up touched.
   void prewarm_scratch();
@@ -298,8 +299,8 @@ class Engine {
   void record_latency(double ms);
   /// SLO controller step, run on the batcher thread after each micro-batch:
   /// folds the batch's per-sample service time into the EWMA, then steers
-  /// eff_batch_/eff_wait_us_ (and, in Reject mode, the queue's soft depth
-  /// cap) off the windowed end-to-end p99 versus slo_target_ms.
+  /// eff_batch_/eff_wait_us_ (and, with max_pending set, the queue's soft
+  /// depth cap) off the windowed end-to-end p99 versus slo_target_ms.
   void update_controller(double batch_ms, std::int64_t batch_size);
 
   std::unique_ptr<nn::Sequential> net_;
@@ -308,6 +309,7 @@ class Engine {
   /// destructs FIRST and detaches its ports while the arrays still exist.
   std::unique_ptr<cam::BankMap> banks_;
   EngineConfig config_;
+  Shape input_shape_;  ///< artifact sample geometry [C, H, W]; empty = unchecked
   ops::EnergyModel energy_model_;
 
   std::vector<const nn::Module*> plan_;  ///< flattened execution steps, in order

@@ -9,6 +9,7 @@
 
 #include "runtime/engine.hpp"          // OverloadedError, EngineStoppedError, DeadlineExceededError
 #include "runtime/server.hpp"          // UnknownModelError
+#include "util/splitmix.hpp"
 
 namespace pecan::runtime {
 
@@ -27,16 +28,12 @@ namespace {
   }
 }
 
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-double unit_draw(std::uint64_t& state) {
-  return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
-}
+/// Backoff sleeps are scaled by U[1 - kJitter, 1 + kJitter].
+constexpr double kJitter = 0.2;
+/// With a request deadline, cumulative backoff sleep is capped at this
+/// fraction of the deadline — the rest of the budget stays available for
+/// actual attempts.
+constexpr double kRetryBudget = 0.5;
 
 }  // namespace
 
@@ -154,10 +151,8 @@ NetClient::Reply NetClient::sync_call(wire::Opcode op, const std::string& model,
   using clock = std::chrono::steady_clock;
   const bool has_deadline = deadline_ms != 0;
   const clock::time_point deadline = clock::now() + std::chrono::milliseconds(deadline_ms);
-  // With a deadline, backoff sleeps may burn at most retry_budget of it; the
-  // rest stays available for actual attempts.
   const double backoff_budget_ms =
-      has_deadline ? policy_.retry_budget * static_cast<double>(deadline_ms) : 0.0;
+      has_deadline ? kRetryBudget * static_cast<double>(deadline_ms) : 0.0;
   double backoff_spent_ms = 0.0;
 
   for (int attempt = 1;; ++attempt) {
@@ -202,8 +197,7 @@ NetClient::Reply NetClient::sync_call(wire::Opcode op, const std::string& model,
       sleep_ms *= 2.0;
     }
     sleep_ms = std::min(sleep_ms, static_cast<double>(policy_.max_backoff.count()));
-    const double j = std::clamp(policy_.jitter, 0.0, 1.0);
-    sleep_ms *= 1.0 - j + 2.0 * j * unit_draw(rng_state_);
+    sleep_ms *= 1.0 - kJitter + 2.0 * kJitter * util::unit_draw(rng_state_);
     if (has_deadline) {
       sleep_ms = std::min(sleep_ms, backoff_budget_ms - backoff_spent_ms);
       const auto remaining =

@@ -61,16 +61,12 @@ struct ConnectionError : std::runtime_error {
 struct RetryPolicy {
   /// Total tries per synchronous call (1 = no retries).
   int max_attempts = 1;
-  /// First backoff; doubles per retry (jittered), capped at max_backoff.
+  /// First backoff; doubles per retry, capped at max_backoff. Each sleep is
+  /// scaled by U[0.8, 1.2] (seeded, deterministic per client) so
+  /// synchronized clients don't retry in lockstep, and with a request
+  /// deadline the sleeps together burn at most half of it.
   std::chrono::milliseconds base_backoff{10};
   std::chrono::milliseconds max_backoff{500};
-  /// Backoff is scaled by U[1-jitter, 1+jitter] (seeded, deterministic per
-  /// client) so synchronized clients don't retry in lockstep.
-  double jitter = 0.2;
-  /// With a request deadline, cumulative backoff sleep is capped at this
-  /// fraction of the deadline — the rest of the budget stays available for
-  /// actual attempts. Ignored for deadline-less requests.
-  double retry_budget = 0.5;
 };
 
 class NetClient {

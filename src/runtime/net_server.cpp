@@ -509,7 +509,7 @@ bool NetServer::handle_frame(const std::shared_ptr<Conn>& conn, const wire::Fram
 void NetServer::dispatch(std::shared_ptr<Conn> conn, Job job) {
   in_flight_.fetch_add(1, std::memory_order_acq_rel);
   const std::size_t cls = job.priority;  // PriorityBucketQueue clamps to its top class
-  if (jobs_.push(job, cls) != util::PushResult::Ok) {
+  if (jobs_.try_push(job, cls) != util::PushResult::Ok) {
     // Only reachable if a frame sneaks in after drain started: answer
     // honestly instead of dropping the request on the floor.
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
@@ -525,7 +525,7 @@ void NetServer::executor_loop() {
   std::vector<Job> batch;
   for (;;) {
     batch.clear();
-    if (jobs_.pop_batch(batch, 1, std::chrono::microseconds(0), 1, kNoCoalesce) == 0) {
+    if (jobs_.pop_batch(batch, 1, std::chrono::microseconds(0), kNoCoalesce) == 0) {
       return;  // queue closed and drained
     }
     execute(batch[0]);

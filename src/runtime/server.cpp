@@ -5,11 +5,11 @@
 namespace pecan::runtime {
 
 // Locking rule for the whole table: no Engine method runs and no Engine is
-// destroyed while mutex_ is held. Engine calls can block (a Block-mode
-// submit waits for queue space) and destroying a retired engine drains its
-// queue and joins its batcher, so either one under the lock would stall
-// every other name's routing behind one model. Each method therefore copies
-// or moves the shared_ptr out under the lock and uses or drops it after.
+// destroyed while mutex_ is held. Destroying a retired engine drains its
+// queue and joins its batcher, and a forward runs a whole plan, so either
+// one under the lock would stall every other name's routing behind one
+// model. Each method therefore copies or moves the shared_ptr out under the
+// lock and uses or drops it after.
 
 Server::Slot Server::slot(const std::string& name) const {
   std::lock_guard<std::mutex> lock(mutex_);

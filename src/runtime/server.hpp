@@ -22,13 +22,13 @@
 //     request is lost across a swap.
 //
 //   * Admission control. Each engine bounds its pending queue
-//     (EngineConfig::max_pending); Backpressure::Block propagates the wait
-//     to the submitting client, Backpressure::Reject sheds with
-//     OverloadedError. The slot also keeps the name's generation and its
-//     shed count, which survive hot-swaps and undeploys (undeploy nulls the
-//     engine but keeps the slot, so a name's generation is never reused),
-//     and stats(name) merges them with the live engine's snapshot (queue
-//     depth, in-flight, latency percentiles, shard counters).
+//     (EngineConfig::max_pending); a full queue sheds the arrival with
+//     OverloadedError, so submit() never waits for space. The slot also
+//     keeps the name's generation and its shed count, which survive
+//     hot-swaps and undeploys (undeploy nulls the engine but keeps the
+//     slot, so a name's generation is never reused), and stats(name)
+//     merges them with the live engine's snapshot (queue depth, in-flight,
+//     latency percentiles, shard counters).
 //
 //   * Sharded big batches, for free. forward_batch(model, batch) routes to
 //     Engine::forward_batch, which splits large batches into sample shards
@@ -37,7 +37,7 @@
 //     single execution lane while latency-sensitive models starve, and a
 //     single client saturates the pool the way N concurrent clients would.
 //     Deploy-time compilation also prewarms the engine's scratch profile
-//     (when the artifact/config provides the input geometry), keeping
+//     (when an artifact provides the input geometry), keeping
 //     first-request latency after a hot-swap free of arena growth.
 #pragma once
 
@@ -89,9 +89,8 @@ class Server {
   std::uint64_t deploy(const std::string& name, std::unique_ptr<nn::Sequential> net,
                        EngineConfig config = {});
 
-  /// Rebuilds the artifact's network and deploys it. The artifact's input
-  /// geometry fills config.input_shape when unset, so requests are
-  /// validated up front.
+  /// Rebuilds the artifact's network and deploys it (Engine::from_artifact:
+  /// requests are validated against the artifact's input geometry up front).
   std::uint64_t deploy(const std::string& name, const ModelArtifact& artifact,
                        EngineConfig config = {});
 
@@ -110,7 +109,7 @@ class Server {
 
   /// Routes one sample to the engine serving `name`. Throws
   /// UnknownModelError (not deployed), std::invalid_argument (bad sample),
-  /// OverloadedError (Reject-mode admission shed — counted in stats), or
+  /// OverloadedError (admission shed — counted in stats), or
   /// DeadlineExceededError (deadline already dead on arrival — see
   /// Engine::submit; the future can also fail with it when the deadline
   /// lapses in the queue).

@@ -23,6 +23,53 @@ void append(std::vector<std::uint8_t>& out, T v) {
   out.insert(out.end(), p, p + sizeof(T));
 }
 
+/// Validates a tensor payload's ndim and dims fields into `shape` and returns
+/// the byte size of the whole tensor body (ndim + dims + float data). The one
+/// parser behind both tensor decoders.
+std::size_t read_tensor_head(const std::uint8_t* payload, std::size_t len, Shape& shape) {
+  if (len < 4) throw std::invalid_argument("wire::decode_tensor: payload shorter than ndim field");
+  const std::uint32_t ndim = load<std::uint32_t>(payload);
+  if (ndim == 0 || ndim > kMaxTensorDims) {
+    throw std::invalid_argument("wire::decode_tensor: ndim " + std::to_string(ndim) +
+                                " outside [1, " + std::to_string(kMaxTensorDims) + "]");
+  }
+  const std::size_t dims_bytes = sizeof(std::int64_t) * ndim;
+  if (len < 4 + dims_bytes) {
+    throw std::invalid_argument("wire::decode_tensor: payload truncated in dims");
+  }
+  shape.assign(ndim, 0);
+  std::int64_t numel = 1;
+  for (std::uint32_t i = 0; i < ndim; ++i) {
+    const std::int64_t d = load<std::int64_t>(payload + 4 + sizeof(std::int64_t) * i);
+    if (d < 0 || d > std::numeric_limits<std::int32_t>::max()) {
+      throw std::invalid_argument("wire::decode_tensor: bad dim " + std::to_string(d));
+    }
+    shape[i] = d;
+    numel *= d;
+    if (numel > std::numeric_limits<std::int32_t>::max()) {
+      throw std::invalid_argument("wire::decode_tensor: element count overflow");
+    }
+  }
+  return 4 + dims_bytes + sizeof(float) * static_cast<std::size_t>(numel);
+}
+
+/// Copies the float data of a `len`-byte payload whose head read_tensor_head
+/// parsed; `len` must be exactly the body size.
+Tensor read_tensor_body(const std::uint8_t* payload, std::size_t len, std::size_t body,
+                        Shape shape) {
+  if (len != body) {
+    throw std::invalid_argument("wire::decode_tensor: payload is " + std::to_string(len) +
+                                " bytes, shape " + shape_str(shape) + " needs " +
+                                std::to_string(body));
+  }
+  // The one socket-buffer→tensor copy: floats land directly in the layout
+  // Engine::submit / forward_batch consume.
+  Tensor t(std::move(shape));
+  const std::size_t data_bytes = sizeof(float) * static_cast<std::size_t>(t.numel());
+  std::memcpy(t.data(), payload + body - data_bytes, data_bytes);
+  return t;
+}
+
 }  // namespace
 
 const char* opcode_name(Opcode op) {
@@ -115,75 +162,31 @@ void encode_tensor_frame(std::vector<std::uint8_t>& out, Opcode op, Status statu
 }
 
 Tensor decode_tensor(const std::uint8_t* payload, std::size_t len) {
-  if (len < 4) throw std::invalid_argument("wire::decode_tensor: payload shorter than ndim field");
-  const std::uint32_t ndim = load<std::uint32_t>(payload);
-  if (ndim == 0 || ndim > kMaxTensorDims) {
-    throw std::invalid_argument("wire::decode_tensor: ndim " + std::to_string(ndim) +
-                                " outside [1, " + std::to_string(kMaxTensorDims) + "]");
-  }
-  const std::size_t dims_bytes = sizeof(std::int64_t) * ndim;
-  if (len < 4 + dims_bytes) {
-    throw std::invalid_argument("wire::decode_tensor: payload truncated in dims");
-  }
-  Shape shape(ndim);
-  std::int64_t numel = 1;
-  for (std::uint32_t i = 0; i < ndim; ++i) {
-    const std::int64_t d = load<std::int64_t>(payload + 4 + sizeof(std::int64_t) * i);
-    if (d < 0 || d > std::numeric_limits<std::int32_t>::max()) {
-      throw std::invalid_argument("wire::decode_tensor: bad dim " + std::to_string(d));
-    }
-    shape[i] = d;
-    numel *= d;
-    if (numel > std::numeric_limits<std::int32_t>::max()) {
-      throw std::invalid_argument("wire::decode_tensor: element count overflow");
-    }
-  }
-  const std::size_t data_bytes = sizeof(float) * static_cast<std::size_t>(numel);
-  if (len != 4 + dims_bytes + data_bytes) {
-    throw std::invalid_argument("wire::decode_tensor: payload is " + std::to_string(len) +
-                                " bytes, shape " + shape_str(shape) + " needs " +
-                                std::to_string(4 + dims_bytes + data_bytes));
-  }
-  // The one socket-buffer→tensor copy: floats land directly in the layout
-  // Engine::submit / forward_batch consume.
-  Tensor t(std::move(shape));
-  std::memcpy(t.data(), payload + 4 + dims_bytes, data_bytes);
-  return t;
+  Shape shape;
+  const std::size_t body = read_tensor_head(payload, len, shape);
+  return read_tensor_body(payload, len, body, std::move(shape));
 }
 
 Tensor decode_tensor_request(const std::uint8_t* payload, std::size_t len,
                              std::uint8_t& priority, std::uint32_t& deadline_ms) {
   priority = 0;
   deadline_ms = 0;
-  // Size the tensor body from its own ndim/dims fields so the legal trailing
-  // tails are unambiguous: exactly tensor → class 0, no deadline (every
-  // pre-priority frame); tensor + 1 → that byte is the class; tensor + 5 →
-  // class byte then u32 deadline_ms. decode_tensor re-validates the sliced
-  // body in full, so anything else still fails with its precise diagnostics.
-  if (len >= 4) {
-    const std::uint32_t ndim = load<std::uint32_t>(payload);
-    if (ndim >= 1 && ndim <= kMaxTensorDims && len >= 4 + sizeof(std::int64_t) * ndim) {
-      std::int64_t numel = 1;
-      bool dims_ok = true;
-      for (std::uint32_t i = 0; i < ndim && dims_ok; ++i) {
-        const std::int64_t d = load<std::int64_t>(payload + 4 + sizeof(std::int64_t) * i);
-        dims_ok = d >= 0 && d <= std::numeric_limits<std::int32_t>::max();
-        numel *= dims_ok ? d : 1;
-        dims_ok = dims_ok && numel <= std::numeric_limits<std::int32_t>::max();
-      }
-      const std::size_t body = 4 + sizeof(std::int64_t) * ndim +
-                               sizeof(float) * static_cast<std::size_t>(numel);
-      if (dims_ok && len == body + 1) {
-        priority = payload[body];
-        len = body;
-      } else if (dims_ok && len == body + 5) {
-        priority = payload[body];
-        deadline_ms = load<std::uint32_t>(payload + body + 1);
-        len = body;
-      }
-    }
+  // The body's own ndim/dims fields size it, so the legal trailing tails are
+  // unambiguous: exactly the body → class 0, no deadline (every
+  // pre-priority frame); body + 1 → that byte is the class; body + 5 →
+  // class byte then u32 deadline_ms. Any other length fails like
+  // decode_tensor does on trailing junk.
+  Shape shape;
+  const std::size_t body = read_tensor_head(payload, len, shape);
+  if (len == body + 1) {
+    priority = payload[body];
+    len = body;
+  } else if (len == body + 5) {
+    priority = payload[body];
+    deadline_ms = load<std::uint32_t>(payload + body + 1);
+    len = body;
   }
-  return decode_tensor(payload, len);
+  return read_tensor_body(payload, len, body, std::move(shape));
 }
 
 void Decoder::feed(const void* data, std::size_t n) {

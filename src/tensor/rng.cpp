@@ -4,23 +4,17 @@
 #include <numbers>
 #include <stdexcept>
 
+#include "util/splitmix.hpp"
+
 namespace pecan {
 
 namespace {
-std::uint64_t splitmix64(std::uint64_t& x) {
-  x += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = x;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t s = seed;
-  for (auto& w : state_) w = splitmix64(s);
+  for (auto& w : state_) w = util::splitmix64(s);
 }
 
 std::uint64_t Rng::next_u64() {

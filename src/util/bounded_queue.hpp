@@ -8,15 +8,15 @@
 // queue is the plain FIFO: that is the Engine's queue, while NetServer's
 // executor queue has one class per wire priority level. The queue owns the
 // policy decisions a serving front door needs and nothing else:
-//   * a capacity bound (0 = unbounded) — push() blocks while full
-//     (backpressure propagates to the caller), try_push() never blocks and
-//     returns Full instead (the caller sheds the arrival);
-//   * close semantics — close() wakes every blocked producer and consumer;
-//     pushes after close fail with Closed, pops keep draining whatever is
-//     already queued so no accepted item is ever dropped;
+//   * a capacity bound (0 = unbounded) — try_push() never blocks: at the
+//     bound it returns Full and the caller sheds the arrival. No producer
+//     ever waits for space;
+//   * close semantics — close() wakes every blocked consumer; pushes after
+//     close fail with Closed, pops keep draining whatever is already queued
+//     so no accepted item is ever dropped;
 //   * batched consumption — pop_batch() waits for the first item, then
-//     briefly for stragglers (micro-batch coalescing), then pops the longest
-//     prefix a caller predicate accepts;
+//     briefly for stragglers until `max` are queued (micro-batch
+//     coalescing), then pops the longest prefix a caller predicate accepts;
 //   * consumers drain the highest non-empty class first — pop_batch picks
 //     every item (the first AND each coalesced straggler) from the highest
 //     class available at that moment, so batches coalesce ACROSS classes
@@ -64,7 +64,8 @@ class PriorityBucketQueue {
   PriorityBucketQueue& operator=(const PriorityBucketQueue&) = delete;
 
   /// Non-blocking push into class `cls` (clamped to the top class): Full
-  /// (item untouched) at the effective bound, never evicts.
+  /// (item untouched) at the effective bound, never evicts. On an unbounded
+  /// queue it returns only Ok or Closed.
   PushResult try_push(T& item, std::size_t cls) {
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -76,20 +77,8 @@ class PriorityBucketQueue {
     return PushResult::Ok;
   }
 
-  /// Blocking push: waits for space under the effective (soft) bound.
-  PushResult push(T& item, std::size_t cls) {
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return closed_ || !at_capacity(); });
-      if (closed_) return PushResult::Closed;
-      enqueue(std::move(item), clamp_class(cls));
-    }
-    cv_.notify_all();
-    return PushResult::Ok;
-  }
-
   /// Consumer side. Blocks until at least one item is queued (or returns 0
-  /// when the queue is closed and drained). If fewer than `want` items are
+  /// when the queue is closed and drained). If fewer than `max` items are
   /// queued and the queue is still open, waits up to `straggler` for more to
   /// coalesce. Then appends to `out` the longest prefix of up to `max` items
   /// for which keep(first, candidate) holds, where `first` is the first item
@@ -99,52 +88,47 @@ class PriorityBucketQueue {
   /// keep() bounds the prefix across classes freely.
   template <typename Keep>
   std::size_t pop_batch(std::vector<T>& out, std::size_t max,
-                        std::chrono::microseconds straggler, std::size_t want, Keep keep) {
-    std::size_t popped = 0;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      for (;;) {
-        cv_.wait(lock, [this] { return closed_ || total_ > 0; });
-        if (closed_ && total_ == 0) return 0;  // closed and drained
-        if (!closed_ && total_ < want && !at_capacity()) {
-          // A queue at capacity can't coalesce further — waiting for more
-          // stragglers would burn the whole window with producers stalled
-          // behind a full queue (want > capacity is a legal config).
-          cv_.wait_for(lock, straggler, [this, want] {
-            return closed_ || total_ >= want || at_capacity();
-          });
-          // The straggler wait releases the lock, so a concurrent consumer
-          // may have drained the queue meanwhile: re-check before popping.
-          if (total_ == 0) continue;
-        }
-        break;
+                        std::chrono::microseconds straggler, Keep keep) {
+    // No notify after popping: only consumers ever wait, and fewer queued
+    // items satisfies none of them.
+    std::unique_lock<std::mutex> lock(mutex_);
+    for (;;) {
+      cv_.wait(lock, [this] { return closed_ || total_ > 0; });
+      if (closed_ && total_ == 0) return 0;  // closed and drained
+      if (!closed_ && total_ < max && !at_capacity() && straggler.count() > 0) {
+        // A queue at capacity can't coalesce further — waiting for more
+        // stragglers would burn the whole window while every arrival is
+        // shed (max > capacity is a legal config).
+        cv_.wait_for(lock, straggler, [this, max] {
+          return closed_ || total_ >= max || at_capacity();
+        });
+        // The straggler wait releases the lock, so a concurrent consumer
+        // may have drained the queue meanwhile: re-check before popping.
+        if (total_ == 0) continue;
       }
-      const std::size_t first = out.size();
+      break;
+    }
+    const std::size_t first = out.size();
+    out.push_back(dequeue_top());
+    std::size_t popped = 1;
+    while (total_ > 0 && popped < max && keep(out[first], top())) {
       out.push_back(dequeue_top());
       ++popped;
-      while (total_ > 0 && popped < max && keep(out[first], top())) {
-        out.push_back(dequeue_top());
-        ++popped;
-      }
     }
-    cv_.notify_all();
     return popped;
   }
 
   /// Moves out everything still queued, highest class first (FIFO within a
   /// class). Works after close().
   std::vector<T> drain() {
+    std::lock_guard<std::mutex> lock(mutex_);
     std::vector<T> out;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      out.reserve(total_);
-      while (total_ > 0) out.push_back(dequeue_top());
-    }
-    cv_.notify_all();
+    out.reserve(total_);
+    while (total_ > 0) out.push_back(dequeue_top());
     return out;
   }
 
-  /// Rejects future pushes and wakes every blocked producer/consumer.
+  /// Rejects future pushes and wakes every blocked consumer.
   /// Already-queued items stay poppable. Idempotent.
   void close() {
     {
@@ -160,8 +144,8 @@ class PriorityBucketQueue {
   }
 
   /// Controller knob: tighten admission to min(capacity, n) without touching
-  /// already-queued items. 0 restores the hard bound. Wakes blocked pushers
-  /// when the window widens.
+  /// already-queued items. 0 restores the hard bound. Wakes consumers in a
+  /// straggler wait, which ends early at the bound.
   void set_soft_capacity(std::size_t n) {
     {
       std::lock_guard<std::mutex> lock(mutex_);

@@ -33,13 +33,24 @@ std::string Args::get(const std::string& key, const std::string& fallback) const
 long Args::get_int(const std::string& key, long fallback) const {
   auto text = get(key, "");
   if (text.empty()) return fallback;
-  return std::stol(text);
+  std::size_t used = 0;
+  const long value = std::stol(text, &used);
+  // The number must span the whole token: "7171x" or "2.5s" is not a number.
+  if (used != text.size()) {
+    throw std::invalid_argument("Args: --" + key + " bad number '" + text + "'");
+  }
+  return value;
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
   auto text = get(key, "");
   if (text.empty()) return fallback;
-  return std::stod(text);
+  std::size_t used = 0;
+  const double value = std::stod(text, &used);
+  if (used != text.size()) {
+    throw std::invalid_argument("Args: --" + key + " bad number '" + text + "'");
+  }
+  return value;
 }
 
 bool Args::get_bool(const std::string& key, bool fallback) const {

@@ -4,24 +4,9 @@
 #include <stdexcept>
 #include <thread>
 
+#include "util/splitmix.hpp"
+
 namespace pecan::util {
-
-namespace {
-
-// splitmix64 — tiny, seedable, and good enough for fault scheduling.
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9E3779B97F4A7C15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
-
-double unit_draw(std::uint64_t& state) {
-  return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
-}
-
-}  // namespace
 
 FaultInjector& FaultInjector::instance() {
   static FaultInjector injector;
@@ -78,15 +63,18 @@ void FaultInjector::arm_spec(const std::string& spec) {
         const std::string key = kv.substr(0, eq);
         const std::string value = kv.substr(eq + 1);
         try {
+          // `used` rejects trailing junk: the number must span the whole value.
+          std::size_t used = 0;
           if (key == "p") {
-            config.probability = std::stod(value);
+            config.probability = std::stod(value, &used);
           } else if (key == "count") {
-            config.count = std::stoll(value);
+            config.count = std::stoll(value, &used);
           } else if (key == "latency_ms") {
-            config.latency_ms = std::stoll(value);
+            config.latency_ms = std::stoll(value, &used);
           } else {
             throw std::invalid_argument("unknown key");
           }
+          if (used != value.size()) throw std::invalid_argument("trailing junk");
         } catch (const std::exception&) {
           throw std::invalid_argument("FaultInjector::arm_spec: bad token '" + kv + "' in '" +
                                       entry + "' (keys: p, count, latency_ms)");

@@ -56,6 +56,8 @@
 #include "util/socket.hpp"
 #include "util/thread_pool.hpp"
 
+#include "serving_helpers.hpp"
+
 namespace pecan {
 namespace {
 
@@ -72,20 +74,9 @@ struct ScopedFaults {
   ~ScopedFaults() { FaultInjector::instance().disarm_all(); }
 };
 
-std::unique_ptr<nn::Sequential> lenet(std::uint64_t seed) {
-  Rng rng(seed);
-  return models::make_lenet5(models::Variant::PecanD, rng);
-}
-
 Tensor lenet_sample(std::uint64_t seed) {
   Rng rng(seed);
   return rng.randn({1, 28, 28});
-}
-
-bool matches(const Tensor& actual, const Tensor& expected) {
-  if (!actual.same_shape(expected)) return false;
-  return std::memcmp(actual.data(), expected.data(),
-                     static_cast<std::size_t>(actual.numel()) * sizeof(float)) == 0;
 }
 
 /// Polls `pred` until it holds or `timeout` lapses.
@@ -97,14 +88,6 @@ bool eventually(Pred pred, std::chrono::milliseconds timeout = 3000ms) {
     std::this_thread::sleep_for(2ms);
   }
   return true;
-}
-
-runtime::NetServerConfig loopback_config(int executors = 2) {
-  runtime::NetServerConfig config;
-  config.host = "127.0.0.1";
-  config.port = 0;
-  config.executors = executors;
-  return config;
 }
 
 // ------------------------------------------------------------ FaultInjector
@@ -160,6 +143,10 @@ TEST(FaultInjector, BadSpecsThrowWithoutArming) {
   EXPECT_THROW(FaultInjector::instance().arm_spec("site:p=nope"), std::invalid_argument);
   EXPECT_THROW(FaultInjector::instance().arm_spec(":p=1"), std::invalid_argument);
   EXPECT_THROW(FaultInjector::instance().arm_spec("site:bogus_key=1"), std::invalid_argument);
+  // A number must span its whole value: "0.5x" or "3ms" is not 0.5 or 3.
+  EXPECT_THROW(FaultInjector::instance().arm_spec("site:p=0.5x"), std::invalid_argument);
+  EXPECT_THROW(FaultInjector::instance().arm_spec("site:count=3ms"), std::invalid_argument);
+  EXPECT_THROW(FaultInjector::instance().arm_spec("site:latency_ms=20ms"), std::invalid_argument);
   EXPECT_THROW(FaultInjector::instance().arm("s", {/*probability=*/1.5}), std::invalid_argument);
   EXPECT_FALSE(FaultInjector::armed());
 }
@@ -410,10 +397,7 @@ TEST(EngineDeadline, QueueExpiryFailsTheFutureWithoutExecuting) {
   // at B's batch formation must fail B's future without running it.
   FaultInjector::instance().arm("engine.stall",
                                 {/*probability=*/1.0, /*count=*/1, /*latency_ms=*/300});
-  runtime::EngineConfig config;
-  config.max_batch = 1;
-  config.batch_wait = std::chrono::microseconds(50);
-  runtime::Engine engine(lenet(7), config);
+  runtime::Engine engine(lenet(7));
 
   std::future<Tensor> a = engine.submit(lenet_sample(1));
   std::this_thread::sleep_for(50ms);  // let the batcher pop A and hit the stall

@@ -35,6 +35,8 @@
 #include "util/socket.hpp"
 #include "util/thread_pool.hpp"
 
+#include "serving_helpers.hpp"
+
 namespace pecan {
 namespace {
 
@@ -42,49 +44,6 @@ using namespace std::chrono_literals;
 namespace wire = runtime::wire;
 
 // ------------------------------------------------------------------- helpers
-
-Tensor lenet_batch(Rng& rng, std::int64_t n) { return rng.randn({n, 1, 28, 28}); }
-
-/// Splits a [N, ...] tensor into its N rows.
-std::vector<Tensor> split_rows(const Tensor& batched) {
-  const std::int64_t n = batched.dim(0);
-  const std::int64_t row_numel = batched.numel() / n;
-  Shape row_shape(batched.shape().begin() + 1, batched.shape().end());
-  std::vector<Tensor> rows;
-  for (std::int64_t s = 0; s < n; ++s) {
-    Tensor row(row_shape);
-    std::copy(batched.data() + s * row_numel, batched.data() + (s + 1) * row_numel, row.data());
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-/// Extracts sample `s` of a [N,C,H,W] batch as a [C,H,W] tensor.
-Tensor nth_sample(const Tensor& batch, std::int64_t s) {
-  Tensor sample({batch.dim(1), batch.dim(2), batch.dim(3)});
-  const std::int64_t numel = sample.numel();
-  std::copy(batch.data() + s * numel, batch.data() + (s + 1) * numel, sample.data());
-  return sample;
-}
-
-/// True when `actual` is bitwise-equal to `expected` in full.
-bool matches(const Tensor& actual, const Tensor& expected) {
-  if (!actual.same_shape(expected)) return false;
-  return std::memcmp(actual.data(), expected.data(),
-                     static_cast<std::size_t>(actual.numel()) * sizeof(float)) == 0;
-}
-
-/// Fresh LeNet5 weights from a seed (make_lenet5 wants an lvalue Rng).
-std::unique_ptr<nn::Sequential> lenet(std::uint64_t seed,
-                                      models::Variant variant = models::Variant::PecanD) {
-  Rng rng(seed);
-  return models::make_lenet5(variant, rng);
-}
-
-std::unique_ptr<nn::Sequential> resnet(std::uint64_t seed) {
-  Rng rng(seed);
-  return models::make_resnet20(models::Variant::Baseline, 10, rng);
-}
 
 /// Encodes one frame into a fresh byte vector.
 std::vector<std::uint8_t> one_frame(wire::Opcode op, wire::Status status, std::uint64_t id,
@@ -287,35 +246,47 @@ TEST(Wire, TensorPayloadValidation) {
   wire::encode_tensor_frame(frame_bytes, wire::Opcode::Infer, wire::Status::Ok, 1, "", t);
   const std::uint8_t* payload = frame_bytes.data() + wire::kHeaderBytes;
   const std::size_t len = frame_bytes.size() - wire::kHeaderBytes;
+  // Every malformed body fails the reply decoder and the request decoder.
+  const auto expect_rejected = [](const std::uint8_t* bytes, std::size_t n, const char* what) {
+    std::uint8_t priority = 0;
+    std::uint32_t deadline_ms = 0;
+    EXPECT_THROW(wire::decode_tensor(bytes, n), std::invalid_argument) << what;
+    EXPECT_THROW(wire::decode_tensor_request(bytes, n, priority, deadline_ms),
+                 std::invalid_argument)
+        << what;
+  };
 
   // The intact payload decodes.
   EXPECT_TRUE(matches(wire::decode_tensor(payload, len), t));
   // Truncated: shorter than the ndim field, mid-dims, and mid-data.
-  EXPECT_THROW(wire::decode_tensor(payload, 3), std::invalid_argument);
-  EXPECT_THROW(wire::decode_tensor(payload, 4 + 7), std::invalid_argument);
-  EXPECT_THROW(wire::decode_tensor(payload, len - 1), std::invalid_argument);
-  // Trailing junk is as invalid as missing bytes.
-  {
+  expect_rejected(payload, 3, "short of ndim");
+  expect_rejected(payload, 4 + 7, "mid-dims");
+  expect_rejected(payload, len - 1, "mid-data");
+  // Trailing junk is as invalid as missing bytes. A request may carry a 1-
+  // or 5-byte tail (priority, then deadline); any other tail is junk there.
+  for (const std::size_t tail : {1, 2, 3, 4, 5, 6}) {
     std::vector<std::uint8_t> padded(payload, payload + len);
-    padded.push_back(0);
-    EXPECT_THROW(wire::decode_tensor(padded.data(), padded.size()), std::invalid_argument);
+    padded.resize(len + tail, 0);
+    EXPECT_THROW(wire::decode_tensor(padded.data(), padded.size()), std::invalid_argument)
+        << tail;
+    if (tail != 1 && tail != 5) expect_rejected(padded.data(), padded.size(), "junk tail");
   }
   // ndim out of range: 0 and > kMaxTensorDims.
   {
     std::vector<std::uint8_t> bad(payload, payload + len);
     std::uint32_t ndim = 0;
     std::memcpy(bad.data(), &ndim, sizeof(ndim));
-    EXPECT_THROW(wire::decode_tensor(bad.data(), bad.size()), std::invalid_argument);
+    expect_rejected(bad.data(), bad.size(), "ndim 0");
     ndim = static_cast<std::uint32_t>(wire::kMaxTensorDims + 1);
     std::memcpy(bad.data(), &ndim, sizeof(ndim));
-    EXPECT_THROW(wire::decode_tensor(bad.data(), bad.size()), std::invalid_argument);
+    expect_rejected(bad.data(), bad.size(), "ndim too large");
   }
   // Negative dimension.
   {
     std::vector<std::uint8_t> bad(payload, payload + len);
     const std::int64_t neg = -2;
     std::memcpy(bad.data() + 4, &neg, sizeof(neg));
-    EXPECT_THROW(wire::decode_tensor(bad.data(), bad.size()), std::invalid_argument);
+    expect_rejected(bad.data(), bad.size(), "negative dim");
   }
 }
 
@@ -437,14 +408,6 @@ TEST(DeployFile, DeploysArtifactAndFailureLeavesRegistryUntouched) {
 }
 
 // ------------------------------------------------------- NetServer loopback
-
-runtime::NetServerConfig loopback_config(int executors = 2) {
-  runtime::NetServerConfig config;
-  config.host = "127.0.0.1";
-  config.port = 0;  // ephemeral
-  config.executors = executors;
-  return config;
-}
 
 TEST(NetServer, PingListModelsStats) {
   util::set_global_threads(2);
@@ -734,10 +697,7 @@ TEST(NetServer, HotSwapMidTrafficLosesNoRequestAndNeverMixesWeights) {
   }
 
   runtime::Server server;
-  runtime::EngineConfig config;
-  config.max_batch = 4;
-  config.batch_wait = std::chrono::microseconds(100);
-  server.deploy("m", lenet(7), config);
+  server.deploy("m", lenet(7));
 
   runtime::NetServer net(server, loopback_config(4));
   net.start();
@@ -763,7 +723,7 @@ TEST(NetServer, HotSwapMidTrafficLosesNoRequestAndNeverMixesWeights) {
   }
 
   std::this_thread::sleep_for(5ms);  // let traffic start, then swap under it
-  const std::uint64_t generation = server.deploy("m", lenet(8), config);
+  const std::uint64_t generation = server.deploy("m", lenet(8));
   for (std::thread& t : clients) t.join();
 
   EXPECT_EQ(generation, 2u);
@@ -906,9 +866,7 @@ TEST(NetServer, OverloadShedsWithOverloadedStatusAndAnswersEverything) {
 
   runtime::Server server;
   runtime::EngineConfig config;
-  config.max_batch = 1;    // consume one sample per inference
-  config.max_pending = 1;  // tiny pending queue: bursts must shed
-  config.backpressure = runtime::Backpressure::Reject;
+  config.max_pending = 1;  // tiny pending queue: bursts must shed, batches hold one sample
   server.deploy("m", lenet(7), config);
   runtime::NetServer net(server, loopback_config(4));
   net.start();

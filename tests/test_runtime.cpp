@@ -27,6 +27,8 @@
 #include "tensor/rng.hpp"
 #include "util/thread_pool.hpp"
 
+#include "serving_helpers.hpp"
+
 namespace pecan {
 namespace {
 
@@ -104,8 +106,6 @@ TEST(ThreadPool, OpCounterStaysExactUnderThreads) {
 
 // ------------------------------------------------------------------ helpers
 
-Tensor random_batch(Rng& rng, std::int64_t n) { return rng.randn({n, 1, 28, 28}); }
-
 /// Per-sample forward through `net` (the sequential serving baseline).
 std::vector<Tensor> forward_per_sample(nn::Module& net, const Tensor& batch) {
   const std::int64_t n = batch.dim(0);
@@ -146,7 +146,7 @@ TEST_P(EngineEquivalence, FloatPathBatchedMatchesSequential) {
   auto served = models::make_lenet5(GetParam(), rng2);  // identical weights
 
   Rng data_rng(11);
-  Tensor batch = random_batch(data_rng, 5);
+  Tensor batch = lenet_batch(data_rng, 5);
   std::vector<Tensor> rows = forward_per_sample(*reference, batch);
 
   util::set_global_threads(3);
@@ -163,7 +163,7 @@ TEST_P(EngineEquivalence, CamPathBatchedMatchesSequential) {
 
   cam::CamNetworkExport reference = cam::convert_to_cam(*trained);
   Rng data_rng(23);
-  Tensor batch = random_batch(data_rng, 3);
+  Tensor batch = lenet_batch(data_rng, 3);
   std::vector<Tensor> rows = forward_per_sample(*reference.net, batch);
 
   util::set_global_threads(3);
@@ -196,33 +196,30 @@ TEST(Engine, SubmitReturnsSameLogitsAsDirectForward) {
   auto served = models::make_lenet5(models::Variant::PecanD, rng2);
 
   Rng data_rng(37);
-  Tensor batch = random_batch(data_rng, 6);
+  Tensor batch = lenet_batch(data_rng, 6);
   std::vector<Tensor> rows = forward_per_sample(*reference, batch);
 
-  runtime::Engine engine(std::move(served), {runtime::ExecPath::Float, /*max_batch=*/4});
-  const std::int64_t sample_numel = batch.numel() / 6;
+  runtime::Engine engine(std::move(served));
+  // More samples than one micro-batch holds.
+  constexpr std::int64_t kSubmits = runtime::kMaxBatch + 4;
   std::vector<std::future<Tensor>> futures;
-  for (std::int64_t s = 0; s < 6; ++s) {
-    Tensor sample({1 * 28 * 28});
-    std::copy(batch.data() + s * sample_numel, batch.data() + (s + 1) * sample_numel,
-              sample.data());
-    futures.push_back(engine.submit(std::move(sample).reshaped({1, 28, 28})));
+  for (std::int64_t s = 0; s < kSubmits; ++s) {
+    futures.push_back(engine.submit(nth_sample(batch, s % 6)));
   }
-  for (std::int64_t s = 0; s < 6; ++s) {
+  for (std::int64_t s = 0; s < kSubmits; ++s) {
     Tensor logits = futures[static_cast<std::size_t>(s)].get();
-    ASSERT_EQ(logits.numel(), rows[static_cast<std::size_t>(s)].numel());
-    for (std::int64_t i = 0; i < logits.numel(); ++i) {
-      EXPECT_EQ(logits[i], rows[static_cast<std::size_t>(s)][i]);
-    }
+    const Tensor& row = rows[static_cast<std::size_t>(s % 6)];
+    ASSERT_EQ(logits.numel(), row.numel());
+    for (std::int64_t i = 0; i < logits.numel(); ++i) EXPECT_EQ(logits[i], row[i]);
   }
   // shutdown() joins the batcher, making the stats final before reading.
   engine.shutdown();
   const runtime::EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.requests, 6u);
-  EXPECT_EQ(stats.batched_samples, 6u);
+  EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kSubmits));
+  EXPECT_EQ(stats.batched_samples, static_cast<std::uint64_t>(kSubmits));
   // Submit-path accounting: one END-TO-END latency sample per sample.
-  EXPECT_EQ(stats.latency_samples, 6u);
-  EXPECT_GE(stats.batches, 2u);  // max_batch 4 forces at least two batches
+  EXPECT_EQ(stats.latency_samples, static_cast<std::uint64_t>(kSubmits));
+  EXPECT_GE(stats.batches, 2u);  // kMaxBatch forces at least two batches
   EXPECT_THROW(engine.submit(Tensor({1, 28, 28})), std::runtime_error);
 }
 
@@ -242,15 +239,6 @@ TEST(Engine, FlattensPlanAcrossContainers) {
 
 // --------------------------------------------- SLO scheduler + priorities
 
-/// Copies sample `s` of an [N,C,H,W] batch as a [C,H,W] submit() input.
-Tensor nth_sample_3d(const Tensor& batch, std::int64_t s) {
-  const std::int64_t sample_numel = batch.numel() / batch.dim(0);
-  Tensor sample({batch.dim(1), batch.dim(2), batch.dim(3)});
-  std::copy(batch.data() + s * sample_numel, batch.data() + (s + 1) * sample_numel,
-            sample.data());
-  return sample;
-}
-
 // Satellite fix: EngineStats percentiles come from a bounded sliding window,
 // so a long-running engine reports CURRENT tail latency. After a spike of
 // slow requests, enough fast ones must fully displace it.
@@ -260,8 +248,8 @@ TEST(EngineSlo, PercentilesRecoverAfterLoadSpike) {
   runtime::Engine engine(models::make_lenet5(models::Variant::PecanD, rng));
 
   Rng data_rng(223);
-  const Tensor spike = random_batch(data_rng, 32);  // 32x the work per request
-  const Tensor fast = random_batch(data_rng, 1);
+  const Tensor spike = lenet_batch(data_rng, 32);  // 32x the work per request
+  const Tensor fast = lenet_batch(data_rng, 1);
   // 16 spikes: over the 1040 samples of the whole run, the lifetime p99
   // (sorted index floor(0.99 * 1039) = 1028) would still be a spike, so only
   // a window that forgets passes the check below.
@@ -295,18 +283,17 @@ TEST(EngineSlo, ControllerShrinksBatchUnderSloPressureBitwiseIdentical) {
   auto served = models::make_lenet5(models::Variant::PecanD, rng2);
 
   Rng data_rng(239);
-  const Tensor batch = random_batch(data_rng, 4);
+  const Tensor batch = lenet_batch(data_rng, 4);
   std::vector<Tensor> rows = forward_per_sample(*reference, batch);
 
   runtime::EngineConfig config;
-  config.max_batch = 8;
   config.slo_target_ms = 1e-6;  // unreachable: every windowed p99 breaches it
   runtime::Engine engine(std::move(served), config);
-  EXPECT_EQ(engine.stats().eff_max_batch, 8);  // controller starts at the config
+  EXPECT_EQ(engine.stats().eff_max_batch, runtime::kMaxBatch);  // controller starts at the bound
 
   std::vector<std::future<Tensor>> futures;
   for (int r = 0; r < 32; ++r) {
-    futures.push_back(engine.submit(nth_sample_3d(batch, r % 4)));
+    futures.push_back(engine.submit(nth_sample(batch, r % 4)));
   }
   for (int r = 0; r < 32; ++r) {
     Tensor logits = futures[static_cast<std::size_t>(r)].get();
@@ -322,32 +309,32 @@ TEST(EngineSlo, ControllerShrinksBatchUnderSloPressureBitwiseIdentical) {
   // the floor (8 -> 4 -> 2 -> 1 takes three post-window batches; at least
   // 24 batches ran after the 8-sample window filled).
   EXPECT_EQ(stats.eff_max_batch, 1);
-  EXPECT_LT(stats.eff_batch_wait_us, config.batch_wait.count());
+  EXPECT_LT(stats.eff_batch_wait_us, runtime::kBatchWait.count());
   EXPECT_EQ(stats.requests, 32u);
 }
 
 TEST(EngineSlo, ControllerGrowthStopsAtMaxBatchAndBatchWait) {
   // A loose SLO with a deep queue takes the growth branch after every
-  // batch once the window fills; the fixed knobs are its ceiling, so the
-  // effective batch size and straggler wait never leave their start values.
+  // batch once the window fills; kMaxBatch and kBatchWait are its ceiling,
+  // so the effective batch size and straggler wait never leave their start
+  // values.
   Rng rng(241);
   runtime::EngineConfig config;
-  config.max_batch = 4;
   config.slo_target_ms = 1e6;  // always comfortably under: grow whenever deep
   runtime::Engine engine(models::make_lenet5(models::Variant::PecanD, rng), config);
 
   Rng data_rng(251);
-  const Tensor batch = random_batch(data_rng, 4);
+  const Tensor batch = lenet_batch(data_rng, 4);
   constexpr int kBurst = 64;
   std::vector<std::future<Tensor>> futures;
-  for (int r = 0; r < kBurst; ++r) futures.push_back(engine.submit(nth_sample_3d(batch, r % 4)));
+  for (int r = 0; r < kBurst; ++r) futures.push_back(engine.submit(nth_sample(batch, r % 4)));
   for (std::future<Tensor>& f : futures) f.get();
   engine.shutdown();
 
   const runtime::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kBurst));
-  EXPECT_EQ(stats.eff_max_batch, config.max_batch);
-  EXPECT_EQ(stats.eff_batch_wait_us, config.batch_wait.count());
+  EXPECT_EQ(stats.eff_max_batch, runtime::kMaxBatch);
+  EXPECT_EQ(stats.eff_batch_wait_us, runtime::kBatchWait.count());
 }
 
 // --------------------------------------------------- concurrent serving
@@ -379,7 +366,7 @@ TEST_P(EngineEquivalence, FloatPathConcurrentClientsBitwiseIdentical) {
   auto served = models::make_lenet5(GetParam(), rng2);
 
   Rng data_rng(89);
-  Tensor batch = random_batch(data_rng, 4);
+  Tensor batch = lenet_batch(data_rng, 4);
   std::vector<Tensor> rows = forward_per_sample(*reference, batch);
 
   util::set_global_threads(3);
@@ -411,7 +398,7 @@ TEST_P(EngineEquivalence, CamPathConcurrentClientsBitwiseIdentical) {
 
   cam::CamNetworkExport reference = cam::convert_to_cam(*trained);
   Rng data_rng(101);
-  Tensor batch = random_batch(data_rng, 3);
+  Tensor batch = lenet_batch(data_rng, 3);
   std::vector<Tensor> rows = forward_per_sample(*reference.net, batch);
 
   util::set_global_threads(3);
@@ -434,12 +421,12 @@ TEST(EngineConcurrency, ConcurrentSubmitAndForwardBatchAgree) {
   auto served = models::make_lenet5(models::Variant::PecanD, rng2);
 
   Rng data_rng(107);
-  Tensor batch = random_batch(data_rng, 4);
+  Tensor batch = lenet_batch(data_rng, 4);
   std::vector<Tensor> rows = forward_per_sample(*reference, batch);
   const std::int64_t sample_numel = batch.numel() / 4;
 
   util::set_global_threads(3);
-  runtime::Engine engine(std::move(served), {runtime::ExecPath::Float, /*max_batch=*/4});
+  runtime::Engine engine(std::move(served));
   std::vector<std::future<Tensor>> futures;
   std::thread direct([&] {
     for (int r = 0; r < 4; ++r) expect_bitwise_rows(engine.forward_batch(batch), rows);
@@ -499,7 +486,7 @@ std::vector<std::vector<std::uint64_t>> collect_usage(runtime::Engine& engine) {
 TEST(EngineSharding, CamShardedMatchesUnshardedBitwise) {
   constexpr std::int64_t kBatch = 5;
   Rng data_rng(151);
-  const Tensor batch = random_batch(data_rng, kBatch);
+  const Tensor batch = lenet_batch(data_rng, kBatch);
   for (const int threads : {1, 3, 7}) {
     util::set_global_threads(threads);
     for (const models::Variant variant : {models::Variant::PecanA, models::Variant::PecanD}) {
@@ -549,7 +536,7 @@ TEST(EngineSharding, CamShardedMatchesUnshardedBitwise) {
 TEST(EngineSharding, FloatShardedMatchesUnshardedBitwise) {
   constexpr std::int64_t kBatch = 6;
   Rng data_rng(163);
-  const Tensor batch = random_batch(data_rng, kBatch);
+  const Tensor batch = lenet_batch(data_rng, kBatch);
   for (const int threads : {1, 3, 7}) {
     util::set_global_threads(threads);
     runtime::EngineConfig reference_config;
@@ -581,7 +568,7 @@ TEST(EngineSharding, LatencyAttributedToParentRequest) {
   config.shard_samples = 1;
   runtime::Engine engine(models::make_lenet5(models::Variant::PecanD, rng), config);
   Rng data_rng(179);
-  const Tensor batch = random_batch(data_rng, 6);
+  const Tensor batch = lenet_batch(data_rng, 6);
   for (int r = 0; r < 3; ++r) engine.forward_batch(batch);
   const runtime::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.direct_batches, 3u);
@@ -642,8 +629,8 @@ TEST(EngineSharding, PrewarmResetsOpCounterAndUsage) {
 // ----------------------------------------------- submit validation + races
 
 TEST(Engine, RejectsZeroElementSubmissionsUpFront) {
-  // No input_shape configured: a [0,28,28] sample used to reach the
-  // batcher thread and poison its whole micro-batch.
+  // Built from a bare network (no artifact geometry): a [0,28,28] sample
+  // used to reach the batcher thread and poison its whole micro-batch.
   Rng rng(127);
   runtime::Engine engine(models::make_lenet5(models::Variant::PecanD, rng));
   EXPECT_THROW(engine.submit(Tensor({0, 28, 28})), std::invalid_argument);
@@ -654,8 +641,7 @@ TEST(Engine, RejectsZeroElementSubmissionsUpFront) {
 
 TEST(Engine, ShutdownDuringConcurrentSubmitsNeverBreaksPromises) {
   Rng rng(131);
-  runtime::Engine engine(models::make_lenet5(models::Variant::PecanD, rng),
-                         {runtime::ExecPath::Float, /*max_batch=*/4});
+  runtime::Engine engine(models::make_lenet5(models::Variant::PecanD, rng));
   constexpr int kClients = 4;
   constexpr int kPerClient = 24;
 
@@ -714,7 +700,7 @@ TEST(ModelArtifact, SaveLoadBuildReproducesLogitsBitwise) {
   auto trained = models::make_lenet5(models::Variant::PecanD, rng);
   trained->set_training(false);
   Rng data_rng(59);
-  Tensor batch = random_batch(data_rng, 2);
+  Tensor batch = lenet_batch(data_rng, 2);
   Tensor expected = trained->forward(batch);
 
   runtime::ModelArtifact artifact =
@@ -747,7 +733,7 @@ TEST(ModelArtifact, EngineFromArtifactServesCamPath) {
 
   cam::CamNetworkExport reference = cam::convert_to_cam(*trained);
   Rng data_rng(67);
-  Tensor batch = random_batch(data_rng, 2);
+  Tensor batch = lenet_batch(data_rng, 2);
   std::vector<Tensor> rows = forward_per_sample(*reference.net, batch);
 
   auto engine = runtime::Engine::from_artifact(runtime::load_artifact(path),
@@ -824,7 +810,7 @@ TEST(ModelArtifact, CamPrecisionRoundTripsAndEngineAdoptsIt) {
 
   // Both quantized engines still serve: same logits shape, finite values.
   Rng data_rng(89);
-  Tensor batch = random_batch(data_rng, 2);
+  Tensor batch = lenet_batch(data_rng, 2);
   Tensor int8_logits = adopted->forward_batch(batch);
   Tensor binary_logits = overridden->forward_batch(batch);
   EXPECT_EQ(int8_logits.dim(1), 10);

@@ -1,7 +1,6 @@
-// Tests for the multi-model serving front-end: single-class
-// util::PriorityBucketQueue semantics (the plain bounded FIFO), the Server's
-// model table (lease ownership across hot-swaps, generations that survive
-// undeploy and are never reused, races on one name), and its three acceptance
+// Tests for the multi-model serving front-end: the Server's model table
+// (lease ownership across hot-swaps, generations that survive undeploy and
+// are never reused, races on one name), and its three acceptance
 // guarantees — (a) per-sample results through the Server are bitwise-
 // identical to a direct Engine forward for every registered model under >=4
 // concurrent client threads, (b) hot-swap during sustained traffic loses no
@@ -16,7 +15,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <future>
 #include <mutex>
@@ -31,249 +29,22 @@
 #include "runtime/server.hpp"
 #include "tensor/rng.hpp"
 #include "tensor/serialize.hpp"
-#include "util/bounded_queue.hpp"
 #include "util/thread_pool.hpp"
+
+#include "serving_helpers.hpp"
 
 namespace pecan {
 namespace {
 
 using namespace std::chrono_literals;
 
-// ------------------------------------------------- PriorityBucketQueue, 1 class
-//
-// The single-class queue is the plain bounded FIFO: capacity, close, pop_batch
-// coalescing and MPMC delivery, with no priority precedence in play.
-
-constexpr auto kKeepAll = [](const int&, const int&) { return true; };
-
-TEST(PriorityBucketQueue, TryPushShedsAtCapacity) {
-  util::PriorityBucketQueue<int> queue(1, 2);
-  int a = 1, b = 2, c = 3;
-  EXPECT_EQ(queue.try_push(a, 0), util::PushResult::Ok);
-  EXPECT_EQ(queue.try_push(b, 0), util::PushResult::Ok);
-  EXPECT_EQ(queue.try_push(c, 0), util::PushResult::Full);
-  EXPECT_EQ(c, 3);  // rejected item is untouched
-  EXPECT_EQ(queue.size(), 2u);
-
-  std::vector<int> batch;
-  EXPECT_EQ(queue.pop_batch(batch, 8, 0us, 1, kKeepAll), 2u);
-  EXPECT_EQ(queue.try_push(c, 0), util::PushResult::Ok);  // space freed
-}
-
-TEST(PriorityBucketQueue, UnboundedNeverSheds) {
-  util::PriorityBucketQueue<int> queue(1);  // capacity 0 = unbounded
-  for (int i = 0; i < 1000; ++i) {
-    int v = i;
-    ASSERT_EQ(queue.try_push(v, 0), util::PushResult::Ok);
-  }
-  EXPECT_EQ(queue.size(), 1000u);
-}
-
-TEST(PriorityBucketQueue, BlockingPushWaitsForSpace) {
-  util::PriorityBucketQueue<int> queue(1, 1);
-  int first = 1;
-  ASSERT_EQ(queue.push(first, 0), util::PushResult::Ok);
-
-  std::atomic<bool> pushed{false};
-  std::thread producer([&] {
-    int second = 2;
-    EXPECT_EQ(queue.push(second, 0), util::PushResult::Ok);  // blocks until pop
-    pushed.store(true);
-  });
-  std::this_thread::sleep_for(20ms);
-  EXPECT_FALSE(pushed.load());  // still blocked on the full queue
-
-  std::vector<int> batch;
-  EXPECT_EQ(queue.pop_batch(batch, 1, 0us, 1, kKeepAll), 1u);
-  EXPECT_EQ(batch[0], 1);
-  producer.join();
-  EXPECT_TRUE(pushed.load());
-  EXPECT_EQ(queue.size(), 1u);
-}
-
-TEST(PriorityBucketQueue, CloseWakesBlockedProducerWithItemIntact) {
-  util::PriorityBucketQueue<int> queue(1, 1);
-  int first = 1;
-  ASSERT_EQ(queue.push(first, 0), util::PushResult::Ok);
-
-  std::atomic<int> result{-1};
-  int blocked_item = 42;
-  std::thread producer([&] {
-    result.store(static_cast<int>(queue.push(blocked_item, 0)));
-  });
-  std::this_thread::sleep_for(20ms);
-  queue.close();
-  producer.join();
-  EXPECT_EQ(result.load(), static_cast<int>(util::PushResult::Closed));
-  EXPECT_EQ(blocked_item, 42);  // caller still owns the payload
-
-  // Already-queued items stay poppable after close; then pop returns 0.
-  std::vector<int> batch;
-  EXPECT_EQ(queue.pop_batch(batch, 8, 1h, 8, kKeepAll), 1u);  // no straggler wait when closed
-  batch.clear();
-  EXPECT_EQ(queue.pop_batch(batch, 8, 0us, 1, kKeepAll), 0u);
-  int late = 7;
-  EXPECT_EQ(queue.try_push(late, 0), util::PushResult::Closed);
-  EXPECT_EQ(late, 7);
-}
-
-TEST(PriorityBucketQueue, PopBatchCoalescesLongestPrefixAcceptedByPredicate) {
-  util::PriorityBucketQueue<int> queue(1, 8);
-  for (int v : {1, 1, 1, 2, 2}) {
-    int item = v;
-    ASSERT_EQ(queue.push(item, 0), util::PushResult::Ok);
-  }
-  const auto same = [](const int& first, const int& candidate) { return first == candidate; };
-  std::vector<int> batch;
-  EXPECT_EQ(queue.pop_batch(batch, 8, 0us, 1, same), 3u);  // the three 1s
-  batch.clear();
-  EXPECT_EQ(queue.pop_batch(batch, 8, 0us, 1, same), 2u);  // then the two 2s
-  EXPECT_EQ(batch[0], 2);
-}
-
-TEST(PriorityBucketQueue, PopBatchWaitsForStragglers) {
-  util::PriorityBucketQueue<int> queue(1, 8);
-  std::thread producer([&] {
-    for (int v = 0; v < 3; ++v) {
-      std::this_thread::sleep_for(5ms);
-      int item = v;
-      queue.push(item, 0);
-    }
-  });
-  std::vector<int> batch;
-  // want=3 with a generous straggler window: all three coalesce into one pop.
-  EXPECT_EQ(queue.pop_batch(batch, 8, std::chrono::microseconds(2'000'000), 3, kKeepAll), 3u);
-  producer.join();
-}
-
-TEST(PriorityBucketQueue, PopBatchAnchorsPredicateOnThisCallsFirstItem) {
-  util::PriorityBucketQueue<int> queue(1, 8);
-  for (int v : {1, 1, 2}) {
-    int item = v;
-    ASSERT_EQ(queue.push(item, 0), util::PushResult::Ok);
-  }
-  const auto same = [](const int& first, const int& candidate) { return first == candidate; };
-  // The caller's vector already holds unrelated elements from a previous
-  // batch; coalescing must compare against the first item popped NOW (1),
-  // not against out.front() (9).
-  std::vector<int> out{9, 9};
-  EXPECT_EQ(queue.pop_batch(out, 8, 0us, 1, same), 2u);
-  EXPECT_EQ(out, (std::vector<int>{9, 9, 1, 1}));
-}
-
-TEST(PriorityBucketQueue, ConcurrentConsumerDrainingDuringStragglerWaitIsSafe) {
-  // Consumer A enters the straggler wait (want > queued); consumer B steals
-  // the only item meanwhile. A must re-check instead of popping from an
-  // empty deque, then see close() and return 0.
-  util::PriorityBucketQueue<int> queue(1, 8);
-  int item = 1;
-  ASSERT_EQ(queue.push(item, 0), util::PushResult::Ok);
-
-  std::atomic<std::size_t> a_popped{999};
-  std::thread consumer_a([&] {
-    std::vector<int> batch;
-    a_popped.store(queue.pop_batch(batch, 8, std::chrono::microseconds(100'000), 4, kKeepAll));
-  });
-  std::this_thread::sleep_for(20ms);  // A is inside the 100ms straggler wait
-  std::vector<int> batch;
-  EXPECT_EQ(queue.pop_batch(batch, 8, 0us, 1, kKeepAll), 1u);  // B drains the queue
-  EXPECT_EQ(batch[0], 1);
-  queue.close();
-  consumer_a.join();
-  EXPECT_EQ(a_popped.load(), 0u);  // A saw closed+empty, not UB on front()
-}
-
-TEST(PriorityBucketQueue, FullQueueSkipsStragglerWaitWhenWantExceedsCapacity) {
-  // want > capacity is a legal config (Engine: max_batch > max_pending).
-  // A full queue can never coalesce more, so pop_batch must return
-  // immediately instead of burning the whole straggler window.
-  util::PriorityBucketQueue<int> queue(1, 2);
-  for (int v : {1, 2}) {
-    int item = v;
-    ASSERT_EQ(queue.push(item, 0), util::PushResult::Ok);
-  }
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<int> batch;
-  EXPECT_EQ(queue.pop_batch(batch, 8, std::chrono::microseconds(5'000'000), 8, kKeepAll), 2u);
-  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
-}
-
-TEST(PriorityBucketQueue, MpmcDeliversEveryItemExactlyOnce) {
-  constexpr int kProducers = 4, kConsumers = 3, kPerProducer = 200;
-  util::PriorityBucketQueue<int> queue(1, 4);  // small capacity: real backpressure
-  std::vector<std::vector<int>> received(kConsumers);
-  std::vector<std::thread> threads;
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&, c] {
-      std::vector<int> batch;
-      for (;;) {
-        batch.clear();
-        if (queue.pop_batch(batch, 4, 0us, 1, kKeepAll) == 0) return;
-        received[static_cast<std::size_t>(c)].insert(received[static_cast<std::size_t>(c)].end(),
-                                                     batch.begin(), batch.end());
-      }
-    });
-  }
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        int v = p * kPerProducer + i;
-        ASSERT_EQ(queue.push(v, 0), util::PushResult::Ok);
-      }
-    });
-  }
-  for (std::thread& t : producers) t.join();
-  queue.close();
-  for (std::thread& t : threads) t.join();
-
-  std::vector<int> all;
-  for (const auto& r : received) all.insert(all.end(), r.begin(), r.end());
-  ASSERT_EQ(all.size(), static_cast<std::size_t>(kProducers * kPerProducer));
-  std::sort(all.begin(), all.end());
-  for (int i = 0; i < kProducers * kPerProducer; ++i) {
-    EXPECT_EQ(all[static_cast<std::size_t>(i)], i);
-  }
-}
-
 // ------------------------------------------------------------------- helpers
-
-Tensor lenet_batch(Rng& rng, std::int64_t n) { return rng.randn({n, 1, 28, 28}); }
-
-/// Splits a [N, ...] tensor into its N rows.
-std::vector<Tensor> split_rows(const Tensor& batched) {
-  const std::int64_t n = batched.dim(0);
-  const std::int64_t row_numel = batched.numel() / n;
-  Shape row_shape(batched.shape().begin() + 1, batched.shape().end());
-  std::vector<Tensor> rows;
-  for (std::int64_t s = 0; s < n; ++s) {
-    Tensor row(row_shape);
-    std::copy(batched.data() + s * row_numel, batched.data() + (s + 1) * row_numel, row.data());
-    rows.push_back(std::move(row));
-  }
-  return rows;
-}
-
-/// Extracts sample `s` of a [N,C,H,W] batch as a [C,H,W] tensor.
-Tensor nth_sample(const Tensor& batch, std::int64_t s) {
-  Tensor sample({batch.dim(1), batch.dim(2), batch.dim(3)});
-  const std::int64_t numel = sample.numel();
-  std::copy(batch.data() + s * numel, batch.data() + (s + 1) * numel, sample.data());
-  return sample;
-}
 
 void expect_bitwise(const Tensor& actual, const Tensor& expected, const std::string& what) {
   ASSERT_TRUE(actual.same_shape(expected)) << what;
   for (std::int64_t i = 0; i < actual.numel(); ++i) {
     ASSERT_EQ(actual[i], expected[i]) << what << " element " << i;
   }
-}
-
-/// True when `actual` is bitwise-equal to `expected` in full.
-bool matches(const Tensor& actual, const Tensor& expected) {
-  if (!actual.same_shape(expected)) return false;
-  return std::memcmp(actual.data(), expected.data(),
-                     static_cast<std::size_t>(actual.numel()) * sizeof(float)) == 0;
 }
 
 // --------------------------------------------------------------- model table
@@ -313,9 +84,7 @@ TEST(Server, RedeployAfterUndeployContinuesGeneration) {
   Rng rng(7), data(233);
   const Tensor batch = lenet_batch(data, 2);
   runtime::EngineConfig config;
-  config.max_batch = 1;
   config.max_pending = 1;  // a single-thread burst overruns it
-  config.backpressure = runtime::Backpressure::Reject;
 
   runtime::Server server;
   ASSERT_EQ(server.deploy("m", models::make_lenet5(models::Variant::PecanD, rng), config), 1u);
@@ -358,8 +127,7 @@ TEST(Server, ConcurrentSwapUndeployAndReadsOnOneName) {
   std::vector<std::uint64_t> deployed;  // every generation deploy() returned
   std::mutex deployed_mutex;
   const auto deploy = [&](std::uint64_t seed) {
-    Rng rng(seed);
-    const std::uint64_t g = server.deploy("m", models::make_lenet5(models::Variant::PecanD, rng));
+    const std::uint64_t g = server.deploy("m", lenet(seed));
     std::lock_guard<std::mutex> lock(deployed_mutex);
     deployed.push_back(g);
   };
@@ -524,17 +292,13 @@ TEST(Server, HotSwapLosesNoRequestAndNeverMixesWeights) {
   const Tensor batch = lenet_batch(data, kSamples);
 
   // Two weight generations with visibly different logits.
-  const auto build_gen = [](std::uint64_t seed) {
-    Rng rng(seed);
-    return models::make_lenet5(models::Variant::PecanD, rng);
-  };
   std::vector<Tensor> ref_old, ref_new;
   {
-    runtime::Engine direct(build_gen(7));
+    runtime::Engine direct(lenet(7));
     ref_old = split_rows(direct.forward_batch(batch));
   }
   {
-    runtime::Engine direct(build_gen(8));
+    runtime::Engine direct(lenet(8));
     ref_new = split_rows(direct.forward_batch(batch));
   }
   for (std::int64_t s = 0; s < kSamples; ++s) {
@@ -544,10 +308,7 @@ TEST(Server, HotSwapLosesNoRequestAndNeverMixesWeights) {
   }
 
   runtime::Server server;
-  runtime::EngineConfig config;
-  config.max_batch = 4;
-  config.batch_wait = std::chrono::microseconds(100);
-  server.deploy("m", build_gen(7), config);
+  server.deploy("m", lenet(7));
 
   std::atomic<std::uint64_t> submitted{0}, served{0}, matched_old{0}, matched_new{0},
       mixed{0};
@@ -575,7 +336,7 @@ TEST(Server, HotSwapLosesNoRequestAndNeverMixesWeights) {
   std::uint64_t generation = 1;
   for (const std::uint64_t seed : {8u, 7u, 8u}) {
     std::this_thread::sleep_for(5ms);
-    generation = server.deploy("m", build_gen(seed), config);
+    generation = server.deploy("m", lenet(seed));
   }
   for (std::thread& t : clients) t.join();
   util::set_global_threads(1);
@@ -611,18 +372,14 @@ TEST(Server, RejectModeShedsWithDistinctErrorWhileAcceptedComplete) {
   const Tensor batch = lenet_batch(data, kSamples);
   std::vector<Tensor> ref;
   {
-    Rng rng(7);
-    runtime::Engine direct(models::make_lenet5(models::Variant::PecanD, rng));
+    runtime::Engine direct(lenet(7));
     ref = split_rows(direct.forward_batch(batch));
   }
 
   runtime::Server server;
   runtime::EngineConfig config;
-  config.max_batch = 1;   // consume one sample per inference
-  config.max_pending = 1; // tiny pending queue: bursts must shed
-  config.backpressure = runtime::Backpressure::Reject;
-  server.deploy("m", [] { Rng rng(7); return models::make_lenet5(models::Variant::PecanD, rng); }(),
-                config);
+  config.max_pending = 1;  // tiny pending queue: bursts must shed, batches hold one sample
+  server.deploy("m", lenet(7), config);
 
   std::atomic<std::uint64_t> shed{0}, accepted{0}, correct{0};
   std::vector<std::thread> clients;
@@ -658,48 +415,6 @@ TEST(Server, RejectModeShedsWithDistinctErrorWhileAcceptedComplete) {
   EXPECT_EQ(stats.engine.shed, shed.load());
   EXPECT_EQ(stats.engine.requests, accepted.load());
   EXPECT_EQ(stats.engine.queue_depth, 0);  // all drained
-}
-
-TEST(Server, BlockModeBackpressureCompletesEveryRequest) {
-  util::set_global_threads(1);
-  constexpr int kClients = 4;
-  constexpr int kPerClient = 12;
-
-  Rng data(311);
-  const Tensor batch = lenet_batch(data, 2);
-  std::vector<Tensor> ref;
-  {
-    Rng rng(7);
-    runtime::Engine direct(models::make_lenet5(models::Variant::PecanD, rng));
-    ref = split_rows(direct.forward_batch(batch));
-  }
-
-  runtime::Server server;
-  runtime::EngineConfig config;
-  config.max_batch = 2;
-  config.max_pending = 2;  // tiny queue, but Block mode: submit waits, never sheds
-  config.backpressure = runtime::Backpressure::Block;
-  server.deploy("m", [] { Rng rng(7); return models::make_lenet5(models::Variant::PecanD, rng); }(),
-                config);
-
-  std::atomic<std::uint64_t> correct{0};
-  std::vector<std::thread> clients;
-  for (int c = 0; c < kClients; ++c) {
-    clients.emplace_back([&] {
-      for (int r = 0; r < kPerClient; ++r) {
-        const std::int64_t s = r % 2;
-        Tensor row = server.submit("m", nth_sample(batch, s)).get();
-        if (matches(row, ref[static_cast<std::size_t>(s)])) correct.fetch_add(1);
-      }
-    });
-  }
-  for (std::thread& t : clients) t.join();
-
-  EXPECT_EQ(correct.load(), static_cast<std::uint64_t>(kClients * kPerClient));
-  const runtime::ModelServerStats stats = server.stats("m");
-  EXPECT_EQ(stats.shed_total, 0u);
-  EXPECT_EQ(stats.engine.shed, 0u);
-  EXPECT_EQ(stats.engine.requests, static_cast<std::uint64_t>(kClients * kPerClient));
 }
 
 // ------------------------------------------------------- undeploy semantics

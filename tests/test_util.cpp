@@ -1,9 +1,10 @@
 // Tests for the utility substrate: CLI parsing, CSV/PGM writers, formatting,
-// the PriorityBucketQueue close/pop_batch race (no accepted item lost or
-// duplicated when close() lands while consumers are mid-coalesce), its
-// scheduling policies (FIFO within class, strict cross-class precedence,
-// cross-class coalescing, try_push shedding the arrival at the bound), and
-// the LatencyWindow percentile ring.
+// every PriorityBucketQueue test — the single-class bounded FIFO (capacity,
+// close, pop_batch coalescing, MPMC delivery), the close/pop_batch race (no
+// accepted item lost or duplicated when close() lands while consumers are
+// mid-coalesce), and the scheduling policies (FIFO within class, strict
+// cross-class precedence, cross-class coalescing, try_push shedding the
+// arrival at the bound) — and the LatencyWindow percentile ring.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,6 +26,10 @@
 
 namespace pecan::util {
 namespace {
+
+using namespace std::chrono_literals;
+
+constexpr auto kKeepAll = [](const int&, const int&) { return true; };
 
 std::string read_file(const std::string& path) {
   std::ifstream in(path);
@@ -54,6 +59,16 @@ TEST(Cli, RejectsPositional) {
   EXPECT_THROW(Args(2, argv), std::invalid_argument);
 }
 
+TEST(Cli, RejectsNumbersWithTrailingJunk) {
+  const char* argv[] = {"prog", "--listen", "7171x", "--seconds", "2.5s",
+                        "--port", "7171", "--rate", "2.5"};
+  Args args(9, argv);
+  EXPECT_THROW(args.get_int("listen", 0), std::invalid_argument);
+  EXPECT_THROW(args.get_double("seconds", 0), std::invalid_argument);
+  EXPECT_EQ(args.get_int("port", 0), 7171);
+  EXPECT_DOUBLE_EQ(args.get_double("rate", 0), 2.5);
+}
+
 TEST(Cli, TracksUnusedKeys) {
   const char* argv[] = {"prog", "--used", "1", "--typoed", "2"};
   Args args(5, argv);
@@ -63,21 +78,179 @@ TEST(Cli, TracksUnusedKeys) {
   EXPECT_EQ(unused[0], "typoed");
 }
 
+// ------------------------------------------------- PriorityBucketQueue, 1 class
+//
+// The single-class queue is the plain bounded FIFO: capacity, close, pop_batch
+// coalescing and MPMC delivery, with no priority precedence in play.
+
+TEST(PriorityBucketQueue, TryPushShedsAtCapacity) {
+  PriorityBucketQueue<int> queue(1, 2);
+  int a = 1, b = 2, c = 3;
+  EXPECT_EQ(queue.try_push(a, 0), PushResult::Ok);
+  EXPECT_EQ(queue.try_push(b, 0), PushResult::Ok);
+  EXPECT_EQ(queue.try_push(c, 0), PushResult::Full);
+  EXPECT_EQ(c, 3);  // rejected item is untouched
+  EXPECT_EQ(queue.size(), 2u);
+
+  std::vector<int> batch;
+  EXPECT_EQ(queue.pop_batch(batch, 8, 0us, kKeepAll), 2u);
+  EXPECT_EQ(queue.try_push(c, 0), PushResult::Ok);  // space freed
+
+  // After close, try_push fails with Closed and leaves the item untouched,
+  // while already-queued items stay poppable; then pop returns 0.
+  queue.close();
+  int late = 7;
+  EXPECT_EQ(queue.try_push(late, 0), PushResult::Closed);
+  EXPECT_EQ(late, 7);  // caller still owns the payload
+  batch.clear();
+  EXPECT_EQ(queue.pop_batch(batch, 8, 1h, kKeepAll), 1u);  // no straggler wait when closed
+  EXPECT_EQ(batch, std::vector<int>{3});
+  batch.clear();
+  EXPECT_EQ(queue.pop_batch(batch, 8, 0us, kKeepAll), 0u);
+}
+
+TEST(PriorityBucketQueue, UnboundedNeverSheds) {
+  PriorityBucketQueue<int> queue(1);  // capacity 0 = unbounded
+  for (int i = 0; i < 1000; ++i) {
+    int v = i;
+    ASSERT_EQ(queue.try_push(v, 0), PushResult::Ok);
+  }
+  EXPECT_EQ(queue.size(), 1000u);
+}
+
+TEST(PriorityBucketQueue, PopBatchCoalescesLongestPrefixAcceptedByPredicate) {
+  PriorityBucketQueue<int> queue(1, 8);
+  for (int v : {1, 1, 1, 2, 2}) {
+    int item = v;
+    ASSERT_EQ(queue.try_push(item, 0), PushResult::Ok);
+  }
+  const auto same = [](const int& first, const int& candidate) { return first == candidate; };
+  std::vector<int> batch;
+  EXPECT_EQ(queue.pop_batch(batch, 8, 0us, same), 3u);  // the three 1s
+  batch.clear();
+  EXPECT_EQ(queue.pop_batch(batch, 8, 0us, same), 2u);  // then the two 2s
+  EXPECT_EQ(batch[0], 2);
+}
+
+TEST(PriorityBucketQueue, PopBatchWaitsForStragglers) {
+  PriorityBucketQueue<int> queue(1, 8);
+  std::thread producer([&] {
+    for (int v = 0; v < 3; ++v) {
+      std::this_thread::sleep_for(5ms);
+      int item = v;
+      queue.try_push(item, 0);
+    }
+  });
+  std::vector<int> batch;
+  // max=3 with a generous straggler window: all three coalesce into one pop.
+  EXPECT_EQ(queue.pop_batch(batch, 3, 2s, kKeepAll), 3u);
+  producer.join();
+}
+
+TEST(PriorityBucketQueue, PopBatchAnchorsPredicateOnThisCallsFirstItem) {
+  PriorityBucketQueue<int> queue(1, 8);
+  for (int v : {1, 1, 2}) {
+    int item = v;
+    ASSERT_EQ(queue.try_push(item, 0), PushResult::Ok);
+  }
+  const auto same = [](const int& first, const int& candidate) { return first == candidate; };
+  // The caller's vector already holds unrelated elements from a previous
+  // batch; coalescing must compare against the first item popped NOW (1),
+  // not against out.front() (9).
+  std::vector<int> out{9, 9};
+  EXPECT_EQ(queue.pop_batch(out, 8, 0us, same), 2u);
+  EXPECT_EQ(out, (std::vector<int>{9, 9, 1, 1}));
+}
+
+TEST(PriorityBucketQueue, ConcurrentConsumerDrainingDuringStragglerWaitIsSafe) {
+  // Consumer A enters the straggler wait (max > queued); consumer B steals
+  // the only item meanwhile. A must re-check instead of popping from an
+  // empty deque, then see close() and return 0.
+  PriorityBucketQueue<int> queue(1, 8);
+  int item = 1;
+  ASSERT_EQ(queue.try_push(item, 0), PushResult::Ok);
+
+  std::atomic<std::size_t> a_popped{999};
+  std::thread consumer_a([&] {
+    std::vector<int> batch;
+    a_popped.store(queue.pop_batch(batch, 8, 100ms, kKeepAll));
+  });
+  std::this_thread::sleep_for(20ms);  // A is inside the 100ms straggler wait
+  std::vector<int> batch;
+  EXPECT_EQ(queue.pop_batch(batch, 8, 0us, kKeepAll), 1u);  // B drains the queue
+  EXPECT_EQ(batch[0], 1);
+  queue.close();
+  consumer_a.join();
+  EXPECT_EQ(a_popped.load(), 0u);  // A saw closed+empty, not UB on front()
+}
+
+TEST(PriorityBucketQueue, FullQueueSkipsStragglerWaitWhenMaxExceedsCapacity) {
+  // max > capacity is a legal config (Engine: kMaxBatch > max_pending).
+  // A full queue can never coalesce more, so pop_batch must return
+  // immediately instead of burning the whole straggler window.
+  PriorityBucketQueue<int> queue(1, 2);
+  for (int v : {1, 2}) {
+    int item = v;
+    ASSERT_EQ(queue.try_push(item, 0), PushResult::Ok);
+  }
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<int> batch;
+  EXPECT_EQ(queue.pop_batch(batch, 8, 5s, kKeepAll), 2u);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+}
+
+TEST(PriorityBucketQueue, MpmcDeliversEveryItemExactlyOnce) {
+  constexpr int kProducers = 4, kConsumers = 3, kPerProducer = 200;
+  PriorityBucketQueue<int> queue(1, 4);  // small capacity: producers see Full often
+  std::vector<std::vector<int>> received(kConsumers);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kConsumers; ++c) {
+    threads.emplace_back([&, c] {
+      std::vector<int> batch;
+      for (;;) {
+        batch.clear();
+        if (queue.pop_batch(batch, 4, 0us, kKeepAll) == 0) return;
+        received[static_cast<std::size_t>(c)].insert(received[static_cast<std::size_t>(c)].end(),
+                                                     batch.begin(), batch.end());
+      }
+    });
+  }
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      for (int i = 0; i < kPerProducer; ++i) {
+        int v = p * kPerProducer + i;
+        PushResult result;
+        while ((result = queue.try_push(v, 0)) == PushResult::Full) std::this_thread::yield();
+        ASSERT_EQ(result, PushResult::Ok);
+      }
+    });
+  }
+  for (std::thread& t : producers) t.join();
+  queue.close();
+  for (std::thread& t : threads) t.join();
+
+  std::vector<int> all;
+  for (const auto& r : received) all.insert(all.end(), r.begin(), r.end());
+  ASSERT_EQ(all.size(), static_cast<std::size_t>(kProducers * kPerProducer));
+  std::sort(all.begin(), all.end());
+  for (int i = 0; i < kProducers * kPerProducer; ++i) {
+    EXPECT_EQ(all[static_cast<std::size_t>(i)], i);
+  }
+}
+
 // The serving-path invariant behind Engine::shutdown: every sample the queue
 // ACCEPTED is answered exactly once, even when close() races consumers that
-// are mid-coalesce inside pop_batch (straggler wait) and producers that are
-// blocked in push(), across classes. Run many short rounds so close() lands
+// are mid-coalesce inside pop_batch (straggler wait) and producers pushing
+// into a full queue, across classes. Run many short rounds so close() lands
 // at a different phase each time.
 TEST(PriorityBucketQueue, PopBatchCloseRaceLosesNothingDuplicatesNothing) {
-  using namespace std::chrono_literals;
   constexpr int kRounds = 40;
   constexpr int kProducers = 3;
   constexpr int kConsumers = 2;
   constexpr int kItemsPerProducer = 50;
-  constexpr auto kKeep = [](const int&, const int&) { return true; };
-
   for (int round = 0; round < kRounds; ++round) {
-    PriorityBucketQueue<int> queue(3, 4);  // small capacity: producers block often
+    PriorityBucketQueue<int> queue(3, 4);  // small capacity: producers see Full often
 
     std::mutex accepted_mutex;
     std::vector<int> accepted;
@@ -88,10 +261,9 @@ TEST(PriorityBucketQueue, PopBatchCloseRaceLosesNothingDuplicatesNothing) {
           const std::size_t cls = static_cast<std::size_t>((p + i) % 3);
           int item = p * kItemsPerProducer + i;
           const int value = item;
-          // Alternate blocking and shedding pushes: both must agree with the
-          // consumer side about what was accepted.
-          const PushResult result =
-              (i % 2 == 0) ? queue.push(item, cls) : queue.try_push(item, cls);
+          // Every push outcome must agree with the consumer side about what
+          // was accepted.
+          const PushResult result = queue.try_push(item, cls);
           if (result == PushResult::Ok) {
             std::lock_guard<std::mutex> lock(accepted_mutex);
             accepted.push_back(value);
@@ -111,9 +283,9 @@ TEST(PriorityBucketQueue, PopBatchCloseRaceLosesNothingDuplicatesNothing) {
         std::vector<int> batch;
         for (;;) {
           batch.clear();
-          // want > capacity forces the straggler wait — the mid-coalesce
+          // max > capacity forces the straggler wait — the mid-coalesce
           // window the close() must not corrupt.
-          if (queue.pop_batch(batch, 8, 300us, 6, kKeep) == 0) return;
+          if (queue.pop_batch(batch, 8, 300us, kKeepAll) == 0) return;
           std::lock_guard<std::mutex> lock(popped_mutex);
           popped.insert(popped.end(), batch.begin(), batch.end());
         }
@@ -135,29 +307,27 @@ TEST(PriorityBucketQueue, PopBatchCloseRaceLosesNothingDuplicatesNothing) {
 }
 
 // close() while a consumer is parked INSIDE the straggler wait (queue has
-// items, but fewer than `want`): the consumer must still pop what is there —
+// items, but fewer than `max`): the consumer must still pop what is there —
 // close never discards queued items.
 TEST(PriorityBucketQueue, CloseDuringStragglerWaitStillDeliversQueuedItems) {
-  using namespace std::chrono_literals;
-  constexpr auto kKeep = [](const int&, const int&) { return true; };
   PriorityBucketQueue<int> queue(1, 16);
   for (int v : {1, 2, 3}) {
     int item = v;
-    ASSERT_EQ(queue.push(item, 0), PushResult::Ok);
+    ASSERT_EQ(queue.try_push(item, 0), PushResult::Ok);
   }
 
   std::vector<int> batch;
   std::thread consumer([&] {
-    // want=8 > queued=3 and a long straggler window: the consumer parks
+    // max=8 > queued=3 and a long straggler window: the consumer parks
     // until close() wakes it, then must deliver all 3 items.
-    queue.pop_batch(batch, 8, 10s, 8, kKeep);
+    queue.pop_batch(batch, 8, 10s, kKeepAll);
   });
   std::this_thread::sleep_for(20ms);
   queue.close();
   consumer.join();
   EXPECT_EQ(batch, (std::vector<int>{1, 2, 3}));
   batch.clear();
-  EXPECT_EQ(queue.pop_batch(batch, 8, 0us, 1, kKeep), 0u);  // closed and drained
+  EXPECT_EQ(queue.pop_batch(batch, 8, 0us, kKeepAll), 0u);  // closed and drained
 }
 
 // ---------------------------------------------------------------------------
@@ -166,17 +336,14 @@ TEST(PriorityBucketQueue, CloseDuringStragglerWaitStillDeliversQueuedItems) {
 // order.
 // ---------------------------------------------------------------------------
 
-constexpr auto kKeepAll = [](const int&, const int&) { return true; };
-
 int push_pq(PriorityBucketQueue<int>& q, std::size_t cls, int seq) {
   int item = static_cast<int>(cls) * 1000 + seq;
   const int value = item;
-  EXPECT_EQ(q.push(item, cls), PushResult::Ok);
+  EXPECT_EQ(q.try_push(item, cls), PushResult::Ok);
   return value;
 }
 
 TEST(PriorityBucketQueue, FifoWithinClassAndStrictPrecedenceAcrossClasses) {
-  using namespace std::chrono_literals;
   PriorityBucketQueue<int> q(3);
   // Interleave pushes across classes; pops must come back class 2 first
   // (FIFO within it), then class 1, then class 0.
@@ -192,14 +359,13 @@ TEST(PriorityBucketQueue, FifoWithinClassAndStrictPrecedenceAcrossClasses) {
   std::vector<int> batch;
   while (q.size() > 0) {
     batch.clear();
-    ASSERT_EQ(q.pop_batch(batch, 1, 0us, 1, kKeepAll), 1u);
+    ASSERT_EQ(q.pop_batch(batch, 1, 0us, kKeepAll), 1u);
     order.push_back(batch[0]);
   }
   EXPECT_EQ(order, (std::vector<int>{2000, 2001, 1000, 1001, 0, 1}));
 }
 
 TEST(PriorityBucketQueue, PopBatchCoalescesAcrossClasses) {
-  using namespace std::chrono_literals;
   PriorityBucketQueue<int> q(3);
   push_pq(q, 0, 0);
   push_pq(q, 0, 1);
@@ -209,7 +375,7 @@ TEST(PriorityBucketQueue, PopBatchCoalescesAcrossClasses) {
   // straggler come from the highest non-empty class at that moment, so the
   // batch crosses from class 2 into class 0 in precedence order.
   std::vector<int> batch;
-  EXPECT_EQ(q.pop_batch(batch, 8, 0us, 1, kKeepAll), 4u);
+  EXPECT_EQ(q.pop_batch(batch, 8, 0us, kKeepAll), 4u);
   EXPECT_EQ(batch, (std::vector<int>{2000, 2001, 0, 1}));
   // The keep predicate still bounds the coalesced prefix across classes.
   push_pq(q, 2, 2);
@@ -218,7 +384,7 @@ TEST(PriorityBucketQueue, PopBatchCoalescesAcrossClasses) {
   const auto keep_same_class = [](const int& first, const int& cand) {
     return first / 1000 == cand / 1000;
   };
-  EXPECT_EQ(q.pop_batch(batch, 8, 0us, 1, keep_same_class), 1u);
+  EXPECT_EQ(q.pop_batch(batch, 8, 0us, keep_same_class), 1u);
   EXPECT_EQ(batch, (std::vector<int>{2002}));
   EXPECT_EQ(q.size(), 1u);  // the class-0 item stayed queued
 }
@@ -249,7 +415,6 @@ TEST(PriorityBucketQueue, SoftCapacityTightensAndReopensAdmission) {
 }
 
 TEST(PriorityBucketQueue, CloseWithPendingDrainsEveryClass) {
-  using namespace std::chrono_literals;
   PriorityBucketQueue<int> q(3);
   push_pq(q, 0, 0);
   push_pq(q, 1, 0);
@@ -261,7 +426,7 @@ TEST(PriorityBucketQueue, CloseWithPendingDrainsEveryClass) {
   std::vector<int> batch;
   for (;;) {
     batch.clear();
-    if (q.pop_batch(batch, 2, 0us, 1, kKeepAll) == 0) break;
+    if (q.pop_batch(batch, 2, 0us, kKeepAll) == 0) break;
     out.insert(out.end(), batch.begin(), batch.end());
   }
   EXPECT_EQ(out, (std::vector<int>{2000, 1000, 1001, 0}));
@@ -280,7 +445,6 @@ TEST(PriorityBucketQueue, CloseWithPendingDrainsEveryClass) {
 // class — once it saw a class-c item, all higher classes were already empty
 // and stay empty.
 TEST(PriorityBucketQueue, ConcurrentPopsObserveNonIncreasingClasses) {
-  using namespace std::chrono_literals;
   constexpr int kPerClass = 200;
   PriorityBucketQueue<int> q(3);
   for (int seq = 0; seq < kPerClass; ++seq) {
@@ -297,7 +461,7 @@ TEST(PriorityBucketQueue, ConcurrentPopsObserveNonIncreasingClasses) {
       int popped = 0;
       for (;;) {
         batch.clear();
-        if (q.pop_batch(batch, 3, 0us, 1, kKeepAll) == 0) break;
+        if (q.pop_batch(batch, 3, 0us, kKeepAll) == 0) break;
         for (int v : batch) {
           const int cls = v / 1000;
           EXPECT_LE(cls, last_class);
