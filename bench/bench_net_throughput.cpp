@@ -294,7 +294,7 @@ int main(int argc, char** argv) {
   const bool smoke = args.get_bool("smoke", false);
   const bool faults = args.get_bool("faults", false);
   const std::string host = args.get("host", "127.0.0.1");
-  auto port = static_cast<std::uint16_t>(args.get_int("port", 0));  // 0 = self-host
+  std::uint16_t port = args.get_port("port", 0);  // 0 = self-host
   const std::string model = args.get("model", "lenet5-d");
   const int threads = static_cast<int>(args.get_int("threads", 2));
   const int executors = static_cast<int>(args.get_int("executors", 4));

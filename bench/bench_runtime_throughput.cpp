@@ -158,7 +158,7 @@ void run_open_clients(runtime::Server& server, const std::string& model, const T
         std::vector<InFlight> batch;
         for (;;) {
           batch.clear();
-          if (handoff.pop_batch(batch, 64, std::chrono::microseconds(0),
+          if (handoff.pop_batch(batch, 64,
                                 [](const InFlight&, const InFlight&) { return true; }) == 0) {
             return;
           }

@@ -138,7 +138,7 @@ int main(int argc, char** argv) {
   const std::int64_t requests = args.get_int("requests", 48);
   const int clients = static_cast<int>(args.get_int("clients", 2));
   const bool listen = args.has("listen");
-  const auto listen_port = static_cast<std::uint16_t>(args.get_int("listen", 0));
+  const std::uint16_t listen_port = args.get_port("listen", 0);
   const std::string host = args.get("host", "127.0.0.1");
   const int net_workers = static_cast<int>(args.get_int("net-workers", 2));
   // CAM operating point of the CAM-exported deploy (float32 | int8 | binary).

@@ -38,7 +38,6 @@ Engine::Engine(std::unique_ptr<nn::Sequential> net, EngineConfig config)
       config_(config),
       queue_(1, config.max_pending > 0 ? static_cast<std::size_t>(config.max_pending) : 0),
       eff_batch_(kMaxBatch),
-      eff_wait_us_(kBatchWait.count()),
       latency_(kLatencyWindow) {
   if (!net_) throw std::invalid_argument("Engine: null network");
   if (config_.max_pending < 0) throw std::invalid_argument("Engine: max_pending must be >= 0");
@@ -368,18 +367,17 @@ void Engine::batcher_loop() {
   std::vector<Pending> batch;
   for (;;) {
     batch.clear();
-    // Block for the first sample, wait for stragglers, then coalesce the
-    // longest same-shape run in FIFO order. Batch size and straggler wait
-    // are the CONTROLLER'S effective values, re-read each iteration (they
-    // stay kMaxBatch and kBatchWait when slo_target_ms is off). Returns 0
-    // only when the queue is closed AND drained, so every accepted request
-    // is executed.
+    // Block for the first sample, then coalesce the longest same-shape run
+    // of what is ALREADY queued, in FIFO order — no straggler wait, so a
+    // lone sample runs at once and batches form from the backlog that
+    // built up while the previous batch ran. The batch cap is the
+    // CONTROLLER'S effective value, re-read each iteration (it stays
+    // kMaxBatch when slo_target_ms is off). Returns 0 only when the queue
+    // is closed AND drained, so every accepted request is executed.
     const auto eff_batch =
         static_cast<std::size_t>(eff_batch_.load(std::memory_order_relaxed));
-    const std::chrono::microseconds eff_wait{eff_wait_us_.load(std::memory_order_relaxed)};
-    const std::size_t popped = queue_.pop_batch(
-        batch, eff_batch, eff_wait,
-        [](const Pending& first, const Pending& candidate) {
+    const std::size_t popped =
+        queue_.pop_batch(batch, eff_batch, [](const Pending& first, const Pending& candidate) {
           return first.sample.shape() == candidate.sample.shape();
         });
     if (popped == 0) return;
@@ -428,26 +426,33 @@ void Engine::execute_pending(std::vector<Pending>& batch) {
 
     // Micro-batches shard too (one coalesced batch = one parent request):
     // on a multi-lane pool a full micro-batch fans out across lanes, which
-    // cuts the tail latency of every straggler coalesced into it. Latency
+    // cuts the tail latency of every sample coalesced into it. Latency
     // is NOT recorded here: each sample is accounted end-to-end below.
     Tensor out = run_request(stacked, /*record_latency=*/false);
     if (out.ndim() < 1 || out.dim(0) != b) {
       throw std::logic_error("Engine: network returned batch dim " +
                              shape_str(out.shape()) + " for batch of " + std::to_string(b));
     }
+    const auto done = std::chrono::steady_clock::now();
+    const auto us = [](std::chrono::steady_clock::duration d) {
+      return std::chrono::duration<double, std::micro>(d).count();
+    };
+    double queue_wait_us = 0.0;
+    for (const Pending& pending : batch) queue_wait_us += us(exec_start - pending.enqueued_at);
     // Count before resolving the promises so a client that reads stats()
     // right after future.get() never sees its own batch missing.
     {
       std::lock_guard<std::mutex> stats_lock(stats_mutex_);
       ++stats_.batches;
       stats_.batched_samples += static_cast<std::uint64_t>(b);
+      stats_.queue_wait_us += queue_wait_us;
+      stats_.exec_us += static_cast<double>(b) * us(done - exec_start);
     }
-    const auto done = std::chrono::steady_clock::now();
     Shape row_shape(out.shape().begin() + 1, out.shape().end());
     const std::int64_t row_numel = out.numel() / b;
     for (std::int64_t i = 0; i < b; ++i) {
       Pending& pending = batch[static_cast<std::size_t>(i)];
-      // End-to-end latency (queue wait + coalesce + execute), recorded
+      // End-to-end latency (queue wait + execute), recorded
       // BEFORE the promise resolves so a client reading stats() right after
       // get() sees its own sample.
       record_latency(
@@ -523,32 +528,30 @@ void Engine::update_controller(double batch_ms, std::int64_t batch_size) {
     window_n = latency_.size();
   }
   const std::int64_t cur_batch = eff_batch_.load(std::memory_order_relaxed);
-  const std::int64_t cur_wait = eff_wait_us_.load(std::memory_order_relaxed);
   // Multiplicative decrease near the SLO, growth only when the queue is deep
   // enough to fill bigger batches AND the tail has real headroom — the
   // classic AIMD-flavored asymmetry: back off fast, grow deliberately. The
   // window gate keeps the controller from steering on a handful of samples.
   if (window_n >= 8 && p99 > 0.85 * config_.slo_target_ms) {
     eff_batch_.store(std::max<std::int64_t>(1, cur_batch / 2), std::memory_order_relaxed);
-    eff_wait_us_.store(cur_wait / 2, std::memory_order_relaxed);
   } else if (window_n >= 8 && p99 < 0.6 * config_.slo_target_ms &&
              static_cast<std::int64_t>(queue_.size()) >= cur_batch) {
     eff_batch_.store(std::min(kMaxBatch, cur_batch * 2), std::memory_order_relaxed);
-    eff_wait_us_.store(
-        std::min<std::int64_t>(kBatchWait.count(), std::max<std::int64_t>(cur_wait * 2, 50)),
-        std::memory_order_relaxed);
   }
   // Bounded queue: derive the pending-depth cap that makes queue wait fit the
   // SLO. Every queued sample costs ~ewma ms of wait, so capping depth at
   // half the SLO's worth of samples bounds p99 near the target no matter
   // how fast the hardware is — admission control does what batch-size
-  // tuning alone cannot once the queue is saturated.
+  // tuning alone cannot once the queue is saturated. The queue is told only
+  // when the cap moves: depth_cap_ is written by this thread alone.
   if (config_.max_pending > 0 && ewma_sample_ms_ > 0.0) {
     const double budget = 0.5 * config_.slo_target_ms;
     auto cap = static_cast<std::int64_t>(budget / ewma_sample_ms_);
     cap = std::clamp<std::int64_t>(cap, 1, config_.max_pending);
-    depth_cap_.store(cap, std::memory_order_relaxed);
-    queue_.set_soft_capacity(static_cast<std::size_t>(cap));
+    if (cap != depth_cap_.load(std::memory_order_relaxed)) {
+      depth_cap_.store(cap, std::memory_order_relaxed);
+      queue_.set_soft_capacity(static_cast<std::size_t>(cap));
+    }
   }
 }
 
@@ -569,7 +572,6 @@ EngineStats Engine::stats() const {
   snapshot.scratch_bytes = scratch_bytes;
   snapshot.queue_depth = static_cast<std::int64_t>(queue_.size());
   snapshot.eff_max_batch = eff_batch_.load(std::memory_order_relaxed);
-  snapshot.eff_batch_wait_us = eff_wait_us_.load(std::memory_order_relaxed);
   snapshot.depth_cap = depth_cap_.load(std::memory_order_relaxed);
   // Energy: price the exact op ledger through the energy table. The per-bank
   // ledgers are mirrors of the same aggregates, so banks[].energy_pj sums to

@@ -11,18 +11,20 @@
 //     client-level parallelism the stateless path gives N separate
 //     clients, with rows recombined in order and bitwise-identical output;
 //   * submit(): single-sample requests that a background batcher thread
-//     coalesces into micro-batches (up to kMaxBatch, waiting at most
-//     kBatchWait for stragglers) and answers through futures — the classic
-//     serving-side latency/throughput trade. The pending queue is one FIFO
-//     (a single-class util::PriorityBucketQueue), and with max_pending set
-//     a full queue sheds the arrival with OverloadedError — the admission
+//     coalesces into micro-batches and answers through futures. The batcher
+//     never waits for stragglers: it pops the first pending sample at once,
+//     together with whatever else queued while the previous batch ran (up
+//     to kMaxBatch), so batches grow with load and a lone sample pays no
+//     coalescing delay. The pending queue is one FIFO (a single-class
+//     util::PriorityBucketQueue), and with max_pending set a full queue
+//     sheds the arrival with OverloadedError — the admission
 //     control the multi-model runtime::Server exposes per model. Nothing
 //     in submit() waits for queue space. Request priority is not an engine
 //     concept: NetServer's executor queue orders wire requests before they
 //     reach submit(). With slo_target_ms set, an adaptive controller steers
-//     the effective micro-batch size, straggler wait, and (with max_pending
-//     set) pending-depth cap off the windowed end-to-end p99 so tail
-//     latency tracks the SLO under load.
+//     the effective micro-batch size and (with max_pending set) the
+//     pending-depth cap off the windowed end-to-end p99 so tail latency
+//     tracks the SLO under load.
 //
 // Concurrency model: the network is immutable after compile() and every
 // forward executes through the stateless Module::infer path, with all
@@ -84,9 +86,6 @@ enum class Backpressure { Reject };
 /// Micro-batch size cap of the submit() batcher; the SLO controller moves
 /// the effective cap within [1, kMaxBatch].
 constexpr std::int64_t kMaxBatch = 8;
-/// Straggler wait per micro-batch; the SLO controller moves the effective
-/// wait within [0, kBatchWait].
-constexpr std::chrono::microseconds kBatchWait{200};
 
 /// Thrown by submit() when the pending queue is full. Distinct from
 /// validation errors (std::invalid_argument) and from shutdown
@@ -136,18 +135,17 @@ struct EngineConfig {
   /// artifact (if any); Int8/Binary override it.
   cam::CamPrecision cam_precision = cam::CamPrecision::Float32;
   /// Tail-latency SLO the adaptive batching controller steers toward, in
-  /// milliseconds over submit() end-to-end latency (queue wait + coalesce +
-  /// execute). 0 = controller off: kMaxBatch/kBatchWait stay fixed. When
-  /// on, the controller grows the effective micro-batch size and straggler
-  /// wait while the windowed p99 is comfortably under the SLO and cuts them
-  /// as p99 approaches it; with max_pending set it additionally derives a
-  /// pending-depth cap from the SLO and the EWMA per-sample service time, so
-  /// queue wait — the term that actually explodes under overload — stays
-  /// bounded. Batching still never crosses samples: the controller only
+  /// milliseconds over submit() end-to-end latency (queue wait + execute).
+  /// 0 = controller off: the batch cap stays kMaxBatch. When on, the
+  /// controller grows the effective micro-batch cap while the windowed p99
+  /// is comfortably under the SLO and the queue is deep enough to fill it,
+  /// and cuts it as p99 approaches the SLO; with max_pending set it
+  /// additionally derives a pending-depth cap from the SLO and the EWMA
+  /// per-sample service time, so queue wait — the term that actually
+  /// explodes under overload — stays bounded. Batching still never crosses samples: the controller only
   /// moves WHICH requests share a micro-batch, never how any sample is
   /// computed, so per-sample outputs stay bitwise-identical at every
-  /// setting. The effective batch size moves within [1, kMaxBatch] and the
-  /// effective straggler wait within [0, kBatchWait].
+  /// setting. The effective batch cap moves within [1, kMaxBatch].
   double slo_target_ms = 0.0;
 };
 
@@ -157,6 +155,8 @@ struct EngineConfig {
   X(std::uint64_t, requests, 0, "count")             \
   X(std::uint64_t, batches, 0, "count")              \
   X(std::uint64_t, batched_samples, 0, "count")      \
+  X(double, queue_wait_us, 0.0, "µs")                \
+  X(double, exec_us, 0.0, "µs")                      \
   X(std::uint64_t, direct_batches, 0, "count")       \
   X(std::uint64_t, sharded_batches, 0, "count")      \
   X(std::uint64_t, shard_executions, 0, "count")     \
@@ -171,7 +171,6 @@ struct EngineConfig {
   X(double, p50_ms, 0.0, "ms")                       \
   X(double, p99_ms, 0.0, "ms")                       \
   X(std::int64_t, eff_max_batch, 0, "samples")       \
-  X(std::int64_t, eff_batch_wait_us, 0, "µs")        \
   X(std::int64_t, depth_cap, 0, "samples")           \
   X(std::uint64_t, direct_samples, 0, "count")       \
   X(double, energy_pj, 0.0, "pJ")                    \
@@ -248,8 +247,8 @@ class Engine {
   struct Pending {
     Tensor sample;
     std::promise<Tensor> promise;
-    /// submit() timestamp: end-to-end latency (queue wait + coalesce +
-    /// execute) is measured from here to promise resolution.
+    /// submit() timestamp: end-to-end latency (queue wait + execute) is
+    /// measured from here to promise resolution.
     std::chrono::steady_clock::time_point enqueued_at{};
     /// Absolute deadline; max() = none. Checked by the batcher's lazy
     /// expiry sweep at batch formation.
@@ -299,8 +298,8 @@ class Engine {
   void record_latency(double ms);
   /// SLO controller step, run on the batcher thread after each micro-batch:
   /// folds the batch's per-sample service time into the EWMA, then steers
-  /// eff_batch_/eff_wait_us_ (and, with max_pending set, the queue's soft
-  /// depth cap) off the windowed end-to-end p99 versus slo_target_ms.
+  /// eff_batch_ (and, with max_pending set, the queue's soft depth cap) off
+  /// the windowed end-to-end p99 versus slo_target_ms.
   void update_controller(double batch_ms, std::int64_t batch_size);
 
   std::unique_ptr<nn::Sequential> net_;
@@ -344,7 +343,6 @@ class Engine {
   // batcher's own pop loop + stats(). Atomics because stats() snapshots
   // concurrently with controller updates.
   std::atomic<std::int64_t> eff_batch_;
-  std::atomic<std::int64_t> eff_wait_us_;
   std::atomic<std::int64_t> depth_cap_{0};
   double ewma_sample_ms_ = 0.0;  ///< batcher-thread-only EWMA of per-sample service time
   /// Mirror of ewma_sample_ms_ for admission-time deadline prediction:

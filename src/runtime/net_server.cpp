@@ -468,8 +468,8 @@ bool NetServer::handle_frame(const std::shared_ptr<Conn>& conn, const wire::Fram
         // into the engine-ready sample/batch tensor. The optional trailing
         // priority byte (absent = class 0, the pre-priority wire format)
         // orders the executor job queue. An optional relative deadline_ms is
-        // anchored HERE, at frame receipt — queue time, batch wait, and
-        // execution all burn the same budget.
+        // anchored HERE, at frame receipt — queue time and execution both
+        // burn the same budget.
         std::uint32_t deadline_ms = 0;
         job.tensor =
             wire::decode_tensor_request(frame.payload, frame.payload_len, job.priority, deadline_ms);
@@ -525,7 +525,7 @@ void NetServer::executor_loop() {
   std::vector<Job> batch;
   for (;;) {
     batch.clear();
-    if (jobs_.pop_batch(batch, 1, std::chrono::microseconds(0), kNoCoalesce) == 0) {
+    if (jobs_.pop_batch(batch, 1, kNoCoalesce) == 0) {
       return;  // queue closed and drained
     }
     execute(batch[0]);

@@ -15,12 +15,13 @@
 //     close fail with Closed, pops keep draining whatever is already queued
 //     so no accepted item is ever dropped;
 //   * batched consumption — pop_batch() waits for the first item, then
-//     briefly for stragglers until `max` are queued (micro-batch
-//     coalescing), then pops the longest prefix a caller predicate accepts;
+//     pops the longest prefix of up to `max` items a caller predicate
+//     accepts. It coalesces only what is already queued and never waits
+//     for more, so a lone item is handed over at once;
 //   * consumers drain the highest non-empty class first — pop_batch picks
-//     every item (the first AND each coalesced straggler) from the highest
-//     class available at that moment, so batches coalesce ACROSS classes
-//     while strict precedence holds at every single pop.
+//     every item (the first AND each coalesced one) from the highest class
+//     available at that moment, so batches coalesce ACROSS classes while
+//     strict precedence holds at every single pop.
 //
 // Push never moves from the caller's item unless it is accepted, so a
 // rejected producer still owns its payload and can retry elsewhere. (Note
@@ -35,7 +36,6 @@
 #pragma once
 
 #include <algorithm>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -78,36 +78,20 @@ class PriorityBucketQueue {
   }
 
   /// Consumer side. Blocks until at least one item is queued (or returns 0
-  /// when the queue is closed and drained). If fewer than `max` items are
-  /// queued and the queue is still open, waits up to `straggler` for more to
-  /// coalesce. Then appends to `out` the longest prefix of up to `max` items
-  /// for which keep(first, candidate) holds, where `first` is the first item
-  /// popped by THIS call (always taken, and unaffected by anything the
-  /// caller already had in `out`). The first item and every coalesced
-  /// straggler are each taken from the HIGHEST non-empty class at that pop;
+  /// when the queue is closed and drained), then appends to `out` the
+  /// longest prefix of up to `max` items for which keep(first, candidate)
+  /// holds, where `first` is the first item popped by THIS call (always
+  /// taken, and unaffected by anything the caller already had in `out`).
+  /// Only items already queued coalesce: it never waits for stragglers.
+  /// Every item is taken from the HIGHEST non-empty class at its pop;
   /// keep() bounds the prefix across classes freely.
   template <typename Keep>
-  std::size_t pop_batch(std::vector<T>& out, std::size_t max,
-                        std::chrono::microseconds straggler, Keep keep) {
+  std::size_t pop_batch(std::vector<T>& out, std::size_t max, Keep keep) {
     // No notify after popping: only consumers ever wait, and fewer queued
     // items satisfies none of them.
     std::unique_lock<std::mutex> lock(mutex_);
-    for (;;) {
-      cv_.wait(lock, [this] { return closed_ || total_ > 0; });
-      if (closed_ && total_ == 0) return 0;  // closed and drained
-      if (!closed_ && total_ < max && !at_capacity() && straggler.count() > 0) {
-        // A queue at capacity can't coalesce further — waiting for more
-        // stragglers would burn the whole window while every arrival is
-        // shed (max > capacity is a legal config).
-        cv_.wait_for(lock, straggler, [this, max] {
-          return closed_ || total_ >= max || at_capacity();
-        });
-        // The straggler wait releases the lock, so a concurrent consumer
-        // may have drained the queue meanwhile: re-check before popping.
-        if (total_ == 0) continue;
-      }
-      break;
-    }
+    cv_.wait(lock, [this] { return closed_ || total_ > 0; });
+    if (total_ == 0) return 0;  // closed and drained
     const std::size_t first = out.size();
     out.push_back(dequeue_top());
     std::size_t popped = 1;
@@ -144,14 +128,11 @@ class PriorityBucketQueue {
   }
 
   /// Controller knob: tighten admission to min(capacity, n) without touching
-  /// already-queued items. 0 restores the hard bound. Wakes consumers in a
-  /// straggler wait, which ends early at the bound.
+  /// already-queued items. 0 restores the hard bound. Only producers read
+  /// the bound, so no consumer needs waking.
   void set_soft_capacity(std::size_t n) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      soft_capacity_ = n;
-    }
-    cv_.notify_all();
+    std::lock_guard<std::mutex> lock(mutex_);
+    soft_capacity_ = n;
   }
 
  private:

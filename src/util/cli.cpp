@@ -42,6 +42,15 @@ long Args::get_int(const std::string& key, long fallback) const {
   return value;
 }
 
+std::uint16_t Args::get_port(const std::string& key, std::uint16_t fallback) const {
+  const long value = get_int(key, fallback);
+  if (value < 0 || value > 65535) {
+    throw std::invalid_argument("Args: --" + key + " port " + std::to_string(value) +
+                                " out of range [0, 65535]");
+  }
+  return static_cast<std::uint16_t>(value);
+}
+
 double Args::get_double(const std::string& key, double fallback) const {
   auto text = get(key, "");
   if (text.empty()) return fallback;

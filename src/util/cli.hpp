@@ -5,6 +5,7 @@
 // scaled-down schedules documented in EXPERIMENTS.md.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -19,6 +20,9 @@ class Args {
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
   long get_int(const std::string& key, long fallback) const;
+  /// A TCP port number: throws std::invalid_argument outside [0, 65535]
+  /// instead of letting the value wrap.
+  std::uint16_t get_port(const std::string& key, std::uint16_t fallback) const;
   double get_double(const std::string& key, double fallback) const;
   bool get_bool(const std::string& key, bool fallback) const;
 

@@ -14,6 +14,9 @@
 //     stay byte-identical to v1), engine admission shed and queue-expiry
 //     sweep with their expired counter, and DEADLINE_EXCEEDED over a real
 //     socket.
+//   * Micro-batching without a straggler wait — the backlog that queues
+//     behind a stalled batch leaves as one batch, bitwise-equal to the
+//     per-sample forward, and its measured queue wait covers the stall.
 //   * Executor priority — with the one executor stalled, a priority-3
 //     request queued behind a priority-0 one is served first.
 //   * Connection death mid-request — a half-frame close and a
@@ -32,12 +35,14 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <future>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -409,6 +414,56 @@ TEST(EngineDeadline, QueueExpiryFailsTheFutureWithoutExecuting) {
   const runtime::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.expired, 1u);
   EXPECT_EQ(stats.requests, 2u);  // B was admitted, then expired in the queue
+}
+
+// ------------------------------------------------------- batch coalescing
+
+TEST(EngineBatching, BacklogBehindAStalledBatchCoalescesIntoOneBatch) {
+  ScopedFaults guard;
+  util::set_global_threads(1);
+  // The batcher pops a lone sample at once and stalls on it; the kMaxBatch
+  // samples submitted meanwhile must leave together as the second batch.
+  constexpr auto kStall = 100ms;
+  FaultInjector::instance().arm("engine.stall",
+                                {/*probability=*/1.0, /*count=*/1, /*latency_ms=*/kStall.count()});
+  auto reference = lenet(7);
+  reference->set_training(false);
+  runtime::Engine engine(lenet(7));
+
+  constexpr std::int64_t kSamples = runtime::kMaxBatch + 1;
+  std::vector<Tensor> samples;
+  for (std::int64_t i = 0; i < kSamples; ++i) {
+    samples.push_back(lenet_sample(100 + static_cast<std::uint64_t>(i)));
+  }
+  std::vector<std::future<Tensor>> futures;
+  const auto first_submitted = std::chrono::steady_clock::now();
+  futures.push_back(engine.submit(samples[0]));
+  ASSERT_TRUE(eventually([&] { return engine.stats().queue_depth == 0; }));  // popped
+  for (std::int64_t i = 1; i < kSamples; ++i) futures.push_back(engine.submit(samples[i]));
+  const auto all_submitted = std::chrono::steady_clock::now();
+
+  for (std::int64_t i = 0; i < kSamples; ++i) {
+    const Tensor row = futures[static_cast<std::size_t>(i)].get();
+    const Tensor& sample = samples[static_cast<std::size_t>(i)];
+    const Tensor ref = reference->forward(sample.reshaped({1, 1, 28, 28}));
+    ASSERT_EQ(row.numel(), ref.numel());
+    EXPECT_EQ(std::memcmp(row.data(), ref.data(),
+                          static_cast<std::size_t>(ref.numel()) * sizeof(float)),
+              0)
+        << "sample " << i;
+  }
+  const runtime::EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.batched_samples, static_cast<std::uint64_t>(kSamples));
+  // The stalled sample waits out the stall before its execution starts, and
+  // each sample behind it waits at least the part of the stall left after
+  // the last submit.
+  const auto left = std::max<std::chrono::steady_clock::duration>(
+      kStall - (all_submitted - first_submitted), std::chrono::steady_clock::duration::zero());
+  const double floor_us =
+      std::chrono::duration<double, std::micro>(kStall + runtime::kMaxBatch * left).count();
+  EXPECT_GE(stats.queue_wait_us, floor_us);
+  EXPECT_GT(stats.exec_us, 0.0);
 }
 
 // ------------------------------------------------------- deadline over wire

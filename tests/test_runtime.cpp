@@ -272,7 +272,7 @@ TEST(EngineSlo, PercentilesRecoverAfterLoadSpike) {
 }
 
 // With an unreachable SLO the controller must back the effective batch size
-// and straggler wait down to their floors — and the outputs must stay
+// down to its floor — and the outputs must stay
 // bitwise-identical while it does (the controller only moves batching
 // boundaries, never the math).
 TEST(EngineSlo, ControllerShrinksBatchUnderSloPressureBitwiseIdentical) {
@@ -309,15 +309,13 @@ TEST(EngineSlo, ControllerShrinksBatchUnderSloPressureBitwiseIdentical) {
   // the floor (8 -> 4 -> 2 -> 1 takes three post-window batches; at least
   // 24 batches ran after the 8-sample window filled).
   EXPECT_EQ(stats.eff_max_batch, 1);
-  EXPECT_LT(stats.eff_batch_wait_us, runtime::kBatchWait.count());
   EXPECT_EQ(stats.requests, 32u);
 }
 
-TEST(EngineSlo, ControllerGrowthStopsAtMaxBatchAndBatchWait) {
+TEST(EngineSlo, ControllerGrowthStopsAtMaxBatch) {
   // A loose SLO with a deep queue takes the growth branch after every
-  // batch once the window fills; kMaxBatch and kBatchWait are its ceiling,
-  // so the effective batch size and straggler wait never leave their start
-  // values.
+  // batch once the window fills; kMaxBatch is its ceiling, so the effective
+  // batch size never leaves its start value.
   Rng rng(241);
   runtime::EngineConfig config;
   config.slo_target_ms = 1e6;  // always comfortably under: grow whenever deep
@@ -334,7 +332,6 @@ TEST(EngineSlo, ControllerGrowthStopsAtMaxBatchAndBatchWait) {
   const runtime::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(kBurst));
   EXPECT_EQ(stats.eff_max_batch, runtime::kMaxBatch);
-  EXPECT_EQ(stats.eff_batch_wait_us, runtime::kBatchWait.count());
 }
 
 // --------------------------------------------------- concurrent serving

@@ -1,8 +1,8 @@
 // Tests for the utility substrate: CLI parsing, CSV/PGM writers, formatting,
 // every PriorityBucketQueue test — the single-class bounded FIFO (capacity,
-// close, pop_batch coalescing, MPMC delivery), the close/pop_batch race (no
-// accepted item lost or duplicated when close() lands while consumers are
-// mid-coalesce), and the scheduling policies (FIFO within class, strict
+// close, pop_batch coalescing of what is already queued, MPMC delivery), the
+// close/pop_batch race (no accepted item lost or duplicated when close()
+// lands while consumers pop or park), and the scheduling policies (FIFO within class, strict
 // cross-class precedence, cross-class coalescing, try_push shedding the
 // arrival at the bound) — and the LatencyWindow percentile ring.
 #include <gtest/gtest.h>
@@ -69,6 +69,15 @@ TEST(Cli, RejectsNumbersWithTrailingJunk) {
   EXPECT_DOUBLE_EQ(args.get_double("rate", 0), 2.5);
 }
 
+TEST(Cli, PortsOutsideSixteenBitsThrowInsteadOfWrapping) {
+  const char* argv[] = {"prog", "--listen", "70000", "--port", "-1", "--ok", "65535"};
+  Args args(7, argv);
+  EXPECT_THROW(args.get_port("listen", 0), std::invalid_argument);  // would wrap to 4464
+  EXPECT_THROW(args.get_port("port", 0), std::invalid_argument);
+  EXPECT_EQ(args.get_port("ok", 0), 65535);
+  EXPECT_EQ(args.get_port("missing", 7171), 7171);
+}
+
 TEST(Cli, TracksUnusedKeys) {
   const char* argv[] = {"prog", "--used", "1", "--typoed", "2"};
   Args args(5, argv);
@@ -93,7 +102,9 @@ TEST(PriorityBucketQueue, TryPushShedsAtCapacity) {
   EXPECT_EQ(queue.size(), 2u);
 
   std::vector<int> batch;
-  EXPECT_EQ(queue.pop_batch(batch, 8, 0us, kKeepAll), 2u);
+  // max > capacity is legal (Engine: kMaxBatch > max_pending): a full
+  // queue hands over everything it holds at once.
+  EXPECT_EQ(queue.pop_batch(batch, 8, kKeepAll), 2u);
   EXPECT_EQ(queue.try_push(c, 0), PushResult::Ok);  // space freed
 
   // After close, try_push fails with Closed and leaves the item untouched,
@@ -103,10 +114,10 @@ TEST(PriorityBucketQueue, TryPushShedsAtCapacity) {
   EXPECT_EQ(queue.try_push(late, 0), PushResult::Closed);
   EXPECT_EQ(late, 7);  // caller still owns the payload
   batch.clear();
-  EXPECT_EQ(queue.pop_batch(batch, 8, 1h, kKeepAll), 1u);  // no straggler wait when closed
+  EXPECT_EQ(queue.pop_batch(batch, 8, kKeepAll), 1u);
   EXPECT_EQ(batch, std::vector<int>{3});
   batch.clear();
-  EXPECT_EQ(queue.pop_batch(batch, 8, 0us, kKeepAll), 0u);
+  EXPECT_EQ(queue.pop_batch(batch, 8, kKeepAll), 0u);
 }
 
 TEST(PriorityBucketQueue, UnboundedNeverSheds) {
@@ -126,25 +137,32 @@ TEST(PriorityBucketQueue, PopBatchCoalescesLongestPrefixAcceptedByPredicate) {
   }
   const auto same = [](const int& first, const int& candidate) { return first == candidate; };
   std::vector<int> batch;
-  EXPECT_EQ(queue.pop_batch(batch, 8, 0us, same), 3u);  // the three 1s
+  EXPECT_EQ(queue.pop_batch(batch, 8, same), 3u);  // the three 1s
   batch.clear();
-  EXPECT_EQ(queue.pop_batch(batch, 8, 0us, same), 2u);  // then the two 2s
+  EXPECT_EQ(queue.pop_batch(batch, 8, same), 2u);  // then the two 2s
   EXPECT_EQ(batch[0], 2);
 }
 
-TEST(PriorityBucketQueue, PopBatchWaitsForStragglers) {
+TEST(PriorityBucketQueue, PopBatchCoalescesOnlyWhatIsAlreadyQueued) {
   PriorityBucketQueue<int> queue(1, 8);
-  std::thread producer([&] {
-    for (int v = 0; v < 3; ++v) {
-      std::this_thread::sleep_for(5ms);
-      int item = v;
-      queue.try_push(item, 0);
-    }
-  });
+  // A lone item on an open queue is handed over at once: pop_batch never
+  // waits for `max` items to arrive.
+  int lone = 7;
+  ASSERT_EQ(queue.try_push(lone, 0), PushResult::Ok);
   std::vector<int> batch;
-  // max=3 with a generous straggler window: all three coalesce into one pop.
-  EXPECT_EQ(queue.pop_batch(batch, 3, 2s, kKeepAll), 3u);
-  producer.join();
+  EXPECT_EQ(queue.pop_batch(batch, 8, kKeepAll), 1u);
+  EXPECT_EQ(batch, std::vector<int>{7});
+  // Items that queued up before the pop coalesce into one batch, up to max.
+  for (int v = 0; v < 5; ++v) {
+    int item = v;
+    ASSERT_EQ(queue.try_push(item, 0), PushResult::Ok);
+  }
+  batch.clear();
+  EXPECT_EQ(queue.pop_batch(batch, 3, kKeepAll), 3u);
+  EXPECT_EQ(batch, (std::vector<int>{0, 1, 2}));
+  batch.clear();
+  EXPECT_EQ(queue.pop_batch(batch, 3, kKeepAll), 2u);
+  EXPECT_EQ(batch, (std::vector<int>{3, 4}));
 }
 
 TEST(PriorityBucketQueue, PopBatchAnchorsPredicateOnThisCallsFirstItem) {
@@ -158,45 +176,40 @@ TEST(PriorityBucketQueue, PopBatchAnchorsPredicateOnThisCallsFirstItem) {
   // batch; coalescing must compare against the first item popped NOW (1),
   // not against out.front() (9).
   std::vector<int> out{9, 9};
-  EXPECT_EQ(queue.pop_batch(out, 8, 0us, same), 2u);
+  EXPECT_EQ(queue.pop_batch(out, 8, same), 2u);
   EXPECT_EQ(out, (std::vector<int>{9, 9, 1, 1}));
 }
 
-TEST(PriorityBucketQueue, ConcurrentConsumerDrainingDuringStragglerWaitIsSafe) {
-  // Consumer A enters the straggler wait (max > queued); consumer B steals
-  // the only item meanwhile. A must re-check instead of popping from an
-  // empty deque, then see close() and return 0.
+TEST(PriorityBucketQueue, ConcurrentConsumersRaceForOneItem) {
+  // Two consumers park on an empty queue and one item arrives: exactly one
+  // of them takes it, and the other stays parked (never popping from an
+  // empty deque) until close() wakes it with 0.
   PriorityBucketQueue<int> queue(1, 8);
+  std::atomic<int> got_item{0};
+  std::atomic<int> got_zero{0};
+  std::vector<std::thread> consumers;
+  for (int c = 0; c < 2; ++c) {
+    consumers.emplace_back([&] {
+      std::vector<int> batch;
+      if (queue.pop_batch(batch, 8, kKeepAll) == 0) {
+        got_zero.fetch_add(1);
+      } else {
+        EXPECT_EQ(batch, std::vector<int>{1});
+        got_item.fetch_add(1);
+      }
+    });
+  }
+  std::this_thread::sleep_for(20ms);  // both consumers are parked
   int item = 1;
   ASSERT_EQ(queue.try_push(item, 0), PushResult::Ok);
-
-  std::atomic<std::size_t> a_popped{999};
-  std::thread consumer_a([&] {
-    std::vector<int> batch;
-    a_popped.store(queue.pop_batch(batch, 8, 100ms, kKeepAll));
-  });
-  std::this_thread::sleep_for(20ms);  // A is inside the 100ms straggler wait
-  std::vector<int> batch;
-  EXPECT_EQ(queue.pop_batch(batch, 8, 0us, kKeepAll), 1u);  // B drains the queue
-  EXPECT_EQ(batch[0], 1);
-  queue.close();
-  consumer_a.join();
-  EXPECT_EQ(a_popped.load(), 0u);  // A saw closed+empty, not UB on front()
-}
-
-TEST(PriorityBucketQueue, FullQueueSkipsStragglerWaitWhenMaxExceedsCapacity) {
-  // max > capacity is a legal config (Engine: kMaxBatch > max_pending).
-  // A full queue can never coalesce more, so pop_batch must return
-  // immediately instead of burning the whole straggler window.
-  PriorityBucketQueue<int> queue(1, 2);
-  for (int v : {1, 2}) {
-    int item = v;
-    ASSERT_EQ(queue.try_push(item, 0), PushResult::Ok);
+  const auto deadline = std::chrono::steady_clock::now() + 5s;
+  while (got_item.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(1ms);
   }
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<int> batch;
-  EXPECT_EQ(queue.pop_batch(batch, 8, 5s, kKeepAll), 2u);
-  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  queue.close();
+  for (std::thread& t : consumers) t.join();
+  EXPECT_EQ(got_item.load(), 1);
+  EXPECT_EQ(got_zero.load(), 1);
 }
 
 TEST(PriorityBucketQueue, MpmcDeliversEveryItemExactlyOnce) {
@@ -209,7 +222,7 @@ TEST(PriorityBucketQueue, MpmcDeliversEveryItemExactlyOnce) {
       std::vector<int> batch;
       for (;;) {
         batch.clear();
-        if (queue.pop_batch(batch, 4, 0us, kKeepAll) == 0) return;
+        if (queue.pop_batch(batch, 4, kKeepAll) == 0) return;
         received[static_cast<std::size_t>(c)].insert(received[static_cast<std::size_t>(c)].end(),
                                                      batch.begin(), batch.end());
       }
@@ -241,8 +254,8 @@ TEST(PriorityBucketQueue, MpmcDeliversEveryItemExactlyOnce) {
 
 // The serving-path invariant behind Engine::shutdown: every sample the queue
 // ACCEPTED is answered exactly once, even when close() races consumers that
-// are mid-coalesce inside pop_batch (straggler wait) and producers pushing
-// into a full queue, across classes. Run many short rounds so close() lands
+// are mid-pop or parked inside pop_batch and producers pushing into a full
+// queue, across classes. Run many short rounds so close() lands
 // at a different phase each time.
 TEST(PriorityBucketQueue, PopBatchCloseRaceLosesNothingDuplicatesNothing) {
   constexpr int kRounds = 40;
@@ -283,9 +296,9 @@ TEST(PriorityBucketQueue, PopBatchCloseRaceLosesNothingDuplicatesNothing) {
         std::vector<int> batch;
         for (;;) {
           batch.clear();
-          // max > capacity forces the straggler wait — the mid-coalesce
-          // window the close() must not corrupt.
-          if (queue.pop_batch(batch, 8, 300us, kKeepAll) == 0) return;
+          // max > capacity: every pop takes whatever is queued, so batches
+          // of every size race the close().
+          if (queue.pop_batch(batch, 8, kKeepAll) == 0) return;
           std::lock_guard<std::mutex> lock(popped_mutex);
           popped.insert(popped.end(), batch.begin(), batch.end());
         }
@@ -306,28 +319,30 @@ TEST(PriorityBucketQueue, PopBatchCloseRaceLosesNothingDuplicatesNothing) {
   }
 }
 
-// close() while a consumer is parked INSIDE the straggler wait (queue has
-// items, but fewer than `max`): the consumer must still pop what is there —
-// close never discards queued items.
-TEST(PriorityBucketQueue, CloseDuringStragglerWaitStillDeliversQueuedItems) {
+// close() while a consumer is parked inside pop_batch on an EMPTY queue: it
+// must wake and return 0. Items queued before a close are still delivered —
+// close never discards them.
+TEST(PriorityBucketQueue, CloseWakesAParkedConsumer) {
   PriorityBucketQueue<int> queue(1, 16);
-  for (int v : {1, 2, 3}) {
-    int item = v;
-    ASSERT_EQ(queue.try_push(item, 0), PushResult::Ok);
-  }
-
   std::vector<int> batch;
-  std::thread consumer([&] {
-    // max=8 > queued=3 and a long straggler window: the consumer parks
-    // until close() wakes it, then must deliver all 3 items.
-    queue.pop_batch(batch, 8, 10s, kKeepAll);
-  });
-  std::this_thread::sleep_for(20ms);
+  std::atomic<std::size_t> popped{999};
+  std::thread consumer([&] { popped.store(queue.pop_batch(batch, 8, kKeepAll)); });
+  std::this_thread::sleep_for(20ms);  // the consumer is parked
   queue.close();
   consumer.join();
+  EXPECT_EQ(popped.load(), 0u);
+  EXPECT_TRUE(batch.empty());
+
+  PriorityBucketQueue<int> closed_with_items(1, 16);
+  for (int v : {1, 2, 3}) {
+    int item = v;
+    ASSERT_EQ(closed_with_items.try_push(item, 0), PushResult::Ok);
+  }
+  closed_with_items.close();
+  EXPECT_EQ(closed_with_items.pop_batch(batch, 8, kKeepAll), 3u);
   EXPECT_EQ(batch, (std::vector<int>{1, 2, 3}));
   batch.clear();
-  EXPECT_EQ(queue.pop_batch(batch, 8, 0us, kKeepAll), 0u);  // closed and drained
+  EXPECT_EQ(closed_with_items.pop_batch(batch, 8, kKeepAll), 0u);  // closed and drained
 }
 
 // ---------------------------------------------------------------------------
@@ -359,7 +374,7 @@ TEST(PriorityBucketQueue, FifoWithinClassAndStrictPrecedenceAcrossClasses) {
   std::vector<int> batch;
   while (q.size() > 0) {
     batch.clear();
-    ASSERT_EQ(q.pop_batch(batch, 1, 0us, kKeepAll), 1u);
+    ASSERT_EQ(q.pop_batch(batch, 1, kKeepAll), 1u);
     order.push_back(batch[0]);
   }
   EXPECT_EQ(order, (std::vector<int>{2000, 2001, 1000, 1001, 0, 1}));
@@ -371,11 +386,11 @@ TEST(PriorityBucketQueue, PopBatchCoalescesAcrossClasses) {
   push_pq(q, 0, 1);
   push_pq(q, 2, 0);
   push_pq(q, 2, 1);
-  // One pop_batch drains all four: the first item AND each coalesced
-  // straggler come from the highest non-empty class at that moment, so the
+  // One pop_batch drains all four: the first item AND each coalesced one
+  // come from the highest non-empty class at that moment, so the
   // batch crosses from class 2 into class 0 in precedence order.
   std::vector<int> batch;
-  EXPECT_EQ(q.pop_batch(batch, 8, 0us, kKeepAll), 4u);
+  EXPECT_EQ(q.pop_batch(batch, 8, kKeepAll), 4u);
   EXPECT_EQ(batch, (std::vector<int>{2000, 2001, 0, 1}));
   // The keep predicate still bounds the coalesced prefix across classes.
   push_pq(q, 2, 2);
@@ -384,7 +399,7 @@ TEST(PriorityBucketQueue, PopBatchCoalescesAcrossClasses) {
   const auto keep_same_class = [](const int& first, const int& cand) {
     return first / 1000 == cand / 1000;
   };
-  EXPECT_EQ(q.pop_batch(batch, 8, 0us, keep_same_class), 1u);
+  EXPECT_EQ(q.pop_batch(batch, 8, keep_same_class), 1u);
   EXPECT_EQ(batch, (std::vector<int>{2002}));
   EXPECT_EQ(q.size(), 1u);  // the class-0 item stayed queued
 }
@@ -426,7 +441,7 @@ TEST(PriorityBucketQueue, CloseWithPendingDrainsEveryClass) {
   std::vector<int> batch;
   for (;;) {
     batch.clear();
-    if (q.pop_batch(batch, 2, 0us, kKeepAll) == 0) break;
+    if (q.pop_batch(batch, 2, kKeepAll) == 0) break;
     out.insert(out.end(), batch.begin(), batch.end());
   }
   EXPECT_EQ(out, (std::vector<int>{2000, 1000, 1001, 0}));
@@ -461,7 +476,7 @@ TEST(PriorityBucketQueue, ConcurrentPopsObserveNonIncreasingClasses) {
       int popped = 0;
       for (;;) {
         batch.clear();
-        if (q.pop_batch(batch, 3, 0us, kKeepAll) == 0) break;
+        if (q.pop_batch(batch, 3, kKeepAll) == 0) break;
         for (int v : batch) {
           const int cls = v / 1000;
           EXPECT_LE(cls, last_class);
