@@ -9,6 +9,7 @@
 // The bench trains the same model under each surrogate and reports final
 // loss and accuracy. The paper's claim is that the epoch-aware schedule is
 // the stable choice.
+#include <algorithm>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -39,7 +40,8 @@ int main(int argc, char** argv) {
       layer->set_surrogate(kinds[k]);
     }
     Rng km(s.seed + 17);
-    pq::kmeans_calibrate(*model, data::take(split.train, 48).images, 5, km);
+    const std::int64_t calib = std::min<std::int64_t>(split.train.size(), 48);
+    pq::kmeans_calibrate(*model, data::take(split.train, calib).images, 5, km);
     nn::Adam opt(model->parameters(), 2e-3);
     nn::DatasetView train{&split.train.images, &split.train.labels};
     nn::DatasetView test{&split.test.images, &split.test.labels};

@@ -9,6 +9,7 @@
 //      forward pass and (b) it used ZERO multiplications.
 //
 // Build & run:  cmake --build build && ./build/examples/quickstart
+#include <algorithm>
 #include <cstdio>
 
 #include "cam/convert.hpp"
@@ -43,7 +44,8 @@ int main(int argc, char** argv) {
   Rng rng(7);
   auto model = models::make_lenet5(models::Variant::PecanD, rng);
   Rng km(17);
-  pq::kmeans_calibrate(*model, data::take(split.train, 48).images, 5, km);
+  const std::int64_t calib = std::min<std::int64_t>(split.train.size(), 48);
+  pq::kmeans_calibrate(*model, data::take(split.train, calib).images, 5, km);
   const pq::ParameterCensus census = pq::census(*model);
   std::printf("      %lld codebook tensors (%lld prototypes' worth of floats), "
               "%lld weight tensors\n", static_cast<long long>(census.codebook_tensors),

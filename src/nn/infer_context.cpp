@@ -1,51 +1,6 @@
 #include "nn/infer_context.hpp"
 
-#include <algorithm>
-
 namespace pecan::nn {
-
-std::int64_t ScratchArena::Profile::bytes() const {
-  std::int64_t total = 0;
-  for (const std::int64_t cap : float_caps) total += cap * static_cast<std::int64_t>(sizeof(float));
-  for (const std::int64_t cap : int_caps) total += cap * static_cast<std::int64_t>(sizeof(std::int64_t));
-  return total;
-}
-
-void ScratchArena::Profile::merge(const Profile& other) {
-  if (other.float_caps.size() > float_caps.size()) float_caps.resize(other.float_caps.size(), 0);
-  for (std::size_t i = 0; i < other.float_caps.size(); ++i) {
-    float_caps[i] = std::max(float_caps[i], other.float_caps[i]);
-  }
-  if (other.int_caps.size() > int_caps.size()) int_caps.resize(other.int_caps.size(), 0);
-  for (std::size_t i = 0; i < other.int_caps.size(); ++i) {
-    int_caps[i] = std::max(int_caps[i], other.int_caps[i]);
-  }
-}
-
-ScratchArena::Profile ScratchArena::profile() const {
-  Profile out;
-  out.float_caps.reserve(float_slots_.size());
-  for (const auto& slot : float_slots_) out.float_caps.push_back(slot.capacity);
-  out.int_caps.reserve(int_slots_.size());
-  for (const auto& slot : int_slots_) out.int_caps.push_back(slot.capacity);
-  return out;
-}
-
-void ScratchArena::prewarm(const Profile& profile) {
-  const auto grow = [](auto& slots, const std::vector<std::int64_t>& caps) {
-    if (slots.size() < caps.size()) slots.resize(caps.size());
-    for (std::size_t i = 0; i < caps.size(); ++i) {
-      auto& slot = slots[i];
-      if (slot.capacity < caps[i]) {
-        slot.data = std::make_unique<typename std::decay_t<decltype(slot.data[0])>[]>(
-            static_cast<std::size_t>(caps[i]));
-        slot.capacity = caps[i];
-      }
-    }
-  };
-  grow(float_slots_, profile.float_caps);
-  grow(int_slots_, profile.int_caps);
-}
 
 std::int64_t ScratchArena::resident_bytes() const {
   std::int64_t bytes = 0;

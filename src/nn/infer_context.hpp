@@ -8,9 +8,12 @@
 // The arena is slot-based rather than a bump allocator: infer() walks the
 // same layer sequence with the same shapes call after call, so allocation
 // requests repeat in an identical order. Each request claims the next slot,
-// reusing its buffer when it is already big enough — after the first call
-// at a given batch geometry, steady-state serving performs no heap
-// allocation at all. reset() only rewinds the slot cursor.
+// reusing its buffer when it is already big enough, so after the first call
+// at a given batch geometry the scratch of the three float layers that draw
+// from the arena (Conv2d, AdderConv2d, PecanConv2d) is recycled, not
+// reallocated. That is not an allocation-free forward: every layer still
+// allocates its output tensor, and CamConv2d allocates its tile buffers and
+// tallies per parallel chunk. reset() only rewinds the slot cursor.
 //
 // Threading contract: one InferContext belongs to exactly one in-flight
 // execution at a time (the Engine keeps a free-list of them, one per
@@ -27,26 +30,11 @@ namespace pecan::nn {
 
 class ScratchArena {
  public:
-  /// Capacity snapshot of every slot, in allocation order — the "shape" of
-  /// one inference's scratch. The engine merges profiles of returned
-  /// contexts and prewarms freshly materialized ones from the merged
-  /// high-water mark, so a context entering a steady-state serving pool
-  /// never grows its arena mid-request.
-  struct Profile {
-    std::vector<std::int64_t> float_caps;
-    std::vector<std::int64_t> int_caps;
-
-    bool empty() const { return float_caps.empty() && int_caps.empty(); }
-    std::int64_t bytes() const;
-    /// Elementwise max with `other` (extending with its extra slots).
-    void merge(const Profile& other);
-  };
-
   /// Next slot as `count` floats (zero-filled only on fresh allocation —
   /// callers must not rely on contents). Pointer stays valid until reset().
   float* floats(std::int64_t count) { return alloc(float_slots_, count); }
 
-  /// Next slot as `count` int64 indices (CAM hits, hard assignments).
+  /// Next slot as `count` int64 indices (hard assignments).
   std::int64_t* ints(std::int64_t count) { return alloc(int_slots_, count); }
 
   /// Rewinds the slot cursors; capacity is retained for the next call.
@@ -54,13 +42,6 @@ class ScratchArena {
     float_cursor_ = 0;
     int_cursor_ = 0;
   }
-
-  /// Current slot capacities, in allocation order.
-  Profile profile() const;
-
-  /// Grows slots up front so the first call at the profiled geometry
-  /// allocates nothing. Never shrinks; cursors are untouched.
-  void prewarm(const Profile& profile);
 
   /// Resident scratch in bytes (capacity across all slots) — for gauges.
   std::int64_t resident_bytes() const;

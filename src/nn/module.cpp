@@ -37,9 +37,9 @@ void Module::load_state_dict(const TensorMap& state) {
   }
   for (auto& [name, tensor] : buffers()) {
     auto it = state.find(name);
-    // Buffers are tolerated as absent so pre-buffer checkpoints keep
-    // loading (they simply retain the module's current running stats).
-    if (it == state.end()) continue;
+    if (it == state.end()) {
+      throw std::runtime_error("load_state_dict: missing buffer '" + name + "'");
+    }
     if (!it->second.same_shape(*tensor)) {
       throw std::runtime_error("load_state_dict: shape mismatch for buffer '" + name + "': " +
                                shape_str(it->second.shape()) + " vs " + shape_str(tensor->shape()));

@@ -90,8 +90,9 @@ class Module {
     for (Parameter* p : parameters()) p->zero_grad();
   }
 
-  /// Parameter snapshot / restore for checkpointing (keys = parameter names;
-  /// containers prefix children so names are unique).
+  /// Parameter + buffer snapshot / restore for checkpointing (keys = names;
+  /// containers prefix children so names are unique). load_state_dict
+  /// requires every parameter and every buffer, at its own shape.
   TensorMap state_dict();
   void load_state_dict(const TensorMap& state);
 

@@ -63,12 +63,6 @@ std::unique_ptr<Engine> Engine::from_artifact(const ModelArtifact& artifact, Eng
     throw std::invalid_argument("Engine: ExecPath::Cam requires a PECAN variant artifact, got " +
                                 models::variant_name(artifact.variant));
   }
-  // A Float32 config defers to the operating point baked into the artifact;
-  // an explicit Int8/Binary config wins (e.g. a canary deploy of the same
-  // artifact at a different point).
-  if (config.path == ExecPath::Cam && config.cam_precision == cam::CamPrecision::Float32) {
-    config.cam_precision = artifact.cam_precision;
-  }
   auto engine = std::make_unique<Engine>(build_network(artifact), config);
   engine->input_shape_ = {artifact.in_channels, artifact.in_height, artifact.in_width};
   engine->prewarm_scratch();
@@ -89,11 +83,9 @@ void Engine::compile() {
 
 void Engine::prewarm_scratch() {
   // One forward on a zeros sample, off the serving path (deploy/compile
-  // time): walks the plan end to end so the leased context's arena reaches
-  // its per-sample high-water shape, which the lease release below merges
-  // into arena_profile_ — every context materialized later starts from it
-  // instead of growing during its first live request. Also fails fast on an
-  // input geometry the plan cannot actually consume.
+  // time): walks the plan end to end so the first context's arena reaches
+  // its per-sample shape before any request leases it. Also fails fast on
+  // an input geometry the plan cannot actually consume.
   Shape warm_shape{1};
   warm_shape.insert(warm_shape.end(), input_shape_.begin(), input_shape_.end());
   run_plan(Tensor(warm_shape));
@@ -110,28 +102,17 @@ void Engine::prewarm_scratch() {
 
 Engine::ContextLease::ContextLease(Engine& engine) : engine_(engine), ctx_(nullptr) {
   std::int64_t materialized;
-  nn::ScratchArena::Profile profile;
   {
+    // A fresh context starts empty: its arena grows during its first
+    // execution, on the thread that leased it.
     std::lock_guard<std::mutex> lock(engine_.ctx_mutex_);
-    if (!engine_.free_contexts_.empty()) {
+    if (engine_.free_contexts_.empty()) {
+      engine_.contexts_.push_back(std::make_unique<nn::InferContext>());
+      ctx_ = engine_.contexts_.back().get();
+    } else {
       ctx_ = engine_.free_contexts_.back();
       engine_.free_contexts_.pop_back();
-    } else {
-      profile = engine_.arena_profile_;  // copy; allocate outside the lock
     }
-    materialized = static_cast<std::int64_t>(engine_.contexts_.size());
-  }
-  if (!ctx_) {
-    // Materialize + prewarm off the lock: the profile-sized allocations
-    // must not stall concurrent lease traffic during the very burst that
-    // forced a new context into existence. The context starts at the
-    // engine's merged high-water scratch profile instead of growing during
-    // its first live request.
-    auto fresh = std::make_unique<nn::InferContext>();
-    fresh->arena.prewarm(profile);
-    ctx_ = fresh.get();
-    std::lock_guard<std::mutex> lock(engine_.ctx_mutex_);
-    engine_.contexts_.push_back(std::move(fresh));
     materialized = static_cast<std::int64_t>(engine_.contexts_.size());
   }
   std::lock_guard<std::mutex> stats_lock(engine_.stats_mutex_);
@@ -144,13 +125,16 @@ Engine::ContextLease::ContextLease(Engine& engine) : engine_(engine), ctx_(nullp
 }
 
 Engine::ContextLease::~ContextLease() {
+  // Read while the context is still ours: once on the free-list another
+  // execution may grow it.
+  const std::int64_t resident = ctx_->arena.resident_bytes();
   {
     std::lock_guard<std::mutex> lock(engine_.ctx_mutex_);
-    engine_.arena_profile_.merge(ctx_->arena.profile());
     engine_.free_contexts_.push_back(ctx_);
   }
   std::lock_guard<std::mutex> stats_lock(engine_.stats_mutex_);
   --engine_.stats_.in_flight;
+  engine_.stats_.scratch_bytes = std::max(engine_.stats_.scratch_bytes, resident);
 }
 
 // ------------------------------------------------------------------ forwards
@@ -550,18 +534,12 @@ void Engine::update_controller(double batch_ms, std::int64_t batch_size) {
     cap = std::clamp<std::int64_t>(cap, 1, config_.max_pending);
     if (cap != depth_cap_.load(std::memory_order_relaxed)) {
       depth_cap_.store(cap, std::memory_order_relaxed);
-      queue_.set_soft_capacity(static_cast<std::size_t>(cap));
+      queue_.set_capacity(static_cast<std::size_t>(cap));
     }
   }
 }
 
 EngineStats Engine::stats() const {
-  std::int64_t scratch_bytes;
-  {
-    // Merged high-water profile = the scratch one fully warmed context holds.
-    std::lock_guard<std::mutex> ctx_lock(ctx_mutex_);
-    scratch_bytes = arena_profile_.bytes();
-  }
   EngineStats snapshot;
   {
     std::lock_guard<std::mutex> lock(stats_mutex_);
@@ -569,7 +547,6 @@ EngineStats Engine::stats() const {
     snapshot.p50_ms = latency_.percentile(0.50);
     snapshot.p99_ms = latency_.percentile(0.99);
   }
-  snapshot.scratch_bytes = scratch_bytes;
   snapshot.queue_depth = static_cast<std::int64_t>(queue_.size());
   snapshot.eff_max_batch = eff_batch_.load(std::memory_order_relaxed);
   snapshot.depth_cap = depth_cap_.load(std::memory_order_relaxed);

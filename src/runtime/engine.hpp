@@ -131,8 +131,8 @@ struct EngineConfig {
   /// Numeric operating point of the CAM search kernels (ExecPath::Cam only;
   /// setting it on the Float path throws). Float32 is the bitwise spec;
   /// Int8/Binary trade a tolerance-gated accuracy delta for narrower match
-  /// lanes. Float32 here defers to the precision baked into a deployed
-  /// artifact (if any); Int8/Binary override it.
+  /// lanes. The one owner of the operating point: artifacts carry none, so
+  /// one artifact deploys at any precision.
   cam::CamPrecision cam_precision = cam::CamPrecision::Float32;
   /// Tail-latency SLO the adaptive batching controller steers toward, in
   /// milliseconds over submit() end-to-end latency (queue wait + execute).
@@ -190,7 +190,8 @@ class Engine {
   /// Loads + rebuilds an artifact, then compiles it. The artifact's sample
   /// geometry [C, H, W] makes submit() and forward_batch() reject
   /// mismatched inputs up front (before queuing) instead of failing later
-  /// inside a layer on the batcher thread, and prewarms the scratch profile.
+  /// inside a layer on the batcher thread. Runs one warm-up forward
+  /// (prewarm_scratch) before returning.
   static std::unique_ptr<Engine> from_artifact(const ModelArtifact& artifact,
                                                EngineConfig config = {});
 
@@ -231,8 +232,8 @@ class Engine {
   std::int64_t plan_size() const { return static_cast<std::int64_t>(plan_.size()); }
   const std::vector<std::string>& plan_names() const { return plan_names_; }
   ExecPath path() const { return config_.path; }
-  /// Operating point the CAM kernels actually run at (Float32 on the Float
-  /// path and for float CAM deploys).
+  /// Operating point the CAM kernels run at: EngineConfig::cam_precision
+  /// (Float32 on the Float path).
   cam::CamPrecision cam_precision() const { return config_.cam_precision; }
   EngineStats stats() const;
 
@@ -286,9 +287,10 @@ class Engine {
   /// the shard count through `shards` (1 = ran unsharded).
   Tensor run_sharded(const Tensor& batch, std::int64_t& shards);
   void compile();
-  /// One throwaway forward at deploy time (input_shape_ known): sizes the
-  /// scratch profile so serving-path requests start fully prewarmed, then
-  /// resets the op counter / usage histograms the warm-up touched.
+  /// One throwaway forward at deploy time (input_shape_ known): fails fast on
+  /// a geometry the plan cannot consume and grows the first context's arena
+  /// off the request path, then resets the op counter, usage histograms and
+  /// bank ledgers the warm-up touched.
   void prewarm_scratch();
   void batcher_loop();
   void execute_pending(std::vector<Pending>& batch);
@@ -298,8 +300,8 @@ class Engine {
   void record_latency(double ms);
   /// SLO controller step, run on the batcher thread after each micro-batch:
   /// folds the batch's per-sample service time into the EWMA, then steers
-  /// eff_batch_ (and, with max_pending set, the queue's soft depth cap) off
-  /// the windowed end-to-end p99 versus slo_target_ms.
+  /// eff_batch_ (and, with max_pending set, the queue's capacity) off the
+  /// windowed end-to-end p99 versus slo_target_ms.
   void update_controller(double batch_ms, std::int64_t batch_size);
 
   std::unique_ptr<nn::Sequential> net_;
@@ -314,16 +316,13 @@ class Engine {
   std::vector<const nn::Module*> plan_;  ///< flattened execution steps, in order
   std::vector<std::string> plan_names_;
 
-  // Per-worker inference contexts: leased per in-flight execution, grown on
-  // demand, owned for the engine's lifetime. Released contexts merge their
-  // arena shape into arena_profile_ (the engine-wide high-water mark, seeded
-  // by the compile-time warm-up) and new contexts prewarm from it, so
-  // steady-state serving does zero arena growth — even on a context
-  // materialized mid-burst for a new peak of concurrency.
-  mutable std::mutex ctx_mutex_;
+  // Per-worker inference contexts: leased per in-flight execution, made on
+  // demand (a lease pops a free one or makes a fresh one), owned for the
+  // engine's lifetime. A context's arena grows during its first execution
+  // at a geometry and is recycled after that.
+  std::mutex ctx_mutex_;
   std::vector<std::unique_ptr<nn::InferContext>> contexts_;
   std::vector<nn::InferContext*> free_contexts_;
-  nn::ScratchArena::Profile arena_profile_;
 
   // Single-class pending queue (admission control, FIFO) + the batcher that
   // consumes it. batcher_mutex_ guards the thread handle and stopping_; the

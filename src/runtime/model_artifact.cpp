@@ -16,7 +16,7 @@ namespace pecan::runtime {
 
 namespace {
 constexpr const char* kFormatKey = "artifact.format";
-constexpr const char* kFormatValue = "pecan.model_artifact.v1";
+constexpr const char* kFormatValue = "pecan.model_artifact.v2";
 
 std::string encode_pq_config(const pq::PqLayerConfig& config) {
   std::ostringstream out;
@@ -47,15 +47,53 @@ void collect_pq_configs(nn::Module& module, MetaMap& out) {
   }
 }
 
-struct InputGeometry {
-  std::int64_t c, h, w;
+using Builder = std::unique_ptr<nn::Sequential> (*)(models::Variant, std::int64_t num_classes,
+                                                    Rng&);
+
+/// Every family build_network can rebuild, with the sample geometry [C, H, W]
+/// its builder expects. Geometry lives here and nowhere else: artifacts
+/// store only the family name.
+struct Family {
+  const char* name;
+  std::int64_t channels, height, width;
+  Builder build;
 };
 
-InputGeometry input_geometry(const std::string& model) {
-  if (model == "lenet5") return {1, 28, 28};
-  if (model == "vgg_small" || model == "resnet20" || model == "resnet32") return {3, 32, 32};
-  throw std::invalid_argument("ModelArtifact: unknown model family '" + model +
-                              "' (known: lenet5, vgg_small, resnet20, resnet32)");
+constexpr Family kFamilies[] = {
+    {"lenet5", 1, 28, 28,
+     [](models::Variant v, std::int64_t, Rng& rng) { return models::make_lenet5(v, rng); }},
+    {"vgg_small", 3, 32, 32,
+     [](models::Variant v, std::int64_t classes, Rng& rng) {
+       return models::make_vgg_small(v, classes, rng);
+     }},
+    {"resnet20", 3, 32, 32,
+     [](models::Variant v, std::int64_t classes, Rng& rng) {
+       return models::make_resnet20(v, classes, rng);
+     }},
+    {"resnet32", 3, 32, 32,
+     [](models::Variant v, std::int64_t classes, Rng& rng) {
+       return models::make_resnet32(v, classes, rng);
+     }},
+};
+
+const Family& find_family(const std::string& model) {
+  for (const Family& family : kFamilies) {
+    if (model == family.name) return family;
+  }
+  std::string known;
+  for (const Family& family : kFamilies) {
+    known += (known.empty() ? "" : ", ") + std::string(family.name);
+  }
+  throw std::invalid_argument("ModelArtifact: unknown model family '" + model + "' (known: " +
+                              known + ")");
+}
+
+/// Fills the fields an artifact derives from its family instead of storing.
+void set_geometry(ModelArtifact& artifact) {
+  const Family& family = find_family(artifact.model);
+  artifact.in_channels = family.channels;
+  artifact.in_height = family.height;
+  artifact.in_width = family.width;
 }
 
 std::string require_meta(const MetaMap& meta, const std::string& key, const std::string& path) {
@@ -67,27 +105,25 @@ std::string require_meta(const MetaMap& meta, const std::string& key, const std:
 }
 
 std::int64_t parse_int(const std::string& value, const std::string& key, const std::string& path) {
+  // The number must span the whole value: "10abc" is not 10.
+  std::size_t used = 0;
   try {
-    return std::stoll(value);
+    const std::int64_t parsed = std::stoll(value, &used);
+    if (used == value.size()) return parsed;
   } catch (const std::exception&) {
-    throw std::runtime_error("load_artifact: " + path + ": metadata '" + key +
-                             "' is not an integer: '" + value + "'");
   }
+  throw std::runtime_error("load_artifact: " + path + ": metadata '" + key +
+                           "' is not an integer: '" + value + "'");
 }
 }  // namespace
 
 ModelArtifact make_artifact(const std::string& model, models::Variant variant,
-                            std::int64_t num_classes, nn::Module& net,
-                            cam::CamPrecision cam_precision) {
-  const InputGeometry geometry = input_geometry(model);
+                            std::int64_t num_classes, nn::Module& net) {
   ModelArtifact artifact;
   artifact.model = model;
   artifact.variant = variant;
   artifact.num_classes = num_classes;
-  artifact.cam_precision = cam_precision;
-  artifact.in_channels = geometry.c;
-  artifact.in_height = geometry.h;
-  artifact.in_width = geometry.w;
+  set_geometry(artifact);
   collect_pq_configs(net, artifact.pq_configs);
   artifact.weights = net.state_dict();
   return artifact;
@@ -99,10 +135,6 @@ void save_artifact(const std::string& path, const ModelArtifact& artifact) {
   meta["model"] = artifact.model;
   meta["variant"] = models::variant_name(artifact.variant);
   meta["num_classes"] = std::to_string(artifact.num_classes);
-  meta["input.channels"] = std::to_string(artifact.in_channels);
-  meta["input.height"] = std::to_string(artifact.in_height);
-  meta["input.width"] = std::to_string(artifact.in_width);
-  meta["cam.precision"] = cam::precision_name(artifact.cam_precision);
   save_tensors(path, artifact.weights, meta);
 }
 
@@ -124,15 +156,7 @@ ModelArtifact load_artifact(const std::string& path) {
   artifact.model = require_meta(file.meta, "model", path);
   artifact.variant = models::variant_from_name(require_meta(file.meta, "variant", path));
   artifact.num_classes = parse_int(require_meta(file.meta, "num_classes", path), "num_classes", path);
-  artifact.in_channels =
-      parse_int(require_meta(file.meta, "input.channels", path), "input.channels", path);
-  artifact.in_height = parse_int(require_meta(file.meta, "input.height", path), "input.height", path);
-  artifact.in_width = parse_int(require_meta(file.meta, "input.width", path), "input.width", path);
-  // Optional: artifacts written before quantized exports existed read as
-  // the float operating point.
-  if (auto it = file.meta.find("cam.precision"); it != file.meta.end()) {
-    artifact.cam_precision = cam::precision_from_name(it->second);
-  }
+  set_geometry(artifact);
   for (const auto& [key, value] : file.meta) {
     if (key.rfind("pq.", 0) == 0) artifact.pq_configs.emplace(key, value);
   }
@@ -143,18 +167,8 @@ ModelArtifact load_artifact(const std::string& path) {
 std::unique_ptr<nn::Sequential> build_network(const ModelArtifact& artifact) {
   // The Rng only seeds initial weights, which load_state_dict overwrites.
   Rng rng(1);
-  std::unique_ptr<nn::Sequential> net;
-  if (artifact.model == "lenet5") {
-    net = models::make_lenet5(artifact.variant, rng);
-  } else if (artifact.model == "vgg_small") {
-    net = models::make_vgg_small(artifact.variant, artifact.num_classes, rng);
-  } else if (artifact.model == "resnet20") {
-    net = models::make_resnet20(artifact.variant, artifact.num_classes, rng);
-  } else if (artifact.model == "resnet32") {
-    net = models::make_resnet32(artifact.variant, artifact.num_classes, rng);
-  } else {
-    throw std::invalid_argument("build_network: unknown model family '" + artifact.model + "'");
-  }
+  std::unique_ptr<nn::Sequential> net =
+      find_family(artifact.model).build(artifact.variant, artifact.num_classes, rng);
 
   // Guard against preset drift: the rebuilt layers' PQ configs must match
   // the ones the artifact was trained with.

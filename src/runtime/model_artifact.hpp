@@ -1,25 +1,27 @@
 // ModelArtifact — the persistence format of a trained PECAN/CAM network.
 //
 // An artifact is a serialize-v2 tensor file whose metadata block carries an
-// architecture descriptor (model family, variant, class count, input
-// geometry, per-PECAN-layer PQ configs) and whose tensor block carries the
-// full state_dict (weights, codebooks, biases, BatchNorm running stats).
-// That is everything a serving process needs: load_artifact + build_network
-// reconstructs a bit-identical network without touching training code, and
-// runtime::Engine compiles it for serving in either the float PQ path or
-// the exported CAM+LUT path.
+// architecture descriptor (format tag, model family, variant, class count,
+// per-PECAN-layer PQ configs) and whose tensor block carries the full
+// state_dict (weights, codebooks, biases, BatchNorm running stats). It
+// stores only what build_network cannot derive: the input geometry follows
+// from the family, and the CAM operating point is a deploy decision
+// (EngineConfig::cam_precision), not a property of the trained weights.
+// load_artifact + build_network reconstructs a bit-identical network
+// without touching training code, and runtime::Engine compiles it for
+// serving in either the float PQ path or the exported CAM+LUT path.
 //
 // The per-layer PQ configs are stored redundantly with the presets compiled
 // into the model builders; build_network cross-checks them so an artifact
 // trained against older presets fails loudly instead of silently rebuilding
-// with different (p, d) and mis-shaping the codebooks.
+// with different (p, d) and mis-shaping the codebooks. An artifact of an
+// older format (a different "artifact.format" tag) is refused outright.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
 
-#include "cam/cam_array.hpp"
 #include "models/variant.hpp"
 #include "nn/module.hpp"
 #include "tensor/serialize.hpp"
@@ -27,25 +29,22 @@
 namespace pecan::runtime {
 
 struct ModelArtifact {
-  std::string model;        ///< "lenet5" | "vgg_small" | "resnet20" | "resnet32"
+  std::string model;  ///< model family, one build_network can rebuild
   models::Variant variant = models::Variant::Baseline;
   std::int64_t num_classes = 0;
+  /// Sample geometry [C, H, W], derived from `model` by make_artifact and
+  /// load_artifact; never stored in the file.
   std::int64_t in_channels = 0, in_height = 0, in_width = 0;
-  /// CAM search operating point baked in at export time ("cam.precision"
-  /// metadata; optional on disk — absent reads as Float32, so pre-quantized
-  /// artifacts stay loadable). A CAM deploy with a Float32 EngineConfig
-  /// picks this up; an explicit config precision overrides it.
-  cam::CamPrecision cam_precision = cam::CamPrecision::Float32;
   MetaMap pq_configs;  ///< "pq.<layer>" -> "mode=..;p=..;d=..;tau=.."
   TensorMap weights;   ///< full state_dict of the trained network
 };
 
 /// Captures a trained network into an artifact. `model` must be one of the
-/// families build_network knows how to rebuild; input geometry is recorded
-/// so the engine can validate requests before running them.
+/// families build_network knows how to rebuild (std::invalid_argument
+/// otherwise); its input geometry lets the engine validate requests before
+/// running them.
 ModelArtifact make_artifact(const std::string& model, models::Variant variant,
-                            std::int64_t num_classes, nn::Module& net,
-                            cam::CamPrecision cam_precision = cam::CamPrecision::Float32);
+                            std::int64_t num_classes, nn::Module& net);
 
 void save_artifact(const std::string& path, const ModelArtifact& artifact);
 ModelArtifact load_artifact(const std::string& path);

@@ -36,9 +36,9 @@
 //     executions — so one bulk-scoring request no longer monopolizes a
 //     single execution lane while latency-sensitive models starve, and a
 //     single client saturates the pool the way N concurrent clients would.
-//     Deploy-time compilation also prewarms the engine's scratch profile
-//     (when an artifact provides the input geometry), keeping
-//     first-request latency after a hot-swap free of arena growth.
+//     An artifact deploy also runs one warm-up forward at the family's
+//     input geometry, so the first context's arena is grown before the
+//     swap instead of during the first request after it.
 #pragma once
 
 #include <chrono>

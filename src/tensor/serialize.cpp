@@ -13,11 +13,8 @@ namespace pecan {
 
 namespace {
 constexpr char kMagic[4] = {'P', 'C', 'A', 'N'};
-constexpr std::uint32_t kVersionLegacy = 1;  ///< no metadata block
-constexpr std::uint32_t kVersion = 2;        ///< adds the metadata block
+constexpr std::uint32_t kVersion = 2;
 /// Integrity-trailer tag: the bytes "2CRC" read as a little-endian u32.
-/// Follows the last tensor, so readers that stop at tensor_count never see
-/// it — CRC-less v2 files and v1 files both keep loading.
 constexpr std::uint32_t kCrcTag = 0x43524332u;
 
 // Structural bounds: far above anything legitimate, low enough that a
@@ -134,19 +131,20 @@ TensorFile load_tensor_file(const std::string& path) {
                              ": bad magic (not a PECAN tensor file)");
   }
   const auto version = read_pod<std::uint32_t>(in, path, "version");
-  if (version != kVersionLegacy && version != kVersion) {
+  if (version != kVersion) {
     throw std::runtime_error("load_tensors: " + path + ": unsupported format version " +
-                             std::to_string(version) + " (this build reads versions 1-" +
+                             std::to_string(version) + " (this build reads version " +
                              std::to_string(kVersion) + ")");
   }
 
   TensorFile file;
-  if (version >= kVersion) {
-    const auto meta_count = read_pod<std::uint32_t>(in, path, "meta count");
-    for (std::uint32_t i = 0; i < meta_count; ++i) {
-      std::string key = read_string(in, path, "meta key");
-      std::string value = read_string(in, path, "meta value");
-      file.meta.emplace(std::move(key), std::move(value));
+  const auto meta_count = read_pod<std::uint32_t>(in, path, "meta count");
+  for (std::uint32_t i = 0; i < meta_count; ++i) {
+    std::string key = read_string(in, path, "meta key");
+    std::string value = read_string(in, path, "meta value");
+    if (!file.meta.emplace(key, std::move(value)).second) {
+      throw std::runtime_error("load_tensors: " + path + ": repeated metadata key '" + key +
+                               "'");
     }
   }
 
@@ -175,19 +173,13 @@ TensorFile load_tensor_file(const std::string& path) {
       }
       implied_numel *= d;
     }
-    std::uint64_t numel;
-    if (version >= kVersion) {
-      numel = read_pod<std::uint64_t>(in, path, "numel");
-      const bool consistent = ndim == 0 ? numel <= 1
-                                        : numel == static_cast<std::uint64_t>(shape_numel(shape));
-      if (!consistent) {
-        throw std::runtime_error("load_tensors: " + path + ": tensor '" + name + "' numel " +
-                                 std::to_string(numel) + " does not match shape " +
-                                 shape_str(shape));
-      }
-    } else {
-      // v1 wrote no numel; derive it from the shape, as the v1 loader did.
-      numel = static_cast<std::uint64_t>(shape_numel(shape));
+    const auto numel = read_pod<std::uint64_t>(in, path, "numel");
+    const bool consistent =
+        ndim == 0 ? numel <= 1 : numel == static_cast<std::uint64_t>(shape_numel(shape));
+    if (!consistent) {
+      throw std::runtime_error("load_tensors: " + path + ": tensor '" + name + "' numel " +
+                               std::to_string(numel) + " does not match shape " +
+                               shape_str(shape));
     }
     // ndim == 0 with numel == 0 is the default-constructed empty tensor;
     // Tensor(Shape{}) would instead be a 1-element scalar.
@@ -199,17 +191,23 @@ TensorFile load_tensor_file(const std::string& path) {
         throw std::runtime_error("load_tensors: " + path + ": truncated data for '" + name + "'");
       }
     }
-    file.tensors.emplace(std::move(name), std::move(tensor));
+    if (!file.tensors.emplace(name, std::move(tensor)).second) {
+      throw std::runtime_error("load_tensors: " + path + ": repeated tensor name '" + name +
+                               "'");
+    }
   }
 
-  // Integrity trailer, if present. End-of-stream right here means a CRC-less
-  // file (v1, or v2 from before the trailer existed) — accepted as-is. A tag
-  // that matches means the writer vouched for every preceding byte; verify.
+  // Integrity trailer: the writer always appends it, so a file without one
+  // was cut short or overwritten, and is as corrupt as one whose checksum
+  // disagrees.
   const std::streamoff body_end = in.tellg();
   std::uint32_t tag = 0;
-  in.read(reinterpret_cast<char*>(&tag), sizeof tag);
-  if (!in || tag != kCrcTag) return file;
   std::uint32_t stored = 0;
+  in.read(reinterpret_cast<char*>(&tag), sizeof tag);
+  if (!in || tag != kCrcTag) {
+    throw ArtifactCorruptError("load_tensors: " + path +
+                               ": integrity trailer missing (corrupt file)");
+  }
   in.read(reinterpret_cast<char*>(&stored), sizeof stored);
   if (!in) {
     throw ArtifactCorruptError("load_tensors: " + path +

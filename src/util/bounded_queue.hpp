@@ -30,12 +30,11 @@
 // The queue counts nothing: sheds are counted by the caller that fails the
 // shed item (EngineStats::shed), so there is one shed ledger.
 //
-// A `soft_capacity` below the hard bound lets a controller shrink the
-// admission window at runtime (deadline-derived queue caps): pushes respect
-// min(capacity, soft_capacity) while items already queued stay poppable.
+// set_capacity() moves the bound at runtime (the SLO controller's
+// deadline-derived depth cap): later pushes respect the new bound while
+// items already queued stay poppable.
 #pragma once
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -57,14 +56,13 @@ class PriorityBucketQueue {
   /// `classes` >= 1 priority buckets; capacity == 0 means unbounded.
   explicit PriorityBucketQueue(std::size_t classes, std::size_t capacity = 0)
       : capacity_(capacity),
-        soft_capacity_(capacity),
         buckets_(classes == 0 ? 1 : classes) {}
 
   PriorityBucketQueue(const PriorityBucketQueue&) = delete;
   PriorityBucketQueue& operator=(const PriorityBucketQueue&) = delete;
 
   /// Non-blocking push into class `cls` (clamped to the top class): Full
-  /// (item untouched) at the effective bound, never evicts. On an unbounded
+  /// (item untouched) at the bound, never evicts. On an unbounded
   /// queue it returns only Ok or Closed.
   PushResult try_push(T& item, std::size_t cls) {
     {
@@ -127,12 +125,12 @@ class PriorityBucketQueue {
     return total_;
   }
 
-  /// Controller knob: tighten admission to min(capacity, n) without touching
-  /// already-queued items. 0 restores the hard bound. Only producers read
-  /// the bound, so no consumer needs waking.
-  void set_soft_capacity(std::size_t n) {
+  /// Replaces the capacity bound (0 = unbounded) without touching
+  /// already-queued items. Only producers read the bound, so no consumer
+  /// needs waking.
+  void set_capacity(std::size_t n) {
     std::lock_guard<std::mutex> lock(mutex_);
-    soft_capacity_ = n;
+    capacity_ = n;
   }
 
  private:
@@ -141,12 +139,7 @@ class PriorityBucketQueue {
     return cls < buckets_.size() ? cls : buckets_.size() - 1;
   }
 
-  bool at_capacity() const {
-    const std::size_t hard = capacity_;
-    const std::size_t soft = soft_capacity_;
-    const std::size_t bound = hard == 0 ? soft : (soft == 0 ? hard : std::min(hard, soft));
-    return bound != 0 && total_ >= bound;
-  }
+  bool at_capacity() const { return capacity_ != 0 && total_ >= capacity_; }
 
   void enqueue(T&& item, std::size_t cls) {
     buckets_[cls].push_back(std::move(item));
@@ -170,8 +163,7 @@ class PriorityBucketQueue {
     return item;
   }
 
-  const std::size_t capacity_;
-  std::size_t soft_capacity_;
+  std::size_t capacity_;
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::vector<std::deque<T>> buckets_;

@@ -158,7 +158,7 @@ TEST(FaultInjector, BadSpecsThrowWithoutArming) {
 
 // -------------------------------------------------------------- CRC trailer
 
-TEST(CrcTrailer, RoundTripsAndLegacyTrailerlessFilesStillLoad) {
+TEST(CrcTrailer, RoundTripsAndTrailerlessFilesAreCorrupt) {
   const std::string path = "/tmp/pecan_faults_crc_roundtrip.bin";
   Rng rng(5);
   TensorMap tensors;
@@ -175,8 +175,8 @@ TEST(CrcTrailer, RoundTripsAndLegacyTrailerlessFilesStillLoad) {
     EXPECT_TRUE(matches(file.tensors.at("b"), tensors["b"]));
   }
 
-  // Strip the 8-byte trailer: exactly what a pre-CRC writer produced — the
-  // loader must accept it (backward compatibility).
+  // Strip the 8-byte trailer: a file cut exactly at the trailer is as
+  // corrupt as one whose checksum disagrees (every writer appends it).
   {
     std::ifstream in(path, std::ios::binary);
     std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
@@ -186,8 +186,7 @@ TEST(CrcTrailer, RoundTripsAndLegacyTrailerlessFilesStillLoad) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size() - 8));
   }
-  const TensorFile legacy = load_tensor_file(path);
-  EXPECT_TRUE(matches(legacy.tensors.at("w"), tensors["w"]));
+  EXPECT_THROW(load_tensor_file(path), ArtifactCorruptError);
   std::remove(path.c_str());
 }
 

@@ -584,11 +584,11 @@ TEST(EngineSharding, RejectsNegativeShardSamples) {
 }
 
 TEST(EngineSharding, PrewarmedEngineServesWithoutArenaGrowth) {
-  // from_artifact knows the input geometry, so compile prewarms the scratch
-  // profile: a fresh Float-path engine (PecanConv2d matching draws im2col /
-  // assignment scratch from the arena) reports a non-zero merged profile
-  // before any request, and serving a request at the warmed geometry grows
-  // nothing.
+  // from_artifact knows the input geometry, so its warm-up forward sizes
+  // the first context: a fresh Float-path engine (PecanConv2d matching
+  // draws im2col / assignment scratch from the arena) reports non-zero
+  // scratch before any request, and serving a request at the warmed
+  // geometry grows nothing.
   Rng rng(191);
   auto trained = models::make_lenet5(models::Variant::PecanD, rng);
   trained->set_training(false);
@@ -770,52 +770,112 @@ TEST(ModelArtifact, RejectsUnknownModelFamily) {
                std::invalid_argument);
 }
 
+TEST(ModelArtifact, StoresNoDerivedKeysAndServesWithFamilyGeometry) {
+  Rng rng(101);
+  auto net = models::make_lenet5(models::Variant::PecanD, rng);
+  const std::string path = "/tmp/pecan_artifact_keys_test.bin";
+  runtime::save_artifact(path, runtime::make_artifact("lenet5", models::Variant::PecanD, 10, *net));
+
+  // Geometry follows from the family and the operating point from the
+  // deploy config, so neither is written.
+  const TensorFile file = load_tensor_file(path);
+  for (const auto& [key, value] : file.meta) {
+    EXPECT_NE(key.rfind("input.", 0), 0u) << key;
+    EXPECT_NE(key, "cam.precision");
+  }
+  const runtime::ModelArtifact loaded = runtime::load_artifact(path);
+  EXPECT_EQ((Shape{loaded.in_channels, loaded.in_height, loaded.in_width}), (Shape{1, 28, 28}));
+  auto engine = runtime::Engine::from_artifact(loaded);
+  EXPECT_EQ(engine->forward_batch(Tensor({1, 1, 28, 28})).dim(1), 10);
+  EXPECT_THROW(engine->forward_batch(Tensor({1, 3, 32, 32})), std::invalid_argument);
+  EXPECT_THROW(engine->submit(Tensor({3, 32, 32})), std::invalid_argument);
+
+  // The 32x32 RGB families derive their own geometry the same way.
+  Rng resnet_rng(103);
+  auto resnet = models::make_resnet20(models::Variant::Baseline, 10, resnet_rng);
+  const runtime::ModelArtifact rgb =
+      runtime::make_artifact("resnet20", models::Variant::Baseline, 10, *resnet);
+  EXPECT_EQ((Shape{rgb.in_channels, rgb.in_height, rgb.in_width}), (Shape{3, 32, 32}));
+
+  // An artifact of the previous format — the one that stored these keys —
+  // is refused by its format tag, so a baked precision is never dropped
+  // silently.
+  MetaMap old_meta = file.meta;
+  old_meta["artifact.format"] = "pecan.model_artifact.v1";
+  old_meta["cam.precision"] = "int8";
+  save_tensors(path, file.tensors, old_meta);
+  try {
+    runtime::load_artifact(path);
+    FAIL() << "expected an unsupported-format error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported artifact format"), std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ModelArtifact, MetadataIntegerMustSpanItsValue) {
+  Rng rng(107);
+  auto net = models::make_lenet5(models::Variant::PecanD, rng);
+  const std::string path = "/tmp/pecan_artifact_int_test.bin";
+  runtime::save_artifact(path, runtime::make_artifact("lenet5", models::Variant::PecanD, 10, *net));
+  const TensorFile file = load_tensor_file(path);
+  for (const std::string bad : {"10abc", "10 ", "", "ten"}) {
+    MetaMap meta = file.meta;
+    meta["num_classes"] = bad;
+    save_tensors(path, file.tensors, meta);
+    try {
+      runtime::load_artifact(path);
+      FAIL() << "expected '" << bad << "' to be rejected";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("not an integer"), std::string::npos) << e.what();
+    }
+  }
+  save_tensors(path, file.tensors, file.meta);
+  EXPECT_EQ(runtime::load_artifact(path).num_classes, 10);
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------- quantized operating point
 
-TEST(ModelArtifact, CamPrecisionRoundTripsAndEngineAdoptsIt) {
+TEST(ModelArtifact, EngineConfigAloneDecidesCamPrecision) {
   Rng rng(83);
   auto trained = models::make_lenet5(models::Variant::PecanD, rng);
   trained->set_training(false);
-  runtime::ModelArtifact artifact = runtime::make_artifact(
-      "lenet5", models::Variant::PecanD, 10, *trained, cam::CamPrecision::Int8);
-  EXPECT_EQ(artifact.cam_precision, cam::CamPrecision::Int8);
-
-  // The operating point survives serialization...
   const std::string path = "/tmp/pecan_artifact_precision_test.bin";
-  runtime::save_artifact(path, artifact);
-  runtime::ModelArtifact loaded = runtime::load_artifact(path);
+  runtime::save_artifact(path,
+                         runtime::make_artifact("lenet5", models::Variant::PecanD, 10, *trained));
+  const runtime::ModelArtifact loaded = runtime::load_artifact(path);
   std::remove(path.c_str());
-  EXPECT_EQ(loaded.cam_precision, cam::CamPrecision::Int8);
 
-  // ...and a Float32 CAM config defers to it when building the engine.
-  auto adopted = runtime::Engine::from_artifact(loaded, {runtime::ExecPath::Cam});
-  EXPECT_EQ(adopted->cam_precision(), cam::CamPrecision::Int8);
+  // The artifact carries no operating point to defer to: every precision,
+  // Float32 included, is the config's, and every one serves.
+  Rng data_rng(89);
+  const Tensor batch = lenet_batch(data_rng, 2);
+  for (const cam::CamPrecision precision :
+       {cam::CamPrecision::Float32, cam::CamPrecision::Int8, cam::CamPrecision::Binary}) {
+    runtime::EngineConfig config;
+    config.path = runtime::ExecPath::Cam;
+    config.cam_precision = precision;
+    auto engine = runtime::Engine::from_artifact(loaded, config);
+    EXPECT_EQ(engine->cam_precision(), precision);
+    const Tensor logits = engine->forward_batch(batch);
+    EXPECT_EQ(logits.dim(1), 10);
+    for (std::int64_t i = 0; i < logits.numel(); ++i) ASSERT_TRUE(std::isfinite(logits[i]));
+  }
 
-  // An explicit config precision wins over the baked-in one (canary at a
-  // different point from the same artifact).
-  runtime::EngineConfig binary_config;
-  binary_config.path = runtime::ExecPath::Cam;
-  binary_config.cam_precision = cam::CamPrecision::Binary;
-  auto overridden = runtime::Engine::from_artifact(loaded, binary_config);
-  EXPECT_EQ(overridden->cam_precision(), cam::CamPrecision::Binary);
+  // Float32 is the bitwise spec: the loaded artifact serves the rows of a
+  // direct export of the trained network.
+  cam::CamNetworkExport reference = cam::convert_to_cam(*trained);
+  auto float_engine = runtime::Engine::from_artifact(loaded, {runtime::ExecPath::Cam});
+  expect_bitwise_rows(float_engine->forward_batch(batch),
+                      forward_per_sample(*reference.net, batch));
 
   // Quantized CAM search on the float path is a configuration error.
   runtime::EngineConfig bad;
   bad.path = runtime::ExecPath::Float;
   bad.cam_precision = cam::CamPrecision::Int8;
   EXPECT_THROW(runtime::Engine::from_artifact(loaded, bad), std::invalid_argument);
-
-  // Both quantized engines still serve: same logits shape, finite values.
-  Rng data_rng(89);
-  Tensor batch = lenet_batch(data_rng, 2);
-  Tensor int8_logits = adopted->forward_batch(batch);
-  Tensor binary_logits = overridden->forward_batch(batch);
-  EXPECT_EQ(int8_logits.dim(1), 10);
-  EXPECT_EQ(binary_logits.dim(1), 10);
-  for (std::int64_t i = 0; i < int8_logits.numel(); ++i) {
-    ASSERT_TRUE(std::isfinite(int8_logits[i]));
-    ASSERT_TRUE(std::isfinite(binary_logits[i]));
-  }
 }
 
 TEST(ModelArtifact, QuantizedPrecisionDeltasStayWithinBudget) {
@@ -880,6 +940,21 @@ TEST(Buffers, BatchNormRunningStatsSurviveStateDict) {
   for (std::int64_t c = 0; c < 3; ++c) {
     EXPECT_EQ(restored.running_mean()[c], bn.running_mean()[c]);
     EXPECT_EQ(restored.running_var()[c], bn.running_var()[c]);
+  }
+}
+
+TEST(Buffers, MissingRunningStatThrows) {
+  // state_dict() always writes buffers, so a state map without one is a
+  // wrong file, not an old one: loading it must not keep stale statistics.
+  nn::BatchNorm2d bn("bn", 3);
+  TensorMap state = bn.state_dict();
+  ASSERT_EQ(state.erase("bn.running_mean"), 1u);
+  nn::BatchNorm2d restored("bn", 3);
+  try {
+    restored.load_state_dict(state);
+    FAIL() << "expected a missing-buffer error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("bn.running_mean"), std::string::npos) << e.what();
   }
 }
 

@@ -521,10 +521,10 @@ TEST(ModelArtifact, BadMagicThrows) {
   std::remove(path.c_str());
 }
 
-TEST(ModelArtifact, V1FileLoadsAsTensorsButIsNotAnArtifact) {
+TEST(ModelArtifact, V1FileFailsLoudly) {
   // Hand-written v1 file: magic | version=1 | u64 count | per tensor:
   // u32 name_len | name | u32 ndim | i64 dims | f32 data (no metadata
-  // block, no explicit numel — the pre-artifact checkpoint format).
+  // block, no explicit numel, no integrity trailer).
   const std::string path = "/tmp/pecan_v1_checkpoint.bin";
   {
     std::ofstream out(path, std::ios::binary);
@@ -542,57 +542,69 @@ TEST(ModelArtifact, V1FileLoadsAsTensorsButIsNotAnArtifact) {
     for (float v : {1.0f, 2.0f, 3.0f, 4.0f}) pod(v);
   }
 
-  // The tensor loader still reads v1 checkpoints...
-  TensorFile file = load_tensor_file(path);
-  EXPECT_TRUE(file.meta.empty());
-  ASSERT_EQ(file.tensors.count("w"), 1u);
-  EXPECT_EQ(file.tensors.at("w").shape(), (Shape{2, 2}));
-  EXPECT_EQ(file.tensors.at("w")[3], 4.0f);
-
-  // ...but a v1 file carries no architecture metadata, so loading it as a
-  // model artifact must fail loudly (missing artifact.format), not rebuild
-  // a wrong network.
+  // Neither as tensors nor as a model artifact: the file fails loudly with
+  // its version, never rebuilding a wrong network.
+  EXPECT_THROW(load_tensor_file(path), std::runtime_error);
   try {
     runtime::load_artifact(path);
-    FAIL() << "expected missing-metadata error";
+    FAIL() << "expected an unsupported-version error";
   } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("artifact.format"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("unsupported format version 1"), std::string::npos)
+        << e.what();
   }
   std::remove(path.c_str());
 }
 
-TEST(Server, StatsReportCamPrecisionAcrossHotSwap) {
+TEST(Server, ConfigAloneDecidesCamPrecisionAcrossHotSwap) {
   Rng rng(301);
   auto trained = models::make_lenet5(models::Variant::PecanD, rng);
   trained->set_training(false);
-  // Bake int8 into the artifact: a Float32 CAM config must adopt it.
-  const runtime::ModelArtifact artifact = runtime::make_artifact(
-      "lenet5", models::Variant::PecanD, 10, *trained, cam::CamPrecision::Int8);
+  const runtime::ModelArtifact artifact =
+      runtime::make_artifact("lenet5", models::Variant::PecanD, 10, *trained);
+  const std::string path = "/tmp/pecan_server_precision_artifact.bin";
+  runtime::save_artifact(path, artifact);
 
   runtime::Server server;
   runtime::EngineConfig config;
   config.path = runtime::ExecPath::Cam;
-  server.deploy("m", artifact, config);
-  EXPECT_EQ(server.stats("m").cam_precision, cam::CamPrecision::Int8);
+  Rng data(307);
+  const Tensor batch = data.randn({1, 1, 28, 28});
 
-  // Hold a lease on generation 1 across the swap: the old engine keeps its
-  // operating point until the last lease drops, while stats() flips
-  // atomically with the generation.
+  // Every precision, through deploy(artifact) and deploy_file alike, serves
+  // at exactly the configured point — Float32 included, also right after a
+  // quantized generation. The same artifact at the same point serves the
+  // same bits either way.
+  std::uint64_t generation = 0;
+  for (const cam::CamPrecision precision :
+       {cam::CamPrecision::Int8, cam::CamPrecision::Float32, cam::CamPrecision::Binary,
+        cam::CamPrecision::Float32}) {
+    config.cam_precision = precision;
+    EXPECT_EQ(server.deploy("m", artifact, config), ++generation);
+    EXPECT_EQ(server.stats("m").cam_precision, precision);
+    const Tensor from_memory = server.forward_batch("m", batch);
+    EXPECT_EQ(server.deploy_file("m", path, config), ++generation);
+    EXPECT_EQ(server.stats("m").cam_precision, precision);
+    EXPECT_EQ(server.lease("m")->cam_precision(), precision);
+    expect_bitwise(server.forward_batch("m", batch), from_memory, cam::precision_name(precision));
+  }
+
+  // Hold a lease on an Int8 generation across a Float32 swap: the old
+  // engine keeps its operating point until the last lease drops, while
+  // stats() flips atomically with the generation.
+  config.cam_precision = cam::CamPrecision::Int8;
+  server.deploy("m", artifact, config);
   std::shared_ptr<runtime::Engine> old_lease = server.lease("m");
-  runtime::EngineConfig binary_config = config;
-  binary_config.cam_precision = cam::CamPrecision::Binary;
-  const std::uint64_t generation = server.deploy("m", artifact, binary_config);
-  EXPECT_EQ(generation, 2u);
-  EXPECT_EQ(server.stats("m").cam_precision, cam::CamPrecision::Binary);
+  config.cam_precision = cam::CamPrecision::Float32;
+  server.deploy_file("m", path, config);
+  EXPECT_EQ(server.stats("m").cam_precision, cam::CamPrecision::Float32);
   EXPECT_EQ(old_lease->cam_precision(), cam::CamPrecision::Int8);
 
   // Both generations still answer real requests at their own precision.
-  Rng data(307);
-  Tensor batch = data.randn({1, 1, 28, 28});
   EXPECT_EQ(server.forward_batch("m", batch).dim(1), 10);
   EXPECT_EQ(old_lease->forward_batch(batch).dim(1), 10);
-  old_lease.reset();  // drop the last gen-1 lease; old engine unloads here
-  EXPECT_EQ(server.stats("m").cam_precision, cam::CamPrecision::Binary);
+  old_lease.reset();  // drop the last Int8 lease; old engine unloads here
+  EXPECT_EQ(server.stats("m").cam_precision, cam::CamPrecision::Float32);
+  std::remove(path.c_str());
 }
 
 }  // namespace

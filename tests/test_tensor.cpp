@@ -13,6 +13,7 @@
 #include "tensor/sgemm.hpp"
 #include "tensor/tensor.hpp"
 #include "tensor/tensor_ops.hpp"
+#include "util/crc32.hpp"
 
 namespace pecan {
 namespace {
@@ -260,18 +261,24 @@ TEST(Serialize, BadMagicGivesClearError) {
 }
 
 TEST(Serialize, UnsupportedVersionGivesClearError) {
+  // Version 1 (no metadata block, no explicit numel) is no longer read:
+  // the writer has emitted version 2 with its trailer ever since.
   const std::string path = "/tmp/pecan_serialize_badver_test.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write("PCAN", 4);
-    const std::uint32_t version = 99;
-    out.write(reinterpret_cast<const char*>(&version), sizeof version);
-  }
-  try {
-    load_tensors(path);
-    FAIL() << "expected std::runtime_error";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported format version 99"), std::string::npos);
+  for (const std::uint32_t version : {1u, 99u}) {
+    {
+      std::ofstream out(path, std::ios::binary);
+      out.write("PCAN", 4);
+      out.write(reinterpret_cast<const char*>(&version), sizeof version);
+    }
+    try {
+      load_tensors(path);
+      FAIL() << "expected std::runtime_error for version " << version;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported format version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
   }
   std::remove(path.c_str());
 }
@@ -294,33 +301,66 @@ TEST(Serialize, TruncatedFileThrows) {
   std::remove(path.c_str());
 }
 
-TEST(Serialize, LegacyV1FilesStillLoad) {
-  // Hand-written v1 layout: magic | u32 1 | u64 count | name | ndim | dims
-  // | raw f32 payload (no metadata block, no explicit numel).
-  const std::string path = "/tmp/pecan_serialize_v1_test.bin";
-  {
-    std::ofstream out(path, std::ios::binary);
-    out.write("PCAN", 4);
-    const std::uint32_t version = 1;
-    out.write(reinterpret_cast<const char*>(&version), sizeof version);
-    const std::uint64_t count = 1;
-    out.write(reinterpret_cast<const char*>(&count), sizeof count);
-    const std::string name = "legacy.weight";
-    const std::uint32_t name_len = static_cast<std::uint32_t>(name.size());
-    out.write(reinterpret_cast<const char*>(&name_len), sizeof name_len);
-    out.write(name.data(), name_len);
-    const std::uint32_t ndim = 2;
-    out.write(reinterpret_cast<const char*>(&ndim), sizeof ndim);
-    const std::int64_t dims[2] = {2, 2};
-    out.write(reinterpret_cast<const char*>(dims), sizeof dims);
-    const float data[4] = {1.f, 2.f, 3.f, 4.f};
-    out.write(reinterpret_cast<const char*>(data), sizeof data);
+/// Hand-builds a version-2 file, trailer included, whose metadata block and
+/// tensor block may repeat a key or a name.
+void write_v2_file(const std::string& path,
+                   const std::vector<std::pair<std::string, std::string>>& meta,
+                   const std::vector<std::string>& tensor_names) {
+  std::string bytes;
+  const auto pod = [&bytes](const auto& v) {
+    bytes.append(reinterpret_cast<const char*>(&v), sizeof v);
+  };
+  const auto str = [&](const std::string& text) {
+    pod(static_cast<std::uint32_t>(text.size()));
+    bytes += text;
+  };
+  bytes += "PCAN";
+  pod(std::uint32_t{2});
+  pod(static_cast<std::uint32_t>(meta.size()));
+  for (const auto& [key, value] : meta) {
+    str(key);
+    str(value);
   }
-  TensorMap loaded = load_tensors(path);
-  ASSERT_EQ(loaded.size(), 1u);
-  const Tensor& w = loaded.at("legacy.weight");
-  ASSERT_EQ(w.numel(), 4);
-  EXPECT_EQ(w[3], 4.f);
+  pod(static_cast<std::uint64_t>(tensor_names.size()));
+  for (const std::string& name : tensor_names) {
+    str(name);
+    pod(std::uint32_t{1});  // ndim
+    pod(std::int64_t{2});   // dims
+    pod(std::uint64_t{2});  // numel
+    pod(1.0f);
+    pod(2.0f);
+  }
+  const std::uint32_t crc = util::crc32(bytes.data(), bytes.size());
+  pod(std::uint32_t{0x43524332u});  // "2CRC"
+  pod(crc);
+  std::ofstream out(path, std::ios::binary);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(Serialize, RepeatedNamesAreRejected) {
+  // A first-wins map insert would keep one copy and silently drop the rest.
+  const std::string path = "/tmp/pecan_serialize_repeat_test.bin";
+  const auto expect_rejected = [&](const std::string& repeated) {
+    try {
+      load_tensor_file(path);
+      FAIL() << "expected a repeated-name error for '" << repeated << "'";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find("repeated"), std::string::npos) << what;
+      EXPECT_NE(what.find("'" + repeated + "'"), std::string::npos) << what;
+    }
+  };
+  write_v2_file(path, {{"k", "a"}}, {"w", "b", "w"});
+  expect_rejected("w");
+  write_v2_file(path, {{"k", "a"}, {"model", "lenet5"}, {"k", "b"}}, {"w"});
+  expect_rejected("k");
+  // The same builder without a repeat loads: the rejection is the repeat.
+  write_v2_file(path, {{"k", "a"}}, {"w", "b"});
+  const TensorFile file = load_tensor_file(path);
+  EXPECT_EQ(file.meta.at("k"), "a");
+  EXPECT_EQ(file.tensors.size(), 2u);
+  EXPECT_EQ(file.tensors.at("w")[1], 2.0f);
   std::remove(path.c_str());
 }
 

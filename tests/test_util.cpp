@@ -416,17 +416,21 @@ TEST(PriorityBucketQueue, TryPushNeverEvictsForAHigherClass) {
   EXPECT_EQ(q.drain(), (std::vector<int>{0, 1}));
 }
 
-TEST(PriorityBucketQueue, SoftCapacityTightensAndReopensAdmission) {
+TEST(PriorityBucketQueue, SetCapacityTightensAndReopensAdmission) {
   PriorityBucketQueue<int> q(2, 8);
   push_pq(q, 0, 0);
   push_pq(q, 0, 1);
-  q.set_soft_capacity(2);  // controller clamps admission below the hard bound
+  q.set_capacity(2);  // controller clamps admission below the constructed bound
   int item = 42;
   EXPECT_EQ(q.try_push(item, 1), PushResult::Full);  // the cap holds for every class
   EXPECT_EQ(q.size(), 2u);
-  q.set_soft_capacity(0);  // back to the hard bound
+  q.set_capacity(3);  // reopens by exactly one slot
   EXPECT_EQ(q.try_push(item, 1), PushResult::Ok);
-  EXPECT_EQ(q.size(), 3u);
+  int another = 43;
+  EXPECT_EQ(q.try_push(another, 0), PushResult::Full);
+  q.set_capacity(0);  // unbounded
+  EXPECT_EQ(q.try_push(another, 0), PushResult::Ok);
+  EXPECT_EQ(q.size(), 4u);
 }
 
 TEST(PriorityBucketQueue, CloseWithPendingDrainsEveryClass) {
